@@ -40,14 +40,9 @@ from .screening import (
     ScreeningContext,
     ScreenState,
     SphereRegion,
-    dome_params,
     dual_scale_group,
     dual_scale_lasso,
     group_mask_to_index_mask,
-    region_dst3,
-    region_gsafe,
-    region_gst3,
-    region_safe,
     screen_update,
     test_dome,
     test_sphere_group,
@@ -83,6 +78,7 @@ from .datagen import (
     gen_dictionary,
     gen_observation,
     make_rng,
+    random_groups,
     random_partition,
 )
 from .oracle import OracleResult, solve_reference, verify_screen_safety

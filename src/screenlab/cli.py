@@ -109,11 +109,7 @@ def cmd_gen(args):
         if not args.k or not args.group_size:
             raise SystemExit("gen --kind groups needs --k and --group-size")
         # partition metadata only; spectral norms are recomputed at load time
-        if args.k % args.group_size:
-            raise SystemExit("--group-size must divide --k")
-        perm = datagen.make_rng(seed, datagen.GROUP_STREAM).permutation(args.k)
-        groups = [np.sort(perm[i : i + args.group_size]) for i in range(0, args.k, args.group_size)]
-        write_group_file(args.out, groups)
+        write_group_file(args.out, datagen.random_groups(args.k, args.group_size, seed))
         manifest.update(k=args.k, group_size=args.group_size)
     elif kind in datagen.DICT_KINDS and not args.dict:
         # gaussian/pnoise double as observation families; --dict switches to

@@ -155,11 +155,15 @@ def _bernoulli_gaussian(rng, spec, dictionary, partition):
     )
 
 
-def random_partition(dictionary, group_size, seed, weights=None):
-    """Random partition into equally sized groups (requires k % group_size == 0)."""
-    k = dictionary.n_cols
+def random_groups(k, group_size, seed):
+    """Random split of ``[0, k)`` into sorted groups of `group_size` indices each."""
     if group_size < 1 or k % group_size != 0:
         raise ValueError("group_size must divide the number of columns")
     perm = make_rng(seed, GROUP_STREAM).permutation(k)
-    groups = [np.sort(perm[i : i + group_size]) for i in range(0, k, group_size)]
+    return [np.sort(perm[i : i + group_size]) for i in range(0, k, group_size)]
+
+
+def random_partition(dictionary, group_size, seed, weights=None):
+    """Random partition into equally sized groups (requires k % group_size == 0)."""
+    groups = random_groups(dictionary.n_cols, group_size, seed)
     return GroupPartition.build(dictionary, groups, weights=weights)

@@ -54,10 +54,13 @@ class Dictionary:
         if check_unit_norms:
             norms = np.linalg.norm(arr, axis=0)
             worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-            if worst > UNIT_NORM_TOL:
+            # written so that a NaN deviation fails too
+            if not worst <= UNIT_NORM_TOL:
                 raise ValueError(
                     f"columns must have unit l2 norm (worst deviation {worst:.3e})"
                 )
+        elif not np.all(np.isfinite(arr)):
+            raise ValueError("dictionary entries must be finite")
         arr.setflags(write=False)
         self.data = arr
         self.col_norm_checked = bool(check_unit_norms)
@@ -223,9 +226,6 @@ class GroupPartition:
     def size(self):
         return self.group_of.size
 
-    def group_sizes(self):
-        return np.array([g.size for g in self.groups], dtype=np.int64)
-
     def group_norms(self, vec):
         """Per-group l2 norms of a full-length coefficient or correlation vector."""
         vec = np.asarray(vec, dtype=np.float64)
@@ -240,27 +240,24 @@ class GroupPartition:
         `kept` must be a union of whole groups (screening removes groups
         atomically); ``None`` means all columns.
         """
-        if kept is None:
-            return GroupLayout(
-                group_ids=np.arange(self.n_groups, dtype=np.int64),
-                weights=self.weights.copy(),
-                order=self.order.copy(),
-                offsets=self.offsets.copy(),
-            )
-        kept = index_set(kept, self.size)
-        kept_gids = np.unique(self.group_of[kept]) if kept.size else np.empty(0, np.int64)
-        total = int(sum(self.groups[g].size for g in kept_gids))
-        if total != kept.size:
+        kept = index_set(np.arange(self.size) if kept is None else kept, self.size)
+        alive = np.zeros(self.size, dtype=bool)
+        alive[kept] = True
+        alive_in_order = alive[self.order]
+        sizes = np.diff(self.offsets, append=self.size)
+        alive_sizes = np.add.reduceat(alive_in_order, self.offsets, dtype=np.int64)
+        whole = alive_sizes == sizes
+        if np.any(~whole & (alive_sizes > 0)):
             raise ValueError("kept indices must cover whole groups")
-        parts = [np.searchsorted(kept, self.groups[g]) for g in kept_gids]
-        sizes = np.array([p.size for p in parts], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])) if sizes.size else np.zeros(0, np.int64)
-        order = np.concatenate(parts) if parts else np.zeros(0, np.int64)
+        kept_gids = np.flatnonzero(whole)
+        kept_sizes = sizes[kept_gids]
+        # position of each kept column inside the reduced vector
+        position = np.cumsum(alive) - 1
         return GroupLayout(
             group_ids=kept_gids,
             weights=self.weights[kept_gids],
-            order=order,
-            offsets=offsets,
+            order=position[self.order[alive_in_order]],
+            offsets=np.cumsum(kept_sizes) - kept_sizes,
         )
 
 

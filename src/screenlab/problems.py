@@ -35,10 +35,13 @@ class Problem:
         if y.shape != (self.dictionary.n_rows,):
             raise ValueError("observation length must match the dictionary rows")
         nrm = float(np.linalg.norm(y))
-        if abs(nrm - 1.0) > OBS_NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(nrm - 1.0) <= OBS_NORM_TOL:
             raise ValueError(f"observation must have unit l2 norm (got {nrm!r})")
         if not self.lam > 0:
             raise ValueError("lam must be strictly positive")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite (got {self.lam!r})")
         if self.partition is not None and self.partition.size != self.dictionary.n_cols:
             raise ValueError("partition must cover exactly the dictionary columns")
         object.__setattr__(self, "y", y)

@@ -177,7 +177,6 @@ def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
     theta = np.asarray(theta, dtype=np.float64)
     if group_corr_norms is None:
         group_corr_norms = problem.partition.group_norms(problem.dictionary.correlate(theta))
-        group_weights = problem.partition.weights
     if group_weights is None:
         group_weights = problem.partition.weights
     norms = np.asarray(group_corr_norms, dtype=np.float64)
@@ -204,21 +203,15 @@ class ScreeningContext:
 
     # -- shared scalar machinery -------------------------------------------
 
-    def _check_nontrivial(self):
-        if self.problem.lam > self.lmax.value:
-            raise ValueError(
-                "penalty exceeds the trivial-solution threshold; screen everything instead"
-            )
-
     def _safe_radius_sq(self, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
         if self.problem.kind == LASSO:
-            mu, v = dual_scale_lasso(self.problem, theta, corr_inf=corr_inf)
+            _, v = dual_scale_lasso(self.problem, theta, corr_inf=corr_inf)
         else:
-            mu, v = dual_scale_group(
+            _, v = dual_scale_group(
                 self.problem, theta, group_corr_norms=group_corr_norms, group_weights=group_weights
             )
         diff = self.safe_center - v
-        return float(diff @ diff), mu, v
+        return float(diff @ diff)
 
     def _shifted_radius(self, radius_sq, shift_sq):
         arg = radius_sq - shift_sq
@@ -255,10 +248,6 @@ class ScreeningContext:
         return self.safe_center_corr - self.dst3_shift * self.star_corr
 
     @cached_property
-    def gsafe_center_group_norms(self):
-        return self.problem.partition.group_norms(self.safe_center_corr)
-
-    @cached_property
     def _gst3_geometry(self):
         part = self.problem.partition
         g = self.lmax.group
@@ -274,19 +263,15 @@ class ScreeningContext:
         shift_sq = coef * coef / normal_sq
         return center, center_corr, shift_sq
 
-    @cached_property
-    def gst3_center_group_norms(self):
-        return self.problem.partition.group_norms(self._gst3_geometry[1])
-
-    def _group_slack(self, center_group_norms):
+    def _group_slack(self, center_corr):
         part = self.problem.partition
-        return (part.weights - center_group_norms) / part.spectral_norms
+        return (part.weights - part.group_norms(center_corr)) / part.spectral_norms
 
     @cached_property
     def safe_slack(self):
         if self.problem.kind == LASSO:
             return 1.0 - np.abs(self.safe_center_corr)
-        return self._group_slack(self.gsafe_center_group_norms)
+        return self._group_slack(self.safe_center_corr)
 
     @cached_property
     def dst3_slack(self):
@@ -294,30 +279,53 @@ class ScreeningContext:
 
     @cached_property
     def gst3_slack(self):
-        return self._group_slack(self.gst3_center_group_norms)
+        return self._group_slack(self._gst3_geometry[1])
 
-    # -- region builders ----------------------------------------------------
+    # -- regions and the screening dispatch --------------------------------
 
     def _safe_sphere(self, radius_sq):
         return SphereRegion(
             self.safe_center, float(np.sqrt(radius_sq)), self.safe_center_corr, self.safe_slack
         )
 
-    def region_safe(self, theta, corr_inf=None):
-        rsq, _, _ = self._safe_radius_sq(theta, corr_inf=corr_inf)
-        return self._safe_sphere(rsq)
+    def region(self, kind, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
+        """Region of test `kind` around the dual candidate `theta`.
 
-    def region_dst3(self, theta, corr_inf=None):
-        """Shifted sphere intersected with the SAFE sphere it was cut from.
-
-        The shifted sphere bounds the SAFE sphere's intersection with the
-        half-space ``a* . theta <= 1`` of the extremal atom; `base` keeps the
-        SAFE sphere itself, so the test also eliminates the atoms strongly
-        anti-correlated with ``a*`` that only the SAFE sphere certifies.
+        `theta` is first scaled onto the dual feasible segment; `corr_inf`
+        (Lasso) or `group_corr_norms` with `group_weights` (groups) describe
+        the columns still in play, and default to the full dictionary. SAFE
+        and GSAFE give the plain sphere around ``y / lam``. DST3 and GST3 give
+        the shifted sphere intersected with the plain sphere it was cut from:
+        the shifted sphere bounds the plain sphere's intersection with the
+        extremal atom's half-space ``a* . theta <= 1`` (the extremal group's
+        tangent half-space), and `base` keeps the plain sphere itself, so the
+        test also eliminates what only the plain sphere certifies. DOME gives
+        the `DomeParams` of that intersection.
         """
-        self._check_nontrivial()
-        rsq, _, _ = self._safe_radius_sq(theta, corr_inf=corr_inf)
+        if kind not in ALL_TESTS:
+            raise ValueError(f"unknown screening test {kind!r}")
+        if kind not in (SAFE, GSAFE) and self.problem.lam > self.lmax.value:
+            raise ValueError(
+                "penalty exceeds the trivial-solution threshold; screen everything instead"
+            )
+        rsq = self._safe_radius_sq(theta, corr_inf, group_corr_norms, group_weights)
+        if kind in (SAFE, GSAFE):
+            return self._safe_sphere(rsq)
+        if kind == GST3:
+            center, center_corr, shift_sq = self._gst3_geometry
+            radius = self._shifted_radius(rsq, shift_sq)
+            return SphereRegion(
+                center, radius, center_corr, self.gst3_slack, base=self._safe_sphere(rsq)
+            )
         radius = self._shifted_radius(rsq, self.dst3_shift**2)
+        if kind == DOME:
+            return DomeParams(
+                lam=self.problem.lam,
+                lambda_star=self.lmax.value,
+                star_correlations=self.star_corr,
+                y_correlations=self.y_corr,
+                radius=radius,
+            )
         return SphereRegion(
             self.dst3_center,
             radius,
@@ -326,91 +334,41 @@ class ScreeningContext:
             base=self._safe_sphere(rsq),
         )
 
-    def dome_params(self, theta, corr_inf=None):
-        self._check_nontrivial()
-        rsq, _, _ = self._safe_radius_sq(theta, corr_inf=corr_inf)
-        radius = self._shifted_radius(rsq, self.dst3_shift**2)
-        return DomeParams(
-            lam=self.problem.lam,
-            lambda_star=self.lmax.value,
-            star_correlations=self.star_corr,
-            y_correlations=self.y_corr,
-            radius=radius,
+    def _region_at(self, kind, theta, corr, layout):
+        if self.problem.kind == LASSO:
+            return self.region(kind, theta, corr_inf=float(np.max(np.abs(corr), initial=0.0)))
+        return self.region(
+            kind, theta, group_corr_norms=layout.norms(corr), group_weights=layout.weights
         )
-
-    def region_gsafe(self, theta, group_corr_norms=None, group_weights=None):
-        rsq, _, _ = self._safe_radius_sq(
-            theta, group_corr_norms=group_corr_norms, group_weights=group_weights
-        )
-        return self._safe_sphere(rsq)
-
-    def region_gst3(self, theta, group_corr_norms=None, group_weights=None):
-        """Shifted group sphere intersected with the GSAFE sphere it was cut from.
-
-        The shifted sphere bounds the GSAFE sphere's intersection with the
-        tangent half-space of the extremal group's constraint; `base` keeps
-        the GSAFE sphere itself, for the same reason as in `region_dst3`.
-        """
-        self._check_nontrivial()
-        center, center_corr, shift_sq = self._gst3_geometry
-        rsq, _, _ = self._safe_radius_sq(
-            theta, group_corr_norms=group_corr_norms, group_weights=group_weights
-        )
-        radius = self._shifted_radius(rsq, shift_sq)
-        return SphereRegion(
-            center, radius, center_corr, self.gst3_slack, base=self._safe_sphere(rsq)
-        )
-
-    def region(self, kind, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
-        if kind == SAFE:
-            return self.region_safe(theta, corr_inf=corr_inf)
-        if kind == DST3:
-            return self.region_dst3(theta, corr_inf=corr_inf)
-        if kind == DOME:
-            return self.dome_params(theta, corr_inf=corr_inf)
-        if kind == GSAFE:
-            return self.region_gsafe(theta, group_corr_norms, group_weights)
-        if kind == GST3:
-            return self.region_gst3(theta, group_corr_norms, group_weights)
-        raise ValueError(f"unknown screening test {kind!r}")
 
     def static_region(self, kind):
         """Region for the screen-once strategy, built from the observation itself."""
+        layout = self.problem.partition.layout() if self.problem.kind == GROUP else None
+        return self._region_at(kind, self.problem.y, self.y_corr, layout)
+
+    def screen(self, kind, theta, corr, kept, layout=None):
+        """Elimination mask over `kept` from test `kind` at the dual candidate `theta`.
+
+        `kept` holds the original indices of the columns still in play and
+        `corr` their correlations with theta, in the same order; for group
+        problems `layout` is the group layout over `kept` (built from it when
+        omitted). The screen-once strategy is this call at ``theta = y`` on
+        the whole dictionary, the dynamic strategy the same call at each
+        iteration's dual point. Group tests flag whole groups, and the mask
+        flags each of their columns.
+        """
         if self.problem.kind == LASSO:
-            corr_inf = float(np.max(np.abs(self.y_corr)))
-            return self.region(kind, self.problem.y, corr_inf=corr_inf)
-        norms = self.problem.partition.group_norms(self.y_corr)
-        return self.region(kind, self.problem.y, group_corr_norms=norms)
-
-    def center_group_norms(self, kind):
-        if kind == GSAFE:
-            return self.gsafe_center_group_norms
-        if kind == GST3:
-            return self.gst3_center_group_norms
-        raise ValueError(f"not a group test: {kind!r}")
-
-
-# -- standalone builders (one-shot convenience over ScreeningContext) --------
-
-
-def region_safe(problem, theta, corr_inf=None, lmax=None):
-    return ScreeningContext(problem, lmax).region_safe(theta, corr_inf=corr_inf)
-
-
-def region_dst3(problem, theta, corr_inf=None, lmax=None):
-    return ScreeningContext(problem, lmax).region_dst3(theta, corr_inf=corr_inf)
-
-
-def dome_params(problem, theta, corr_inf=None, lmax=None):
-    return ScreeningContext(problem, lmax).dome_params(theta, corr_inf=corr_inf)
-
-
-def region_gsafe(problem, theta, group_corr_norms=None, group_weights=None, lmax=None):
-    return ScreeningContext(problem, lmax).region_gsafe(theta, group_corr_norms, group_weights)
-
-
-def region_gst3(problem, theta, group_corr_norms=None, group_weights=None, lmax=None):
-    return ScreeningContext(problem, lmax).region_gst3(theta, group_corr_norms, group_weights)
+            region = self._region_at(kind, theta, corr, None)
+            if kind == DOME:
+                return test_dome(region, kept)
+            return test_sphere_lasso(region, kept)
+        if layout is None:
+            layout = self.problem.partition.layout(kept)
+        region = self._region_at(kind, theta, corr, layout)
+        group_mask = test_sphere_group(region, self.problem.partition, layout.group_ids)
+        if not group_mask.any():
+            return np.zeros(len(kept), dtype=bool)
+        return group_mask_to_index_mask(self.problem.partition, kept, layout.group_ids, group_mask)
 
 
 # -- tests --------------------------------------------------------------------
@@ -467,25 +425,22 @@ def test_dome(dp, kept):
     return (u - lower > margin) & (upper - u > margin)
 
 
-def test_sphere_group(region, partition, kept_groups, center_group_norms=None):
+def test_sphere_group(region, partition, kept_groups):
     """Per-group elimination mask over `kept_groups` for a sphere region.
 
-    Group g is flagged iff ``(w_g - ||D_g.T center||) / ||D_g|| > radius``.
-    `center_group_norms` may carry the precomputed full-partition norms of the
-    region's center correlations; without them the region's cached `slack`
-    is used, or the norms are computed when it has none. For a composite
-    region the group is flagged when either sphere certifies it; both contain
-    the dual optimum, so each certificate alone is safe.
+    Group g is flagged iff ``(w_g - ||D_g.T center||) / ||D_g|| > radius``,
+    read from the region's cached `slack`, or computed from its center
+    correlations when it has none. For a composite region the group is
+    flagged when either sphere certifies it; both contain the dual optimum,
+    so each certificate alone is safe.
     """
     kept_groups = np.asarray(kept_groups, dtype=np.int64)
-    if center_group_norms is None and region.slack is not None:
+    if region.slack is not None:
         slack = region.slack[kept_groups]
     else:
-        if center_group_norms is None:
-            center_group_norms = partition.group_norms(region.center_correlations)
+        norms = partition.group_norms(region.center_correlations)[kept_groups]
         w = partition.weights[kept_groups]
-        c = np.asarray(center_group_norms)[kept_groups]
-        slack = (w - c) / partition.spectral_norms[kept_groups]
+        slack = (w - norms) / partition.spectral_norms[kept_groups]
     mask = slack - region.radius > SCREEN_MARGIN
     if region.base is not None:
         mask |= test_sphere_group(region.base, partition, kept_groups)

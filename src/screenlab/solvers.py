@@ -326,7 +326,8 @@ _UPDATES = {
 def init_state(problem, cfg, kept_count=None):
     """Fresh zero-initialized solver state sized for `kept_count` columns."""
     k = problem.n_cols if kept_count is None else int(kept_count)
-    state = SolverState(x=np.zeros(k), L=cfg.L0)
+    # x starts at zero, so the residual D @ x - y is known without a product
+    state = SolverState(x=np.zeros(k), resid=-problem.y, L=cfg.L0)
     if cfg.algorithm in (FISTA, CP):
         state.u = state.x
     if cfg.algorithm == CP:
@@ -401,22 +402,10 @@ def run(problem, cfg, iteration_hook=None):
     state_screen = screening.ScreenState.initial(k, cfg.test)
     dic = problem.dictionary
     layout = problem.partition.layout() if problem.kind == GROUP else None
-    kept_groups = np.arange(group_count, dtype=np.int64) if problem.kind == GROUP else None
 
     cum_flops = 0
     if cfg.strategy == STATIC:
-        region = ctx.static_region(cfg.test)
-        if cfg.test in screening.LASSO_TESTS:
-            if cfg.test == screening.DOME:
-                mask = screening.test_dome(region, state_screen.kept)
-            else:
-                mask = screening.test_sphere_lasso(region, state_screen.kept)
-        else:
-            gmask = screening.test_sphere_group(region, problem.partition, kept_groups)
-            mask = screening.group_mask_to_index_mask(
-                problem.partition, state_screen.kept, kept_groups, gmask
-            )
-            kept_groups = kept_groups[~gmask]
+        mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state_screen.kept, layout)
         state_screen = screening.screen_update(state_screen, mask)
         dic = problem.dictionary.reduce(np.arange(k, dtype=np.int64), state_screen.kept)
         if problem.kind == GROUP:
@@ -438,22 +427,7 @@ def run(problem, cfg, iteration_hook=None):
 
         mask = None
         if cfg.strategy == DYNAMIC:
-            if cfg.test in screening.LASSO_TESTS:
-                corr_inf = float(np.max(np.abs(state.corr), initial=0.0))
-                region = ctx.region(cfg.test, state.theta, corr_inf=corr_inf)
-                if cfg.test == screening.DOME:
-                    mask = screening.test_dome(region, state_screen.kept)
-                else:
-                    mask = screening.test_sphere_lasso(region, state_screen.kept)
-            else:
-                norms = layout.norms(state.corr)
-                region = ctx.region(
-                    cfg.test, state.theta, group_corr_norms=norms, group_weights=layout.weights
-                )
-                gmask = screening.test_sphere_group(region, problem.partition, kept_groups)
-                mask = screening.group_mask_to_index_mask(
-                    problem.partition, state_screen.kept, kept_groups, gmask
-                )
+            mask = ctx.screen(cfg.test, state.theta, state.corr, state_screen.kept, layout)
 
         if iteration_hook is not None:
             iteration_hook(
@@ -462,7 +436,7 @@ def run(problem, cfg, iteration_hook=None):
                     theta=state.theta,
                     corr=state.corr,
                     kept=state_screen.kept,
-                    kept_groups=kept_groups,
+                    kept_groups=layout.group_ids if layout is not None else None,
                     mask=mask,
                     x=state.x,
                     context=ctx,
@@ -477,7 +451,6 @@ def run(problem, cfg, iteration_hook=None):
             dic = _reduce_dic(dic, keep_pos)
             if problem.kind == GROUP:
                 layout = problem.partition.layout(state_screen.kept)
-                kept_groups = layout.group_ids
             _reduce_state(state, keep_pos, dropped_zero)
 
         if state.resid is None:

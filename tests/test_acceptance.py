@@ -68,30 +68,16 @@ class Suite:
 def _nesting_hook(problem, ctx, sink):
     """Evaluate every applicable test at the shared per-iteration dual point."""
 
+    if problem.kind == sl.LASSO:
+        tests = screening.LASSO_TESTS
+        pairs = ((screening.SAFE, screening.DST3), (screening.DST3, screening.DOME))
+    else:
+        tests = screening.GROUP_TESTS
+        pairs = ((screening.GSAFE, screening.GST3),)
+
     def hook(info):
         sink["checks"] += 1
-        if problem.kind == sl.LASSO:
-            ci = float(np.max(np.abs(info.corr), initial=0.0))
-            masks = {}
-            for tk in screening.LASSO_TESTS:
-                reg = ctx.region(tk, info.theta, corr_inf=ci)
-                if tk == screening.DOME:
-                    masks[tk] = screening.test_dome(reg, info.kept)
-                else:
-                    masks[tk] = screening.test_sphere_lasso(reg, info.kept)
-            pairs = ((screening.SAFE, screening.DST3), (screening.DST3, screening.DOME))
-        else:
-            layout = problem.partition.layout(info.kept)
-            norms = layout.norms(info.corr)
-            masks = {}
-            for tk in screening.GROUP_TESTS:
-                reg = ctx.region(tk, info.theta, group_corr_norms=norms,
-                                 group_weights=layout.weights)
-                gm = screening.test_sphere_group(
-                    reg, problem.partition, info.kept_groups, ctx.center_group_norms(tk)
-                )
-                masks[tk] = gm
-            pairs = ((screening.GSAFE, screening.GST3),)
+        masks = {tk: ctx.screen(tk, info.theta, info.corr, info.kept) for tk in tests}
         for weaker, stronger in pairs:
             extra = int(np.sum(masks[weaker] & ~masks[stronger]))
             if extra:

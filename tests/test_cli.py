@@ -62,6 +62,10 @@ class TestGen:
         groups, weights = sl.read_group_file(out)
         assert len(groups) == 4
         assert np.allclose(weights, np.sqrt(3.0))
+        # the same grouping as the library's random partition for that seed
+        dic = sl.gen_dictionary(sl.GenSpec(kind="gaussian", n=5, k=12, seed=0))
+        want = sl.random_partition(dic, 3, 1).groups
+        assert [g.tolist() for g in groups] == [g.tolist() for g in want]
 
     def test_planted_observation_with_truth(self, tmp_path):
         d = tmp_path / "d.dsmx"

@@ -75,6 +75,17 @@ class TestConstruction:
         dic = sl.Dictionary(np.array([[1.0, 2.0], [0.0, 0.0]]), check_unit_norms=False)
         assert not dic.col_norm_checked
 
+    def test_rejects_nan_column(self):
+        mat = np.eye(3)
+        mat[:, 1] = np.nan
+        with pytest.raises(ValueError, match="unit l2 norm"):
+            sl.Dictionary(mat)
+
+    def test_unchecked_columns_must_be_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sl.Dictionary(np.array([[1.0, 2.0], [0.0, bad]]), check_unit_norms=False)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             sl.Dictionary(np.zeros(3))
@@ -298,6 +309,30 @@ class TestGroupPartition:
         full[kept] = v
         want = part.group_norms(full)[[0, 2]]
         assert np.allclose(layout.norms(v), want, atol=1e-12)
+
+    def test_layout_matches_group_by_group(self):
+        # unequal random partitions; each kept group's columns are located in
+        # `kept` one group at a time
+        rng = np.random.default_rng(21)
+        empty = np.empty(0, dtype=np.int64)
+        for trial in range(40):
+            k = int(rng.integers(1, 30))
+            cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, trial % 7), replace=False))
+            groups = [np.sort(g) for g in np.split(rng.permutation(k), cuts)]
+            mat = rng.standard_normal((4, k))
+            part = GroupPartition.build(sl.Dictionary(mat / np.linalg.norm(mat, axis=0)), groups)
+            some = np.flatnonzero(rng.random(part.n_groups) < 0.5)
+            for chosen in (some, empty, np.arange(part.n_groups)):
+                kept = np.sort(np.concatenate([part.groups[g] for g in chosen] + [empty]))
+                layout = part.layout(kept)
+                parts = [np.searchsorted(kept, part.groups[g]) for g in chosen]
+                sizes = np.array([q.size for q in parts], dtype=np.int64)
+                assert np.array_equal(layout.group_ids, chosen)
+                assert np.array_equal(layout.weights, part.weights[chosen])
+                assert np.array_equal(layout.order, np.concatenate(parts + [empty]))
+                assert np.array_equal(layout.offsets, np.cumsum(sizes) - sizes)
+                for arr in (layout.group_ids, layout.order, layout.offsets):
+                    assert arr.dtype == np.int64
 
     def test_layout_rejects_partial_groups(self):
         _, part = self.make()

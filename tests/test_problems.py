@@ -19,6 +19,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="positive"):
             sl.Problem(dic, np.array([1.0, 0.0]), 0.0)
 
+    def test_rejects_nan_observation(self):
+        dic = sl.Dictionary(np.eye(2))
+        with pytest.raises(ValueError, match="observation"):
+            sl.Problem(dic, np.array([1.0, np.nan]), 0.5)
+
+    def test_rejects_infinite_lam(self):
+        dic = sl.Dictionary(np.eye(2))
+        with pytest.raises(ValueError, match="lam must be finite"):
+            sl.Problem(dic, np.array([1.0, 0.0]), np.inf)
+
     def test_rejects_partition_size_mismatch(self):
         dic = sl.Dictionary(np.eye(3))
         small = sl.Dictionary(np.eye(2))

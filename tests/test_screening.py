@@ -83,19 +83,19 @@ class TestDualScaleGroup:
 class TestRegionSafe:
     def test_zero_radius_at_threshold(self):
         p = identity_problem(1.0)  # lam == lambda_max
-        reg = sl.region_safe(p, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
         assert reg.radius == pytest.approx(0.0, abs=1e-15)
         mask = sl.test_sphere_lasso(reg, kept_all(p))
         assert mask.tolist() == [False, True]
 
     def test_zero_theta_radius(self):
         p = identity_problem(0.8)
-        reg = sl.region_safe(p, np.zeros(2))
+        reg = sl.ScreeningContext(p).region(sl.SAFE, np.zeros(2))
         assert reg.radius == pytest.approx(1.0 / 0.8)
 
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        reg = sl.region_safe(p, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
         assert np.allclose(reg.center, [1.25, 0.0])
         assert reg.radius == pytest.approx(0.25)
 
@@ -103,8 +103,9 @@ class TestRegionSafe:
         for seed in range(10):
             p = make_lasso(seed)
             theta = np.random.default_rng(seed).standard_normal(p.n_rows)
-            for builder in (sl.region_safe, sl.region_dst3):
-                reg = builder(p, theta)
+            ctx = sl.ScreeningContext(p)
+            for kind in (sl.SAFE, sl.DST3):
+                reg = ctx.region(kind, theta)
                 want = p.dictionary.correlate(reg.center)
                 assert np.allclose(reg.center_correlations, want, atol=1e-10)
 
@@ -115,7 +116,7 @@ class TestRegionSafe:
             base = make_lasso(seed, n=15, k=35)
             lm = sl.lambda_max(base)
             p = sl.Problem(base.dictionary, base.y, lm.value)
-            reg = sl.region_safe(p, p.y, corr_inf=lm.value)
+            reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=lm.value)
             assert reg.radius <= 1e-12
             mask = sl.test_sphere_lasso(reg, np.arange(35))
             corr = np.abs(p.dictionary.correlate(p.y))
@@ -127,14 +128,14 @@ class TestRegionSafe:
 class TestRegionDst3:
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        reg = sl.region_dst3(p, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, corr_inf=1.0)
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-15)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
         assert sl.test_sphere_lasso(reg, kept_all(p)).tolist() == [False, True]
 
     def test_at_threshold_center_matches_safe(self):
         p = identity_problem(1.0)
-        reg = sl.region_dst3(p, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, corr_inf=1.0)
         assert np.allclose(reg.center, p.y / p.lam)
 
     def test_static_point_sign_symmetry(self):
@@ -144,8 +145,8 @@ class TestRegionDst3:
             p = make_lasso(seed, ratio=0.6)
             lm = sl.lambda_max(p)
             ci = lm.value
-            r_pos = sl.region_dst3(p, p.y, corr_inf=ci, lmax=lm)
-            r_neg = sl.region_dst3(p, -p.y, corr_inf=ci, lmax=lm)
+            r_pos = sl.ScreeningContext(p, lm).region(sl.DST3, p.y, corr_inf=ci)
+            r_neg = sl.ScreeningContext(p, lm).region(sl.DST3, -p.y, corr_inf=ci)
             assert r_pos.radius == r_neg.radius
             m_pos = sl.test_sphere_lasso(r_pos, kept_all(p))
             m_neg = sl.test_sphere_lasso(r_neg, kept_all(p))
@@ -156,9 +157,9 @@ class TestRegionDst3:
         lam = 2.0 * sl.lambda_max(base).value
         p = sl.Problem(base.dictionary, base.y, lam)
         with pytest.raises(ValueError, match="trivial"):
-            sl.region_dst3(p, p.y)
+            sl.ScreeningContext(p).region(sl.DST3, p.y)
         with pytest.raises(ValueError, match="trivial"):
-            sl.dome_params(p, p.y)
+            sl.ScreeningContext(p).region(sl.DOME, p.y)
 
     def test_radius_clamp_guard(self):
         p = identity_problem(0.8)
@@ -197,7 +198,7 @@ class TestSphereLassoMask:
 class TestDome:
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        dp = sl.dome_params(p, p.y, corr_inf=1.0)
+        dp = sl.ScreeningContext(p).region(sl.DOME, p.y, corr_inf=1.0)
         assert dp.radius == pytest.approx(0.0, abs=1e-12)
         assert sl.test_dome(dp, kept_all(p)).tolist() == [False, True]
 
@@ -222,9 +223,9 @@ class TestDome:
             ctx = screening.ScreeningContext(p)
             theta = rng.standard_normal(p.n_rows)
             ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
-            m_safe = sl.test_sphere_lasso(ctx.region_safe(theta, corr_inf=ci), kept_all(p))
-            m_dst3 = sl.test_sphere_lasso(ctx.region_dst3(theta, corr_inf=ci), kept_all(p))
-            m_dome = sl.test_dome(ctx.dome_params(theta, corr_inf=ci), kept_all(p))
+            m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr_inf=ci), kept_all(p))
+            m_dst3 = sl.test_sphere_lasso(ctx.region(sl.DST3, theta, corr_inf=ci), kept_all(p))
+            m_dome = sl.test_dome(ctx.region(sl.DOME, theta, corr_inf=ci), kept_all(p))
             assert not np.any(m_safe & ~m_dome)
             assert not np.any(m_dst3 & ~m_dome)
 
@@ -255,24 +256,25 @@ class TestGroupRegions:
     def test_gsafe_singleton_matches_safe(self):
         p = identity_problem(0.8)
         pg = identity_problem(0.8, kind="group")
-        reg_l = sl.region_safe(p, p.y, corr_inf=1.0)
-        reg_g = sl.region_gsafe(pg, pg.y)
+        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
+        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
         assert np.allclose(reg_l.center, reg_g.center)
         assert reg_l.radius == pytest.approx(reg_g.radius, abs=1e-14)
 
     def test_gsafe_identity_group_mask(self):
         pg = identity_problem(0.8, kind="group")
-        reg = sl.region_gsafe(pg, pg.y)
+        reg = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
         mask = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
         assert mask.tolist() == [False, True]
 
     def test_gsafe_zero_theta_radius(self):
         pg = identity_problem(0.8, kind="group")
-        assert sl.region_gsafe(pg, np.zeros(2)).radius == pytest.approx(1.0 / 0.8)
+        reg = sl.ScreeningContext(pg).region(sl.GSAFE, np.zeros(2))
+        assert reg.radius == pytest.approx(1.0 / 0.8)
 
     def test_gst3_identity_worked_example(self):
         pg = identity_problem(0.8, kind="group")
-        reg = sl.region_gst3(pg, pg.y)
+        reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y)
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-14)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
         mask = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
@@ -289,8 +291,8 @@ class TestGroupRegions:
             theta = rng.standard_normal(10)
             ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
             norms = part.group_norms(p.dictionary.correlate(theta))
-            reg_l = sl.region_dst3(p, theta, corr_inf=ci)
-            reg_g = sl.region_gst3(pg, theta, group_corr_norms=norms)
+            reg_l = sl.ScreeningContext(p).region(sl.DST3, theta, corr_inf=ci)
+            reg_g = sl.ScreeningContext(pg).region(sl.GST3, theta, group_corr_norms=norms)
             assert np.allclose(reg_l.center, reg_g.center, atol=1e-10)
             assert reg_l.radius == pytest.approx(reg_g.radius, abs=1e-10)
 
@@ -299,7 +301,7 @@ class TestGroupRegions:
             pg = make_group(seed, ratio=0.6)
             ref = sl.solve_reference(pg, 1e-12)
             theta_star = (pg.y - pg.dictionary.apply(ref.x_ref)) / pg.lam
-            reg = sl.region_gst3(pg, pg.y)
+            reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y)
             assert np.linalg.norm(theta_star - reg.center) <= reg.radius + 1e-9
 
     def test_gst3_rejects_trivial_regime(self):
@@ -307,7 +309,7 @@ class TestGroupRegions:
         lam = 1.5 * sl.lambda_max(base).value
         pg = sl.Problem(base.dictionary, base.y, lam, base.partition)
         with pytest.raises(ValueError, match="trivial"):
-            sl.region_gst3(pg, pg.y)
+            sl.ScreeningContext(pg).region(sl.GST3, pg.y)
 
 
 class TestCompositeShiftedRegions:
@@ -337,8 +339,8 @@ class TestCompositeShiftedRegions:
             ctx = screening.ScreeningContext(p)
             for theta in self._dual_points(p, rng):
                 ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
-                m_safe = sl.test_sphere_lasso(ctx.region_safe(theta, corr_inf=ci), kept_all(p))
-                reg = ctx.region_dst3(theta, corr_inf=ci)
+                m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr_inf=ci), kept_all(p))
+                reg = ctx.region(sl.DST3, theta, corr_inf=ci)
                 m_dst3 = sl.test_sphere_lasso(reg, kept_all(p))
                 assert not np.any(m_safe & ~m_dst3)
                 m_shifted = sl.test_sphere_lasso(self._shifted_only(reg), kept_all(p))
@@ -362,8 +364,9 @@ class TestCompositeShiftedRegions:
             groups = np.arange(part.n_groups)
             for theta in self._dual_points(p, rng):
                 norms = part.group_norms(p.dictionary.correlate(theta))
-                m_gsafe = sl.test_sphere_group(ctx.region_gsafe(theta, norms), part, groups)
-                reg = ctx.region_gst3(theta, norms)
+                reg = ctx.region(sl.GSAFE, theta, group_corr_norms=norms)
+                m_gsafe = sl.test_sphere_group(reg, part, groups)
+                reg = ctx.region(sl.GST3, theta, group_corr_norms=norms)
                 m_gst3 = sl.test_sphere_group(reg, part, groups)
                 assert not np.any(m_gsafe & ~m_gst3)
                 m_shifted = sl.test_sphere_group(self._shifted_only(reg), part, groups)
@@ -387,7 +390,7 @@ class TestSphereGroupMask:
     def test_singleton_matches_lasso_decisions(self):
         p = identity_problem(0.8)
         pg = identity_problem(0.8, kind="group")
-        reg = sl.region_safe(p, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
         m_l = sl.test_sphere_lasso(reg, kept_all(p))
         m_g = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
         assert np.array_equal(m_l, m_g)
@@ -403,6 +406,73 @@ class TestSphereGroupMask:
         screened = set(kept[mask].tolist())
         want = set(part.groups[1].tolist()) | set(part.groups[4].tolist())
         assert screened == want
+
+
+class TestScreen:
+    # `ScreeningContext.screen` is the one dispatch behind the static and the
+    # dynamic strategy: region from the kept correlations, the test, and for
+    # groups the expansion of group decisions to columns.
+
+    def test_lasso_matches_region_and_test(self):
+        rng = np.random.default_rng(12)
+        for seed in range(10):
+            p = make_lasso(seed, n=14, k=36, ratio=0.55 + 0.4 * (seed % 5) / 5)
+            ctx = screening.ScreeningContext(p)
+            kept = kept_all(p)
+            for theta in (p.y, rng.standard_normal(p.n_rows)):
+                corr = p.dictionary.correlate(theta)
+                ci = float(np.max(np.abs(corr)))
+                for kind in sl.LASSO_TESTS:
+                    reg = ctx.region(kind, theta, corr_inf=ci)
+                    test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
+                    assert np.array_equal(ctx.screen(kind, theta, corr, kept), test(reg, kept))
+
+    def test_static_call_matches_static_region(self):
+        for seed in range(10):
+            for p in (make_lasso(seed, ratio=0.8), make_group(seed, ratio=0.8)):
+                ctx = screening.ScreeningContext(p)
+                kept = kept_all(p)
+                for kind in sl.LASSO_TESTS if p.kind == sl.LASSO else sl.GROUP_TESTS:
+                    reg = ctx.static_region(kind)
+                    if kind == sl.DOME:
+                        want = sl.test_dome(reg, kept)
+                    elif p.kind == sl.LASSO:
+                        want = sl.test_sphere_lasso(reg, kept)
+                    else:
+                        all_groups = np.arange(p.partition.n_groups)
+                        groups = sl.test_sphere_group(reg, p.partition, all_groups)
+                        want = groups[p.partition.group_of]
+                    assert np.array_equal(ctx.screen(kind, p.y, ctx.y_corr, kept), want)
+
+    def test_group_mask_covers_whole_kept_groups(self):
+        rng = np.random.default_rng(13)
+        flagged = unflagged = 0
+        for seed in range(10):
+            p = make_group(seed, ratio=0.5 + 0.4 * (seed % 5) / 5)
+            part = p.partition
+            ctx = screening.ScreeningContext(p)
+            # the static survivors keep the extremal group, so every scaled
+            # point below satisfies its constraint
+            kept = kept_all(p)
+            kept = kept[~ctx.screen(sl.GSAFE, p.y, ctx.y_corr, kept)]
+            layout = part.layout(kept)
+            for theta in (-p.y, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)):
+                corr = p.dictionary.data[:, kept].T @ theta
+                norms = layout.norms(corr)
+                for kind in sl.GROUP_TESTS:
+                    mask = ctx.screen(kind, theta, corr, kept, layout)
+                    assert mask.dtype == bool and mask.shape == kept.shape
+                    assert np.array_equal(mask, ctx.screen(kind, theta, corr, kept))
+                    reg = ctx.region(
+                        kind, theta, group_corr_norms=norms, group_weights=layout.weights
+                    )
+                    groups = sl.test_sphere_group(reg, part, layout.group_ids)
+                    assert set(kept[mask]) == set(np.concatenate(
+                        [part.groups[g] for g in layout.group_ids[groups]] + [np.empty(0, int)]
+                    ))
+                    flagged += int(mask.any())
+                    unflagged += int(not mask.any())
+        assert flagged and unflagged
 
 
 class TestReducedDualFeasibility:

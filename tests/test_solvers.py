@@ -24,6 +24,15 @@ def fresh_state(problem, cfg):
     return init_state(problem, cfg)
 
 
+class TestInitState:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    def test_residual_starts_at_minus_y(self, algo):
+        p = make_lasso(3)
+        st = init_state(p, SolverConfig(algorithm=algo))
+        assert not st.x.any()
+        assert np.array_equal(st.resid, -p.y)
+
+
 class TestUpdateIsta:
     def test_one_step_solves_orthonormal(self):
         p = identity_problem(0.8)

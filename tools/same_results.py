@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Check that two source trees of screenlab give bit-identical solver results.
+
+    python tools/same_results.py OLD_SRC NEW_SRC
+
+Each tree is imported in its own subprocess and solves the same grid: every
+algorithm, with no screening and with static and dynamic screening under every
+applicable test, on Lasso and Group-Lasso problems over three seeds and three
+penalty ratios. The two sets of results are compared exactly: iteration count,
+final objective, eliminated set, `x_star`, and the kept count of every
+iteration. Exits nonzero on any difference.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (1, 2, 3)
+RATIOS = (0.3, 0.6, 0.9)
+N, K, GROUP_SIZE = 40, 160, 4
+
+
+def _problems(sl):
+    for kind in ("lasso", "group"):
+        for seed in SEEDS:
+            spec = sl.GenSpec(kind="gaussian", n=N, k=K, seed=seed)
+            dic = sl.gen_dictionary(spec)
+            part = None
+            if kind == "lasso":
+                y = sl.gen_observation(spec, dic).y
+            else:
+                part = sl.random_partition(dic, GROUP_SIZE, seed)
+                obs = sl.GenSpec(kind="bernoulli-gaussian-obs", n=N, k=K, seed=seed)
+                y = sl.gen_observation(obs, dic, part).y
+            lmax = sl.lambda_max(sl.Problem(dic, y, 1.0, part)).value
+            for ratio in RATIOS:
+                yield (kind, seed, ratio), sl.Problem(dic, y, ratio * lmax, part)
+
+
+def dump(out_path):
+    import screenlab as sl
+
+    results = {}
+    for key, problem in _problems(sl):
+        tests = sl.LASSO_TESTS if problem.kind == sl.LASSO else sl.GROUP_TESTS
+        runs = [("none", None)] + [(s, t) for s in ("static", "dynamic") for t in tests]
+        for algo in sl.ALGORITHMS:
+            for strategy, test in runs:
+                cfg = sl.SolverConfig(algorithm=algo, strategy=strategy, test=test,
+                                      max_iters=300, rel_tol=1e-9)
+                res = sl.run(problem, cfg)
+                results[key + (algo, strategy, test)] = (
+                    res.iterations,
+                    float(res.final_objective).hex(),
+                    res.screen_state.eliminated.tobytes(),
+                    res.x_star.tobytes(),
+                    list(res.trace.kept),
+                )
+    with open(out_path, "wb") as fh:
+        pickle.dump(results, fh)
+
+
+def main(old_src, new_src):
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for i, src in enumerate((old_src, new_src)):
+            out = os.path.join(tmp, f"{i}.pkl")
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            subprocess.run([sys.executable, __file__, "--dump", out], env=env, check=True)
+            with open(out, "rb") as fh:
+                results.append(pickle.load(fh))
+    old, new = results
+    if old.keys() != new.keys():
+        print("the two trees ran different grids")
+        return 1
+    fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace")
+    differ = [(key, f) for key in old for f, a, b in zip(fields, old[key], new[key]) if a != b]
+    for key, field in differ[:20]:
+        print(f"differs: {key} {field}")
+    print(f"{len(old)} runs compared, {len({k for k, _ in differ})} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        dump(sys.argv[2])
+    elif len(sys.argv) == 3:
+        sys.exit(main(sys.argv[1], sys.argv[2]))
+    else:
+        sys.exit(__doc__)
