@@ -39,10 +39,11 @@ class Dictionary:
 
     Columns are stored Fortran-ordered so that the column selections performed
     by screening stay contiguous. Instances are immutable (`data` is marked
-    read-only); `reduce` returns a new Dictionary.
+    read-only); `reduce` returns a new Dictionary. `_opnorm` caches the
+    operator norm once `operator_norm` has computed it.
     """
 
-    __slots__ = ("data", "col_norm_checked")
+    __slots__ = ("data", "col_norm_checked", "_opnorm")
 
     def __init__(self, data, check_unit_norms=True):
         arr = np.array(data, dtype=np.float64, order="F")
@@ -64,6 +65,7 @@ class Dictionary:
         arr.setflags(write=False)
         self.data = arr
         self.col_norm_checked = bool(check_unit_norms)
+        self._opnorm = None
 
     @classmethod
     def _wrap(cls, arr, col_norm_checked):
@@ -72,6 +74,7 @@ class Dictionary:
         arr.setflags(write=False)
         self.data = arr
         self.col_norm_checked = col_norm_checked
+        self._opnorm = None
         return self
 
     @property
@@ -120,45 +123,19 @@ class Dictionary:
         return Dictionary._wrap(self.data[:, pos], self.col_norm_checked)
 
 
-def _power_top_eig(mat, tol=1e-10, max_iters=5000):
-    """Largest eigenvalue of mat.T @ mat via matrix-free power iteration.
+def _top_singular_values(blocks):
+    """Largest singular value of each matrix in a stacked ``(m, n, s)`` array.
 
-    Iterates a deterministic two-vector block (all-ones plus an alternating
-    ramp) on the smaller side of the Gram operator and stops once the top
-    Rayleigh value is stable to `tol`. The second direction guards against a
-    start vector that happens to be nearly orthogonal to the top eigenvector,
-    where a single-vector iteration can stall on a lower eigenvalue.
+    Takes the top eigenvalue of each Gram matrix on the smaller side with a
+    dense symmetric solver, exact up to rounding. Screening divides by group
+    norms and step sizes rest on the operator norm, so an estimate that fell
+    short of the true value would err on the unsafe side.
     """
-    n_rows, n_cols = mat.shape
-    if n_cols <= n_rows:
-        dim = n_cols
-        op = lambda q: mat.T @ (mat @ q)
+    if blocks.shape[1] <= blocks.shape[2]:
+        gram = blocks @ blocks.transpose(0, 2, 1)
     else:
-        dim = n_rows
-        op = lambda q: mat @ (mat.T @ q)
-    cols = [np.ones(dim)]
-    if dim > 1:
-        alt = np.ones(dim)
-        alt[1::2] = -1.0
-        cols.append(alt)
-    q, _ = np.linalg.qr(np.stack(cols, axis=1))
-    lam = None
-    for it in range(max_iters):
-        z = op(q)
-        h = q.T @ z
-        lam_new = float(np.linalg.eigvalsh(0.5 * (h + h.T))[-1])
-        if lam is not None and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return max(lam_new, 0.0)
-        lam = lam_new
-        if not np.any(z):
-            # the whole block fell in the null space; restart along basis axes
-            q = np.zeros((dim, q.shape[1]))
-            for j in range(q.shape[1]):
-                q[(it + j) % dim, j] = 1.0
-            lam = None
-            continue
-        q, _ = np.linalg.qr(z)
-    return max(lam, 0.0)
+        gram = blocks.transpose(0, 2, 1) @ blocks
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def spectral_norm(dictionary, cols):
@@ -166,12 +143,14 @@ def spectral_norm(dictionary, cols):
     cols = index_set(cols, dictionary.n_cols)
     if cols.size == 0:
         raise ValueError("spectral_norm requires a nonempty column set")
-    return float(np.sqrt(_power_top_eig(dictionary.data[:, cols])))
+    return float(_top_singular_values(dictionary.data[None, :, cols])[0])
 
 
 def operator_norm(dictionary):
-    """Largest singular value of the whole dictionary."""
-    return float(np.sqrt(_power_top_eig(dictionary.data)))
+    """Largest singular value of the whole dictionary, computed once per instance."""
+    if dictionary._opnorm is None:
+        dictionary._opnorm = float(_top_singular_values(dictionary.data[None])[0])
+    return dictionary._opnorm
 
 
 @dataclass(frozen=True)
@@ -209,8 +188,12 @@ class GroupPartition:
         weights = np.array(weights, dtype=np.float64)
         if weights.shape != (len(groups),) or np.any(weights <= 0):
             raise ValueError("need one strictly positive weight per group")
-        norms = np.array([spectral_norm(dictionary, g) for g in groups])
         sizes = np.array([g.size for g in groups], dtype=np.int64)
+        norms = np.empty(len(groups))
+        for size in np.unique(sizes):
+            gids = np.flatnonzero(sizes == size)
+            cols = np.stack([groups[g] for g in gids])
+            norms[gids] = _top_singular_values(dictionary.data[:, cols].transpose(1, 0, 2))
         offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         order = np.concatenate(groups)
         # instances are shared across concurrent runs; freeze the buffers
@@ -339,12 +322,17 @@ def read_csv_matrix(path):
 
 
 def read_matrix(path):
-    """Read a matrix from DSMX (detected by magic bytes) or CSV."""
+    """Read a finite matrix from DSMX (detected by magic bytes) or CSV."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == _DSMX_MAGIC:
-        return read_dsmx(path)
-    return read_csv_matrix(path)
+    arr = read_dsmx(path) if magic == _DSMX_MAGIC else read_csv_matrix(path)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {arr[row, col]} at row {row + 1}, column {col + 1}"
+        )
+    return arr
 
 
 def write_group_file(path, groups, weights=None):

@@ -160,6 +160,13 @@ def _check_finite(x):
         raise FloatingPointError("solver produced a non-finite iterate")
 
 
+def _resid_at(dic, v, y):
+    """``D @ v - y``, skipping the product while `v` is all zero."""
+    if not v.any():
+        return -y
+    return dic.apply(v) - y
+
+
 def _residual(state, dic, y):
     if state.resid is not None:
         return state.resid
@@ -210,7 +217,8 @@ def update_fista(state, dic, problem, cfg, layout=None):
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     u = state.u if state.u is not None else state.x
-    theta = dic.apply(u) - y
+    # u is x only before the first momentum step, where x's residual is known
+    theta = _residual(state, dic, y) if u is state.x else dic.apply(u) - y
     corr = dic.correlate(theta)
     cand, resid_cand, L = _backtrack(u, theta, corr, dic, y, lam, state.L, cfg, layout)
     _check_finite(cand)
@@ -297,7 +305,7 @@ def update_cp(state, dic, problem, cfg, layout=None):
     u = state.u if state.u is not None else state.x
     theta_prev = state.theta if state.theta is not None else np.zeros_like(y)
     sigma = state.sigma
-    theta = (theta_prev + sigma * (dic.apply(u) - y)) / (1.0 + sigma)
+    theta = (theta_prev + sigma * _resid_at(dic, u, y)) / (1.0 + sigma)
     corr = dic.correlate(theta)
     tau = state.tau
     cand = _prox(state.x - tau * corr, lam * tau, layout)
@@ -454,7 +462,7 @@ def run(problem, cfg, iteration_hook=None):
             _reduce_state(state, keep_pos, dropped_zero)
 
         if state.resid is None:
-            state.resid = dic.apply(state.x) - problem.y
+            state.resid = _resid_at(dic, state.x, problem.y)
         f_t = 0.5 * float(state.resid @ state.resid) + problem.lam * _penalty(state.x, layout)
         nnz = int(np.count_nonzero(state.x))
         cum_flops += flops_iteration(

@@ -144,6 +144,28 @@ class TestSolve:
                        "--lambda-ratio", "0.7", "--algo", "ista", "--normalize") == 0
         assert "objective" in capsys.readouterr().out
 
+    def test_nan_in_csv_dictionary_names_file_and_entry(self, lasso_files, tmp_path, capsys):
+        _, y = lasso_files
+        mat = np.eye(4)[:, :3]
+        mat[2, 1] = np.nan
+        d = tmp_path / "d.csv"
+        d.write_text("\n".join(",".join(f"{v!r}" for v in map(float, row)) for row in mat) + "\n")
+        assert run_cli("solve", "--dict", str(d), "--obs", str(y),
+                       "--lambda-ratio", "0.7", "--algo", "ista") == 1
+        err = capsys.readouterr().err
+        assert f"{d}: non-finite value nan at row 3, column 2" in err
+
+    def test_inf_in_observation_names_file_and_entry(self, lasso_files, tmp_path, capsys):
+        d, y = lasso_files
+        obs = read_dsmx(str(y))
+        obs[5, 0] = np.inf
+        bad = tmp_path / "bad.dsmx"
+        sl.write_dsmx(bad, obs)
+        assert run_cli("solve", "--dict", str(d), "--obs", str(bad),
+                       "--lambda-ratio", "0.7", "--algo", "ista") == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: non-finite value inf at row 6, column 1" in err
+
 
 class TestBench:
     def test_single_cell_row_count(self, tmp_path):

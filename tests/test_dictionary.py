@@ -147,7 +147,7 @@ class TestSpectralNorm:
             dic = random_dictionary(200 + seed, 6, 3)
             got = sl.spectral_norm(dic, np.arange(3))
             want = np.linalg.svd(dic.data, compute_uv=False)[0]
-            assert abs(got - want) <= 1e-8 * want
+            assert abs(got - want) <= 1e-12 * want
 
     def test_at_least_max_column_norm(self):
         for seed in range(10):
@@ -165,7 +165,60 @@ class TestSpectralNorm:
         for seed in range(10):
             dic = random_dictionary(400 + seed, 8, 15)
             want = np.linalg.svd(dic.data, compute_uv=False)[0]
-            assert sl.operator_norm(dic) == pytest.approx(want, rel=1e-8)
+            assert sl.operator_norm(dic) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def hard_dictionaries():
+        rng = np.random.default_rng(17)
+        tall = rng.standard_normal((30, 8))
+        wide = rng.standard_normal((8, 30))
+        # rank 3: every column is a combination of three directions
+        low_rank = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 20))
+        # each atom appears twice, so the column Gram matrix is singular
+        dup = rng.standard_normal((10, 7))
+        dup = np.repeat(dup, 2, axis=1)
+        for mat in (tall, wide, low_rank, dup):
+            yield sl.Dictionary(mat / np.linalg.norm(mat, axis=0))
+
+    def test_never_below_the_svd_norm(self):
+        # screening divides by these norms, so an underestimate is unsafe;
+        # rounding is the only shortfall allowed
+        floor = 1.0 - 1e-14
+        for dic in self.hard_dictionaries():
+            k = dic.n_cols
+            assert sl.operator_norm(dic) >= np.linalg.norm(dic.data, 2) * floor
+            for cols in (np.arange(k), np.arange(0, k, 2), np.arange(min(k, 4))):
+                want = np.linalg.norm(dic.data[:, cols], 2)
+                assert sl.spectral_norm(dic, cols) >= want * floor
+            groups = np.array_split(np.arange(k), 3)
+            part = GroupPartition.build(dic, groups)
+            for g, nrm in zip(part.groups, part.spectral_norms):
+                assert nrm >= np.linalg.norm(dic.data[:, g], 2) * floor
+
+    def test_operator_norm_is_cached_per_instance(self, monkeypatch):
+        import screenlab.dictionary as dictionary_module
+
+        solves = []
+        exact = dictionary_module._top_singular_values
+
+        def counting(blocks):
+            solves.append(blocks.shape)
+            return exact(blocks)
+
+        monkeypatch.setattr(dictionary_module, "_top_singular_values", counting)
+        dic = random_dictionary(501, 9, 14)
+        first = sl.operator_norm(dic)
+        assert len(solves) == 1
+        assert sl.operator_norm(dic) == first
+        assert len(solves) == 1
+        # a reduced dictionary never inherits the full one's norm
+        reduced = dic.reduce(np.arange(14), np.array([1, 4, 5]))
+        assert reduced._opnorm is None
+        want = np.linalg.norm(dic.data[:, [1, 4, 5]], 2)
+        assert sl.operator_norm(reduced) == pytest.approx(want, rel=1e-12)
+        assert len(solves) == 2
+        assert sl.operator_norm(dic) == first
+        assert len(solves) == 2
 
 
 class TestIndexSet:
@@ -278,7 +331,23 @@ class TestGroupPartition:
         dic, part = self.make()
         for g, nrm in zip(part.groups, part.spectral_norms):
             want = np.linalg.svd(dic.data[:, g], compute_uv=False)[0]
-            assert abs(nrm - want) <= 1e-8 * want
+            assert abs(nrm - want) <= 1e-12 * want
+
+    def test_unequal_sizes_with_singletons_match_svd(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 12):
+            mat = rng.standard_normal((n, 24))
+            dic = sl.Dictionary(mat / np.linalg.norm(mat, axis=0))
+            # sizes 1, 1, 1, 2, 2, 4, 5, 8: one batched solve per size, with
+            # groups both narrower and wider than the row count
+            cuts = np.cumsum([1, 1, 1, 2, 2, 4, 5])
+            groups = [np.sort(g) for g in np.split(rng.permutation(24), cuts)]
+            part = GroupPartition.build(dic, groups)
+            for g, nrm in zip(part.groups, part.spectral_norms):
+                want = np.linalg.svd(dic.data[:, g], compute_uv=False)[0]
+                assert abs(nrm - want) <= 1e-12 * want
+                if g.size == 1:
+                    assert nrm == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_overlap_and_gaps(self):
         dic, _ = self.make()

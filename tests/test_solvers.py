@@ -32,6 +32,12 @@ class TestInitState:
         assert not st.x.any()
         assert np.array_equal(st.resid, -p.y)
 
+    def test_cp_rejects_zero_operator_norm(self):
+        dic = sl.Dictionary(np.zeros((4, 6)), check_unit_norms=False)
+        p = sl.Problem(dic, np.eye(4)[0], 0.5)
+        with pytest.raises(ValueError, match="zero operator norm"):
+            init_state(p, SolverConfig(algorithm=CP))
+
 
 class TestUpdateIsta:
     def test_one_step_solves_orthonormal(self):
@@ -206,6 +212,22 @@ class TestConfigValidation:
 
 
 class TestRun:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    def test_no_product_with_an_all_zero_vector(self, algo, monkeypatch):
+        products, zero = [], []
+        apply = sl.Dictionary.apply
+
+        def counting(self, x):
+            products.append(1)
+            if not np.any(x):
+                zero.append(1)
+            return apply(self, x)
+
+        monkeypatch.setattr(sl.Dictionary, "apply", counting)
+        res = sl.run(make_lasso(8, ratio=0.9), SolverConfig(algorithm=algo, max_iters=50))
+        assert res.iterations > 1 and products
+        assert not zero
+
     def test_trivial_regime(self):
         base = make_lasso(0)
         lam = 1.5 * sl.lambda_max(base).value
