@@ -166,13 +166,9 @@ def _load_problem(args):
     if args.groups:
         groups, weights = read_group_file(args.groups)
         partition = GroupPartition.build(dic, groups, weights)
-    probe = Problem(dic, y, 1.0, partition)
+    lam = args.lam
     if args.lambda_ratio is not None:
-        lam = args.lambda_ratio * lambda_max(probe).value
-    elif args.lam is not None:
-        lam = args.lam
-    else:
-        raise SystemExit("need --lam or --lambda-ratio")
+        lam = args.lambda_ratio * lambda_max(Problem(dic, y, 1.0, partition)).value
     return Problem(dic, y, lam, partition)
 
 
@@ -524,8 +520,9 @@ def build_parser():
     s.add_argument("--dict", required=True)
     s.add_argument("--obs", required=True)
     s.add_argument("--groups", default=None)
-    s.add_argument("--lam", type=float, default=None)
-    s.add_argument("--lambda-ratio", type=float, default=None)
+    penalty = s.add_mutually_exclusive_group(required=True)
+    penalty.add_argument("--lam", type=float, default=None)
+    penalty.add_argument("--lambda-ratio", type=float, default=None)
     s.add_argument("--algo", default="fista", choices=list(solvers.ALGORITHMS))
     s.add_argument("--strategy", default="none", choices=list(instrument.STRATEGIES))
     s.add_argument("--test", default=None, choices=list(screening.ALL_TESTS))

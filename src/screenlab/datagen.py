@@ -24,7 +24,6 @@ UNIT_SPHERE_OBS = "unit-sphere-obs"
 BERNOULLI_GAUSSIAN_OBS = "bernoulli-gaussian-obs"
 
 DICT_KINDS = (GAUSSIAN, PNOISE, DCT)
-OBS_KINDS = (GAUSSIAN, PNOISE, UNIT_SPHERE_OBS, BERNOULLI_GAUSSIAN_OBS)
 
 _PNOISE_SCALE = 0.1
 _BG_MAX_RETRIES = 100
@@ -46,7 +45,6 @@ class GenSpec:
     seed: int
     bernoulli_p: float = 0.05
     snr_db: float = 20.0
-    group_size: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -163,7 +161,7 @@ def random_groups(k, group_size, seed):
     return [np.sort(perm[i : i + group_size]) for i in range(0, k, group_size)]
 
 
-def random_partition(dictionary, group_size, seed, weights=None):
+def random_partition(dictionary, group_size, seed):
     """Random partition into equally sized groups (requires k % group_size == 0)."""
     groups = random_groups(dictionary.n_cols, group_size, seed)
-    return GroupPartition.build(dictionary, groups, weights=weights)
+    return GroupPartition.build(dictionary, groups)

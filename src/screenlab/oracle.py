@@ -125,7 +125,7 @@ def solve_reference(problem, gap_tol=1e-10, max_sweeps=200_000):
     raise RuntimeError(f"reference solver hit {max_sweeps} sweeps before gap <= {gap_tol!r}")
 
 
-def verify_screen_safety(problem, screen_state, ref, support_eps=SUPPORT_EPS):
+def verify_screen_safety(problem, screen_state, ref):
     """True iff every eliminated index is genuinely inactive in the reference.
 
     `ref` must be certified to a gap of at most 1e-10 for the comparison to
@@ -136,4 +136,4 @@ def verify_screen_safety(problem, screen_state, ref, support_eps=SUPPORT_EPS):
     eliminated = np.asarray(screen_state.eliminated, dtype=np.int64)
     if eliminated.size == 0:
         return True
-    return bool(np.all(np.abs(ref.x_ref[eliminated]) <= support_eps))
+    return bool(np.all(np.abs(ref.x_ref[eliminated]) <= SUPPORT_EPS))

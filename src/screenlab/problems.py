@@ -156,13 +156,13 @@ def dual_objective(problem, theta):
     return 0.5 * float(y @ y) - 0.5 * lam * lam * float(diff @ diff)
 
 
-def duality_gap(problem, x, theta, feas_tol=DUAL_FEAS_TOL):
+def duality_gap(problem, x, theta):
     """Primal-dual gap at (x, theta); theta must be dual feasible.
 
     The gap is clamped to zero when roundoff makes it barely negative; a
     larger negative value means theta was not actually feasible and raises.
     """
-    if not dual_feasible(problem, theta, tol=feas_tol):
+    if not dual_feasible(problem, theta):
         raise ValueError("theta is not dual feasible")
     primal = objective(problem, x)
     gap = primal - dual_objective(problem, theta)

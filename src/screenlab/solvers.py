@@ -39,29 +39,26 @@ ALGORITHMS = (ISTA, FISTA, TWIST, SPARSA, CP)
 _MAJORIZATION_SLACK = 1e-12
 _L_CEILING = 1e300
 _REPACK_FRACTION = 0.5
+_BACKTRACK_FACTOR = 2.0
+# weights of the two-step mix (1 - a) * x_prev + (a - b) * x + b * z
+_TWIST_ALPHA = _TWIST_BETA = 1.78
+# Chambolle-Pock steps tau = sigma = _CP_STEP_SAFETY / ||D||, so that
+# tau * sigma * ||D||^2 < 1
+_CP_STEP_SAFETY = 0.99
+# range of SpaRSA's Barzilai-Borwein curvature estimate
+_BB_L_MIN = 1e-10
+_BB_L_MAX = 1e10
 
 
 @dataclass
 class SolverConfig:
-    """Knobs for one solver run; defaults follow the standard settings."""
+    """Algorithm, screening strategy and test, and stopping rule of one solver run."""
 
     algorithm: str = ISTA
     strategy: str = NONE
     test: str | None = None
     max_iters: int = 200
     rel_tol: float = 1e-7
-    L0: float = 1.0
-    backtrack_factor: float = 2.0
-    twist_alpha: float = 1.78
-    twist_beta: float = 1.78
-    twist_step: float | None = None  # None -> 1 / ||D||^2
-    # gamma > 0 engages the accelerated step schedule, which pays off only
-    # when the primal term is strongly convex; plain l1/group penalties are
-    # not, so constant steps are the reliable default.
-    cp_gamma: float = 0.0
-    cp_step_safety: float = 0.99
-    bb_L_min: float = 1e-10
-    bb_L_max: float = 1e10
 
     def validate(self, kind):
         if self.algorithm not in ALGORITHMS:
@@ -72,12 +69,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not self.backtrack_factor > 1:
-            raise ValueError("backtrack_factor must exceed 1")
-        if not self.L0 > 0:
-            raise ValueError("L0 must be positive")
-        if not 0 < self.cp_step_safety < 1:
-            raise ValueError("cp_step_safety must lie in (0, 1)")
         if self.strategy != NONE:
             allowed = screening.LASSO_TESTS if kind == LASSO else screening.GROUP_TESTS
             if self.test is None:
@@ -88,7 +79,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: primal block, dual point, and step scalars."""
+    """Mutable per-run state: primal block, dual point, and step scalars.
+
+    `L` is the backtracked or spectral curvature of ISTA, FISTA and SpaRSA;
+    `step` is the fixed step of TwIST and Chambolle-Pock.
+    """
 
     x: np.ndarray
     x_prev: np.ndarray | None = None
@@ -98,9 +93,7 @@ class SolverState:
     resid: np.ndarray | None = None
     L: float = 1.0
     l_acc: float = 1.0
-    tau: float = 0.0
-    sigma: float = 0.0
-    fixed_step: float | None = None
+    step: float | None = None
 
 
 @dataclass
@@ -114,8 +107,6 @@ class IterationInfo:
     kept_groups: np.ndarray | None
     mask: np.ndarray | None
     x: np.ndarray
-    context: object | None
-    problem: object
 
 
 @dataclass
@@ -173,7 +164,7 @@ def _residual(state, dic, y):
     return dic.apply(state.x) - y
 
 
-def _backtrack(point, theta, corr, dic, y, lam, L, cfg, layout):
+def _backtrack(point, theta, corr, dic, y, lam, L, layout):
     """Backtracking prox step from `point`; returns (x_new, resid_new, L).
 
     `theta` and `corr` are the residual and gradient at `point`. L grows by
@@ -190,18 +181,18 @@ def _backtrack(point, theta, corr, dic, y, lam, L, cfg, layout):
         bound = f0 + float(corr @ step) + 0.5 * L * float(step @ step)
         if f_cand <= bound + _MAJORIZATION_SLACK * max(1.0, f0):
             return cand, resid_cand, L
-        L *= cfg.backtrack_factor
+        L *= _BACKTRACK_FACTOR
         if L > _L_CEILING:
             raise FloatingPointError("backtracking failed to find a valid step")
 
 
-def update_ista(state, dic, problem, cfg, layout=None):
+def update_ista(state, dic, problem, layout=None):
     """One proximal gradient step with backtracked step size."""
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
     corr = dic.correlate(theta)
-    cand, resid_cand, L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, cfg, layout)
+    cand, resid_cand, L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, layout)
     _check_finite(cand)
     state.x_prev = state.x
     state.x = cand
@@ -212,18 +203,19 @@ def update_ista(state, dic, problem, cfg, layout=None):
     return state
 
 
-def update_fista(state, dic, problem, cfg, layout=None):
+def update_fista(state, dic, problem, layout=None):
     """One accelerated proximal gradient step (momentum on an auxiliary point)."""
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     u = state.u if state.u is not None else state.x
-    # u is x only before the first momentum step, where x's residual is known
+    # u is x while the momentum factor is zero, and then x's residual is known
     theta = _residual(state, dic, y) if u is state.x else dic.apply(u) - y
     corr = dic.correlate(theta)
-    cand, resid_cand, L = _backtrack(u, theta, corr, dic, y, lam, state.L, cfg, layout)
+    cand, resid_cand, L = _backtrack(u, theta, corr, dic, y, lam, state.L, layout)
     _check_finite(cand)
     l_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * state.l_acc**2))
-    state.u = cand + ((state.l_acc - 1.0) / l_new) * (cand - state.x)
+    momentum = (state.l_acc - 1.0) / l_new
+    state.u = cand if momentum == 0.0 else cand + momentum * (cand - state.x)
     state.l_acc = float(l_new)
     state.x_prev = state.x
     state.x = cand
@@ -234,25 +226,25 @@ def update_fista(state, dic, problem, cfg, layout=None):
     return state
 
 
-def update_twist(state, dic, problem, cfg, layout=None):
+def update_twist(state, dic, problem, layout=None):
     """One two-step iterative shrinkage update with fixed mixing weights.
 
-    The prox step uses the fixed step size ``state.fixed_step`` (set to
+    The prox step uses the fixed step size ``state.step`` (set to
     ``1 / ||D||^2`` by the driver), which is the canonical operator scaling
     this scheme assumes; unit-norm columns alone do not bound the operator.
     """
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
-    if state.fixed_step is None:
-        raise ValueError("update_twist requires state.fixed_step")
-    s = state.fixed_step
+    if state.step is None:
+        raise ValueError("update_twist requires state.step")
+    s = state.step
     theta = _residual(state, dic, y)
     corr = dic.correlate(theta)
     z = _prox(state.x - s * corr, lam * s, layout)
     if state.x_prev is None:
         cand = z
     else:
-        a, b = cfg.twist_alpha, cfg.twist_beta
+        a, b = _TWIST_ALPHA, _TWIST_BETA
         cand = (1.0 - a) * state.x_prev + (a - b) * state.x + b * z
     _check_finite(cand)
     state.x_prev = state.x
@@ -263,12 +255,12 @@ def update_twist(state, dic, problem, cfg, layout=None):
     return state
 
 
-def update_sparsa(state, dic, problem, cfg, layout=None):
+def update_sparsa(state, dic, problem, layout=None):
     """One proximal gradient step with the spectral (Barzilai-Borwein) step size.
 
     The curvature estimate ``||D s||^2 / ||s||^2`` from the latest displacement
-    replaces backtracking; it is clamped to ``[bb_L_min, bb_L_max]`` and the
-    first iteration falls back to ``L0``. A zero displacement keeps the
+    replaces backtracking; it is clamped to ``[_BB_L_MIN, _BB_L_MAX]`` and the
+    first iteration keeps the initial ``L = 1``. A zero displacement keeps the
     previous estimate.
     """
     layout = _resolve_layout(problem, dic, layout)
@@ -281,7 +273,7 @@ def update_sparsa(state, dic, problem, cfg, layout=None):
         ss = float(s @ s)
         if ss > 0.0:
             ds = dic.apply(s)
-            L = float(np.clip(float(ds @ ds) / ss, cfg.bb_L_min, cfg.bb_L_max))
+            L = float(np.clip(float(ds @ ds) / ss, _BB_L_MIN, _BB_L_MAX))
     cand = _prox(state.x - corr / L, lam / L, layout)
     _check_finite(cand)
     state.x_prev = state.x
@@ -293,27 +285,23 @@ def update_sparsa(state, dic, problem, cfg, layout=None):
     return state
 
 
-def update_cp(state, dic, problem, cfg, layout=None):
-    """One primal-dual step with the accelerated step-size schedule.
+def update_cp(state, dic, problem, layout=None):
+    """One primal-dual step with constant primal and dual steps ``state.step``.
 
-    The dual variable is averaged toward the current residual, the primal
-    takes a prox step against it, and both step sizes are rebalanced by the
-    acceleration factor ``1 / sqrt(1 + 2 * gamma * tau)``.
+    The dual variable is averaged toward the residual at the extrapolated
+    point, the primal takes a prox step against it, and the next
+    extrapolated point is ``2 * x_new - x``.
     """
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     u = state.u if state.u is not None else state.x
     theta_prev = state.theta if state.theta is not None else np.zeros_like(y)
-    sigma = state.sigma
-    theta = (theta_prev + sigma * _resid_at(dic, u, y)) / (1.0 + sigma)
+    s = state.step
+    theta = (theta_prev + s * _resid_at(dic, u, y)) / (1.0 + s)
     corr = dic.correlate(theta)
-    tau = state.tau
-    cand = _prox(state.x - tau * corr, lam * tau, layout)
+    cand = _prox(state.x - s * corr, lam * s, layout)
     _check_finite(cand)
-    phi = 1.0 / np.sqrt(1.0 + 2.0 * cfg.cp_gamma * tau)
-    state.u = cand + phi * (cand - state.x)
-    state.tau = float(phi * tau)
-    state.sigma = float(sigma / phi)
+    state.u = cand + (cand - state.x)
     state.x_prev = state.x
     state.x = cand
     state.resid = None
@@ -335,22 +323,19 @@ def init_state(problem, cfg, kept_count=None):
     """Fresh zero-initialized solver state sized for `kept_count` columns."""
     k = problem.n_cols if kept_count is None else int(kept_count)
     # x starts at zero, so the residual D @ x - y is known without a product
-    state = SolverState(x=np.zeros(k), resid=-problem.y, L=cfg.L0)
+    state = SolverState(x=np.zeros(k), resid=-problem.y)
     if cfg.algorithm in (FISTA, CP):
         state.u = state.x
     if cfg.algorithm == CP:
         nrm = operator_norm(problem.dictionary)
         if nrm <= 0:
             raise ValueError("dictionary has zero operator norm")
-        state.tau = state.sigma = cfg.cp_step_safety / nrm
-        if state.tau * state.sigma * nrm**2 >= 1.0:
+        state.step = _CP_STEP_SAFETY / nrm
+        if state.step * state.step * nrm**2 >= 1.0:
             raise ValueError("primal-dual step sizes violate tau*sigma*||D||^2 < 1")
         state.theta = np.zeros(problem.n_rows)
     if cfg.algorithm == TWIST:
-        if cfg.twist_step is not None:
-            state.fixed_step = float(cfg.twist_step)
-        else:
-            state.fixed_step = 1.0 / operator_norm(problem.dictionary) ** 2
+        state.step = 1.0 / operator_norm(problem.dictionary) ** 2
     return state
 
 
@@ -430,7 +415,7 @@ def run(problem, cfg, iteration_hook=None):
     for t in range(1, cfg.max_iters + 1):
         if state_screen.kept.size == 0:
             break
-        update(state, dic, problem, cfg, layout)
+        update(state, dic, problem, layout)
         iterations = t
 
         mask = None
@@ -447,8 +432,6 @@ def run(problem, cfg, iteration_hook=None):
                     kept_groups=layout.group_ids if layout is not None else None,
                     mask=mask,
                     x=state.x,
-                    context=ctx,
-                    problem=problem,
                 )
             )
 

@@ -407,7 +407,7 @@ class TestCriterion9NumericalKernels:
             st = init_state(problem, cfg)
             for _ in range(15):
                 x_prev = st.x.copy()
-                update_ista(st, problem.dictionary, problem, cfg)
+                update_ista(st, problem.dictionary, problem)
                 f_new = 0.5 * float(st.resid @ st.resid)
                 f_old = 0.5 * float(st.theta @ st.theta)
                 step = st.x - x_prev
@@ -418,7 +418,7 @@ class TestCriterion9NumericalKernels:
             st = init_state(problem, cfg)
             for _ in range(15):
                 u_prev = (st.u if st.u is not None else st.x).copy()
-                update_fista(st, problem.dictionary, problem, cfg)
+                update_fista(st, problem.dictionary, problem)
                 f_new = 0.5 * float(st.resid @ st.resid)
                 f_old = 0.5 * float(st.theta @ st.theta)
                 step = st.x - u_prev

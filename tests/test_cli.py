@@ -126,8 +126,17 @@ class TestSolve:
 
     def test_lam_required(self, lasso_files):
         d, y = lasso_files
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli("solve", "--dict", str(d), "--obs", str(y), "--algo", "ista")
+        assert exc.value.code == 2
+
+    def test_lam_and_ratio_exclusive(self, lasso_files, capsys):
+        d, y = lasso_files
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--dict", str(d), "--obs", str(y), "--algo", "ista",
+                    "--lam", "100", "--lambda-ratio", "0.5")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_normalize_rescales_csv_input(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

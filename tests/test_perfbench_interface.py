@@ -1,12 +1,15 @@
-"""The benchmark in `perfbench/` wraps library functions by name; keep those names alive.
+"""The benchmark in `perfbench/` uses the library by name; keep what it uses alive.
 
 `perfbench/tracing.py` looks up every entry of its `TRACED` table with
 ``vars(owner)[attr]`` and swaps in a timing wrapper. A refactor that removes
-or renames one of those functions breaks the traced benchmark run, so this
+or renames one of those functions breaks the traced benchmark run, so one
 check installs and uninstalls the tracer, and runs one traced dynamic solve
-of each penalty in between.
+of each penalty in between. `perfbench/workloads.py` builds its problems and
+`SolverConfig`s through the library's API, so another check builds every
+workload at toy size and runs each of its solves once.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -21,16 +24,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def tracing(monkeypatch):
+def perfbench(monkeypatch):
+    """Puts `perfbench/` on the import path; returns `importlib.import_module`."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # leave no compiled files behind in the benchmark's directory
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    import tracing
-
-    return tracing
+    return importlib.import_module
 
 
-def test_tracer_installs_and_restores(tracing):
+def test_tracer_installs_and_restores(perfbench):
+    tracing = perfbench("tracing")
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracing.TRACED]
     updates = dict(solvers._UPDATES)
     tracer = tracing.Tracer()
@@ -51,3 +54,13 @@ def test_tracer_installs_and_restores(tracing):
     # the screening dispatch goes through the traced region and test functions
     for name in (tracing.RUN, tracing.UPDATE, tracing.REGION, tracing.TEST, tracing.APPLY):
         assert tracer.calls[name] > 0, name
+
+
+def test_every_workload_config_solves(perfbench):
+    workloads = perfbench("workloads")
+    for workload in workloads.WORKLOADS.values():
+        problem = workloads.build(workload.toy(), 0, 0)[0].problem
+        for cfg in workload.configs():
+            cfg.validate(problem.kind)
+            res = solvers.run(problem, cfg)
+            assert np.isfinite(res.final_objective), (workload.name, cfg)
