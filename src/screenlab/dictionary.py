@@ -236,12 +236,17 @@ class GroupPartition:
         kept_sizes = sizes[kept_gids]
         # position of each kept column inside the reduced vector
         position = np.cumsum(alive) - 1
-        return GroupLayout(
+        fields = dict(
             group_ids=kept_gids,
             weights=self.weights[kept_gids],
             order=position[self.order[alive_in_order]],
             offsets=np.cumsum(kept_sizes) - kept_sizes,
+            sizes=kept_sizes,
         )
+        # read-only, so screening can key per-layout work on `group_ids`
+        for arr in fields.values():
+            arr.setflags(write=False)
+        return GroupLayout(**fields)
 
 
 @dataclass(frozen=True)
@@ -252,16 +257,19 @@ class GroupLayout:
     weights: np.ndarray
     order: np.ndarray
     offsets: np.ndarray
+    sizes: np.ndarray
 
     @property
     def n_groups(self):
         return self.group_ids.size
 
     def norms(self, vec):
-        if self.order.size == 0:
+        return self._norms_in_order(np.asarray(vec)[self.order])
+
+    def _norms_in_order(self, grouped):
+        if grouped.size == 0:
             return np.zeros(0)
-        sq = np.asarray(vec)[self.order] ** 2
-        return np.sqrt(np.add.reduceat(sq, self.offsets))
+        return np.sqrt(np.add.reduceat(grouped**2, self.offsets))
 
     def penalty(self, vec):
         """Weighted sum of group norms (the group-sparsity regularizer value)."""
@@ -272,12 +280,12 @@ class GroupLayout:
         if t < 0:
             raise ValueError("threshold must be nonnegative")
         vec = np.asarray(vec, dtype=np.float64)
-        norms = self.norms(vec)
-        sizes = np.diff(np.append(self.offsets, self.order.size))
+        grouped = vec[self.order]
+        norms = self._norms_in_order(grouped)
         safe = np.where(norms > 0.0, norms, 1.0)
         factors = np.where(norms > 0.0, np.maximum(1.0 - t * self.weights / safe, 0.0), 0.0)
         out = np.zeros_like(vec)
-        out[self.order] = vec[self.order] * np.repeat(factors, sizes)
+        out[self.order] = grouped * np.repeat(factors, self.sizes)
         return out
 
 

@@ -11,6 +11,7 @@ shrinks its radius, which is what makes per-iteration screening profitable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,17 +43,48 @@ SCREEN_MARGIN = 1e-12
 _CORR_BOUND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+class Slack:
+    """Per-atom (per-group) slack of a sphere center that stays fixed for a solve.
+
+    `values[i]` is the largest radius at which a sphere around the center
+    still certifies atom (group) i. `over(idx)` gathers the slack of the
+    atoms (groups) in play and its maximum. The gather of the last read-only
+    index array is kept, so a solve that tests at every iteration gathers once
+    per kept set; a writable array could change behind that memo, so it is
+    gathered afresh on every call.
+    """
+
+    __slots__ = ("values", "_memo")
+
+    def __init__(self, values):
+        self.values = values
+        self._memo = (None, None, 0.0)
+
+    def over(self, idx):
+        memo = self._memo
+        if memo[0] is idx and not idx.flags.writeable:
+            return memo[1], memo[2]
+        slack = self.values[idx]
+        top = float(slack.max(initial=-np.inf))
+        if not idx.flags.writeable:
+            # one tuple, so a concurrent reader sees the old memo or the new one
+            self._memo = (idx, slack, top)
+        return slack, top
+
+
+@dataclass(slots=True)
 class SphereRegion:
     """Sphere known to contain the dual optimum, optionally cut by a second one.
 
     `center_correlations` holds the correlations of the *original* dictionary
     columns with the center, so tests on a reduced problem just index into it.
-    `slack`, when set, holds for every original atom (group) the largest
-    radius at which a sphere around this center still certifies it:
-    ``1 - |a_i . center|`` (``(w_g - ||D_g.T center||) / ||D_g||``). The
-    center never moves during a solve, so the screening context computes it
-    once and each test is then one comparison per kept atom or group.
+    `slack`, when set, is the `Slack` of the center: for every original atom
+    (group) the largest radius at which a sphere around this center still
+    certifies it, ``1 - |a_i . center|`` (``(w_g - ||D_g.T center||) /
+    ||D_g||``). The center never moves during a solve, so the screening
+    context computes it once and each test is then one comparison per kept
+    atom or group, or none when the largest kept slack is already within the
+    radius.
 
     `base`, when set, is a second sphere that also contains the dual optimum,
     and the region is the intersection of the two. The shifted tests (DST3,
@@ -64,13 +96,13 @@ class SphereRegion:
     whatever either one certifies is safe, and the shifted test then
     eliminates at least everything the plain test does at the same dual point.
     The primary `center`, `radius` and `center_correlations` stay those of the
-    shifted sphere.
+    shifted sphere. A region is built for one dual point and not changed after.
     """
 
     center: np.ndarray
     radius: float
     center_correlations: np.ndarray
-    slack: np.ndarray | None = None
+    slack: Slack | None = None
     base: SphereRegion | None = None
 
 
@@ -101,7 +133,11 @@ class DomeParams:
 
 @dataclass(frozen=True)
 class ScreenState:
-    """Monotone record of eliminated column indices and their complement."""
+    """Monotone record of eliminated column indices and their complement.
+
+    The `kept` array of a state made by `initial` or `screen_update` is
+    read-only, so screening can key per-kept-set work on it.
+    """
 
     eliminated: np.ndarray
     kept: np.ndarray
@@ -111,7 +147,7 @@ class ScreenState:
     def initial(cls, k, test_kind=None):
         return cls(
             eliminated=np.empty(0, dtype=np.int64),
-            kept=np.arange(k, dtype=np.int64),
+            kept=_frozen(np.arange(k, dtype=np.int64)),
             test_kind=test_kind,
         )
 
@@ -133,18 +169,23 @@ def screen_update(state, mask):
     if not mask.any():
         return state
     eliminated = np.sort(np.concatenate((state.eliminated, state.kept[mask])), kind="stable")
-    return ScreenState(eliminated=eliminated, kept=state.kept[~mask], test_kind=state.test_kind)
+    return ScreenState(
+        eliminated=eliminated, kept=_frozen(state.kept[~mask]), test_kind=state.test_kind
+    )
+
+
+def _frozen(arr):
+    # a read-only kept set cannot change behind the slack gathers kept for it
+    arr.setflags(write=False)
+    return arr
 
 
 def _clip_ratio(problem, theta, bound):
-    """Projection of theta's best scaling onto the feasible segment [-bound, bound]."""
-    theta = np.asarray(theta, dtype=np.float64)
+    """Scaling of theta closest to ``y / lam`` within [-bound, bound]; 0 for theta = 0."""
     sq = float(theta @ theta)
     if sq == 0.0:
-        return 0.0, np.zeros_like(problem.y)
-    ratio = float(theta @ problem.y) / (problem.lam * sq)
-    mu = float(np.clip(ratio, -bound, bound))
-    return mu, mu * theta
+        return 0.0
+    return min(max(float(theta @ problem.y) / (problem.lam * sq), -bound), bound)
 
 
 def dual_scale_lasso(problem, theta, corr_inf=None):
@@ -161,7 +202,8 @@ def dual_scale_lasso(problem, theta, corr_inf=None):
     if corr_inf < 0:
         raise ValueError("corr_inf must be nonnegative")
     bound = np.inf if corr_inf == 0.0 else 1.0 / corr_inf
-    return _clip_ratio(problem, theta, bound)
+    mu = _clip_ratio(problem, theta, bound)
+    return mu, mu * theta
 
 
 def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
@@ -184,16 +226,19 @@ def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
     if norms.shape != weights.shape:
         raise ValueError("group_corr_norms and group_weights must align")
     active = norms > 0.0
-    bound = float(np.min(weights[active] / norms[active])) if active.any() else np.inf
-    return _clip_ratio(problem, theta, bound)
+    bound = float((weights[active] / norms[active]).min(initial=np.inf))
+    mu = _clip_ratio(problem, theta, bound)
+    return mu, mu * theta
 
 
 class ScreeningContext:
     """Per-solve precomputation shared by every region construction.
 
     All full-dictionary correlations used by the tests (with the observation,
-    the extremal atom, and the shifted sphere centers) are computed once here;
-    per-iteration work is then a handful of O(N + kept) vector operations.
+    the extremal atom, and the shifted sphere centers) are computed once here,
+    and so are the slacks of the sphere centers. Per-iteration work is then a
+    few O(N) vector operations and the largest kept correlation; the kept
+    slacks are compared with the radius only when their maximum clears it.
     """
 
     def __init__(self, problem, lmax=None):
@@ -219,7 +264,7 @@ class ScreeningContext:
             raise RuntimeError(
                 f"squared screening radius fell to {arg!r}; region construction is inconsistent"
             )
-        return float(np.sqrt(max(arg, 0.0)))
+        return math.sqrt(max(arg, 0.0))
 
     # -- cached geometry ----------------------------------------------------
 
@@ -270,22 +315,22 @@ class ScreeningContext:
     @cached_property
     def safe_slack(self):
         if self.problem.kind == LASSO:
-            return 1.0 - np.abs(self.safe_center_corr)
-        return self._group_slack(self.safe_center_corr)
+            return Slack(1.0 - np.abs(self.safe_center_corr))
+        return Slack(self._group_slack(self.safe_center_corr))
 
     @cached_property
     def dst3_slack(self):
-        return 1.0 - np.abs(self.dst3_center_corr)
+        return Slack(1.0 - np.abs(self.dst3_center_corr))
 
     @cached_property
     def gst3_slack(self):
-        return self._group_slack(self._gst3_geometry[1])
+        return Slack(self._group_slack(self._gst3_geometry[1]))
 
     # -- regions and the screening dispatch --------------------------------
 
     def _safe_sphere(self, radius_sq):
         return SphereRegion(
-            self.safe_center, float(np.sqrt(radius_sq)), self.safe_center_corr, self.safe_slack
+            self.safe_center, math.sqrt(radius_sq), self.safe_center_corr, self.safe_slack
         )
 
     def region(self, kind, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
@@ -336,7 +381,7 @@ class ScreeningContext:
 
     def _region_at(self, kind, theta, corr, layout):
         if self.problem.kind == LASSO:
-            return self.region(kind, theta, corr_inf=float(np.max(np.abs(corr), initial=0.0)))
+            return self.region(kind, theta, corr_inf=float(np.abs(corr).max(initial=0.0)))
         return self.region(
             kind, theta, group_corr_norms=layout.norms(corr), group_weights=layout.weights
         )
@@ -374,6 +419,34 @@ class ScreeningContext:
 # -- tests --------------------------------------------------------------------
 
 
+def _certified(region, idx, slack_of):
+    """Mask over `idx` of what `region` or its base certifies, or None if nothing.
+
+    `slack_of(center_correlations, idx)` gives the slack of a sphere that
+    carries no cached `Slack`. Entry i is flagged iff ``slack_i - radius``
+    exceeds `SCREEN_MARGIN`. Rounding is monotone, so no entry can pass when
+    the largest slack does not, and the comparison over `idx` is then skipped
+    without changing the mask.
+    """
+    if region.slack is not None:
+        slack, top = region.slack.over(idx)
+    else:
+        slack = slack_of(region.center_correlations, idx)
+        top = float(slack.max(initial=-np.inf))
+    mask = slack - region.radius > SCREEN_MARGIN if top - region.radius > SCREEN_MARGIN else None
+    if region.base is not None:
+        base = _certified(region.base, idx, slack_of)
+        if mask is None:
+            mask = base
+        elif base is not None:
+            mask |= base
+    return mask
+
+
+def _atom_slack(center_correlations, kept):
+    return 1.0 - np.abs(center_correlations[kept])
+
+
 def test_sphere_lasso(region, kept):
     """Per-atom elimination mask over `kept` for a sphere region.
 
@@ -381,19 +454,16 @@ def test_sphere_lasso(region, kept):
     `SCREEN_MARGIN` to spare, i.e. its worst-case correlation over the sphere
     stays clearly below the dual bound. For a composite region the atom is
     flagged when either sphere certifies it; both contain the dual optimum, so
-    each certificate alone is safe. A base sphere of radius at least 1 is
-    skipped, since ``1 - |a_i . center| <= 1`` means it certifies no atom; the
-    SAFE radius never drops below ``lambda_max / lam - 1``, so below half the
-    trivial threshold the SAFE sphere of a DST3 region costs nothing.
+    each certificate alone is safe. A sphere whose radius is at least the
+    largest slack over `kept` certifies no atom and costs one comparison of
+    scalars. Since ``1 - |a_i . center| <= 1``, that covers every radius of at
+    least 1; the SAFE radius never drops below ``lambda_max / lam - 1``, so
+    below half the trivial threshold the SAFE sphere of a DST3 region costs
+    nothing more.
     """
-    if region.slack is not None:
-        slack = region.slack[kept]
-    else:
-        slack = 1.0 - np.abs(region.center_correlations[kept])
-    mask = slack - region.radius > SCREEN_MARGIN
-    if region.base is not None and region.base.radius < 1.0:
-        mask |= test_sphere_lasso(region.base, kept)
-    return mask
+    kept = np.asarray(kept, dtype=np.int64)
+    mask = _certified(region, kept, _atom_slack)
+    return np.zeros(kept.size, dtype=bool) if mask is None else mask
 
 
 def test_dome(dp, kept):
@@ -435,16 +505,13 @@ def test_sphere_group(region, partition, kept_groups):
     so each certificate alone is safe.
     """
     kept_groups = np.asarray(kept_groups, dtype=np.int64)
-    if region.slack is not None:
-        slack = region.slack[kept_groups]
-    else:
-        norms = partition.group_norms(region.center_correlations)[kept_groups]
-        w = partition.weights[kept_groups]
-        slack = (w - norms) / partition.spectral_norms[kept_groups]
-    mask = slack - region.radius > SCREEN_MARGIN
-    if region.base is not None:
-        mask |= test_sphere_group(region.base, partition, kept_groups)
-    return mask
+
+    def group_slack(center_correlations, groups):
+        norms = partition.group_norms(center_correlations)[groups]
+        return (partition.weights[groups] - norms) / partition.spectral_norms[groups]
+
+    mask = _certified(region, kept_groups, group_slack)
+    return np.zeros(kept_groups.size, dtype=bool) if mask is None else mask
 
 
 def group_mask_to_index_mask(partition, kept, kept_groups, group_mask):

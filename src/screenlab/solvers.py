@@ -81,6 +81,8 @@ class SolverConfig:
 class SolverState:
     """Mutable per-run state: primal block, dual point, and step scalars.
 
+    `u` is the extrapolated point of FISTA and Chambolle-Pock. `resid` and
+    `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
     `L` is the backtracked or spectral curvature of ISTA, FISTA and SpaRSA;
     `step` is the fixed step of TwIST and Chambolle-Pock.
     """
@@ -91,6 +93,7 @@ class SolverState:
     theta: np.ndarray | None = None
     corr: np.ndarray | None = None
     resid: np.ndarray | None = None
+    u_resid: np.ndarray | None = None
     L: float = 1.0
     l_acc: float = 1.0
     step: float | None = None
@@ -164,6 +167,34 @@ def _residual(state, dic, y):
     return dic.apply(state.x) - y
 
 
+def _extrapolate(state, cand, resid_cand, weight):
+    """Move to `cand` and set ``u = cand + weight * (cand - x)`` with its residual.
+
+    ``D @ u - y`` is the same combination of the residuals of `cand` and of
+    the current x, so it costs no product while x's residual is known.
+    """
+    if weight == 0.0:
+        state.u, state.u_resid = cand, resid_cand
+    else:
+        state.u = cand + weight * (cand - state.x)
+        if state.resid is None:
+            state.u_resid = None
+        else:
+            state.u_resid = resid_cand + weight * (resid_cand - state.resid)
+    state.x_prev = state.x
+    state.x = cand
+    state.resid = resid_cand
+
+
+def _extrapolated_resid(state, dic, y):
+    """``D @ u - y``; u starts at x."""
+    if state.u is None:
+        state.u, state.u_resid = state.x, state.resid
+    if state.u_resid is None:
+        state.u_resid = _resid_at(dic, state.u, y)
+    return state.u_resid
+
+
 def _backtrack(point, theta, corr, dic, y, lam, L, layout):
     """Backtracking prox step from `point`; returns (x_new, resid_new, L).
 
@@ -207,19 +238,13 @@ def update_fista(state, dic, problem, layout=None):
     """One accelerated proximal gradient step (momentum on an auxiliary point)."""
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
-    u = state.u if state.u is not None else state.x
-    # u is x while the momentum factor is zero, and then x's residual is known
-    theta = _residual(state, dic, y) if u is state.x else dic.apply(u) - y
+    theta = _extrapolated_resid(state, dic, y)
     corr = dic.correlate(theta)
-    cand, resid_cand, L = _backtrack(u, theta, corr, dic, y, lam, state.L, layout)
+    cand, resid_cand, L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, layout)
     _check_finite(cand)
     l_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * state.l_acc**2))
-    momentum = (state.l_acc - 1.0) / l_new
-    state.u = cand if momentum == 0.0 else cand + momentum * (cand - state.x)
+    _extrapolate(state, cand, resid_cand, (state.l_acc - 1.0) / l_new)
     state.l_acc = float(l_new)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = resid_cand
     state.theta = theta
     state.corr = corr
     state.L = L
@@ -290,21 +315,18 @@ def update_cp(state, dic, problem, layout=None):
 
     The dual variable is averaged toward the residual at the extrapolated
     point, the primal takes a prox step against it, and the next
-    extrapolated point is ``2 * x_new - x``.
+    extrapolated point is ``2 * x_new - x``. The step's one product is the
+    new iterate's residual, which also gives the next extrapolated point's.
     """
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
-    u = state.u if state.u is not None else state.x
     theta_prev = state.theta if state.theta is not None else np.zeros_like(y)
     s = state.step
-    theta = (theta_prev + s * _resid_at(dic, u, y)) / (1.0 + s)
+    theta = (theta_prev + s * _extrapolated_resid(state, dic, y)) / (1.0 + s)
     corr = dic.correlate(theta)
     cand = _prox(state.x - s * corr, lam * s, layout)
     _check_finite(cand)
-    state.u = cand + (cand - state.x)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = None
+    _extrapolate(state, cand, _resid_at(dic, cand, y), 1.0)
     state.theta = theta
     state.corr = corr
     return state
@@ -325,7 +347,7 @@ def init_state(problem, cfg, kept_count=None):
     # x starts at zero, so the residual D @ x - y is known without a product
     state = SolverState(x=np.zeros(k), resid=-problem.y)
     if cfg.algorithm in (FISTA, CP):
-        state.u = state.x
+        state.u, state.u_resid = state.x, state.resid
     if cfg.algorithm == CP:
         nrm = operator_norm(problem.dictionary)
         if nrm <= 0:
@@ -339,15 +361,23 @@ def init_state(problem, cfg, kept_count=None):
     return state
 
 
-def _reduce_state(state, keep_pos, dropped_zero):
-    state.x = state.x[keep_pos]
-    if state.x_prev is not None:
-        state.x_prev = state.x_prev[keep_pos]
-    if state.u is not None:
-        state.u = state.u[keep_pos]
-    state.corr = None
-    if not dropped_zero:
+def _reduce_state(state, mask):
+    """Drop the screened positions `mask` from the primal vectors.
+
+    A residual stays valid only while every coefficient its vector loses is
+    zero; otherwise it is cleared, and recomputed where it is next needed.
+    """
+    keep = ~mask
+    if state.x[mask].any():
         state.resid = None
+    state.x = state.x[keep]
+    if state.x_prev is not None:
+        state.x_prev = state.x_prev[keep]
+    if state.u is not None:
+        if state.u[mask].any():
+            state.u_resid = None
+        state.u = state.u[keep]
+    state.corr = None
 
 
 def run(problem, cfg, iteration_hook=None):
@@ -436,13 +466,11 @@ def run(problem, cfg, iteration_hook=None):
             )
 
         if mask is not None and mask.any():
-            keep_pos = np.flatnonzero(~mask)
-            dropped_zero = bool(np.all(state.x[mask] == 0.0))
             state_screen = screening.screen_update(state_screen, mask)
-            dic = _reduce_dic(dic, keep_pos)
+            dic = _reduce_dic(dic, np.flatnonzero(~mask))
             if problem.kind == GROUP:
                 layout = problem.partition.layout(state_screen.kept)
-            _reduce_state(state, keep_pos, dropped_zero)
+            _reduce_state(state, mask)
 
         if state.resid is None:
             state.resid = _resid_at(dic, state.x, problem.y)

@@ -400,8 +400,20 @@ class TestGroupPartition:
                 assert np.array_equal(layout.weights, part.weights[chosen])
                 assert np.array_equal(layout.order, np.concatenate(parts + [empty]))
                 assert np.array_equal(layout.offsets, np.cumsum(sizes) - sizes)
-                for arr in (layout.group_ids, layout.order, layout.offsets):
-                    assert arr.dtype == np.int64
+                assert np.array_equal(layout.sizes, sizes)
+                for arr in (layout.group_ids, layout.order, layout.offsets, layout.sizes):
+                    assert arr.dtype == np.int64 and not arr.flags.writeable
+                # the prox, one group at a time with the same arithmetic
+                v = rng.standard_normal(kept.size)
+                t = float(rng.random())
+                norms = layout.norms(v)
+                want = np.zeros(kept.size)
+                for g, pos in enumerate(parts):
+                    factor = 0.0
+                    if norms[g] > 0:
+                        factor = max(1.0 - t * layout.weights[g] / norms[g], 0.0)
+                    want[pos] = v[pos] * factor
+                assert np.array_equal(layout.prox(v, t), want)
 
     def test_layout_rejects_partial_groups(self):
         _, part = self.make()

@@ -43,17 +43,19 @@ def test_tracer_installs_and_restores(perfbench):
             assert vars(owner)[attr] is not raw, f"{owner.__name__}.{attr} was not wrapped"
         tracer.enabled = True
         for problem, test in ((make_lasso(1), "dst3"), (make_group(1), "gst3")):
+            before = dict(tracer.calls)
             cfg = sl.SolverConfig(algorithm="fista", strategy="dynamic", test=test, max_iters=20)
             res = solvers.run(problem, cfg)
             assert np.isfinite(res.final_objective)
+            # each penalty's screening dispatch goes through the traced region
+            # and test functions
+            for name in (tracing.RUN, tracing.UPDATE, tracing.REGION, tracing.TEST, tracing.APPLY):
+                assert tracer.calls[name] > before.get(name, 0), (problem.kind, name)
     finally:
         tracer.uninstall()
     for owner, attr, raw in originals:
         assert vars(owner)[attr] is raw, f"{owner.__name__}.{attr} was not restored"
     assert solvers._UPDATES == updates
-    # the screening dispatch goes through the traced region and test functions
-    for name in (tracing.RUN, tracing.UPDATE, tracing.REGION, tracing.TEST, tracing.APPLY):
-        assert tracer.calls[name] > 0, name
 
 
 def test_every_workload_config_solves(perfbench):

@@ -475,6 +475,138 @@ class TestScreen:
         assert flagged and unflagged
 
 
+def reference_screen(ctx, kind, theta, corr, kept, layout=None):
+    """The screen's mask over `kept`, and the shifted sphere's alone (None for SAFE/GSAFE).
+
+    Built from the dual scaling, the context's slacks, `SCREEN_MARGIN` and the
+    base-sphere rule: the plain sphere a shifted region was cut from flags
+    what it certifies too, and for atoms, whose slack is at most 1, only a
+    plain radius below 1 can certify any.
+    """
+    p = ctx.problem
+    if p.kind == sl.LASSO:
+        _, v = sl.dual_scale_lasso(p, theta, corr_inf=float(np.max(np.abs(corr), initial=0.0)))
+        idx = kept
+    else:
+        _, v = sl.dual_scale_group(
+            p, theta, group_corr_norms=layout.norms(corr), group_weights=layout.weights
+        )
+        idx = layout.group_ids
+    diff = ctx.safe_center - v
+    rsq = float(diff @ diff)
+    r_safe = np.sqrt(rsq)
+    plain = ctx.safe_slack.values[idx] - r_safe > screening.SCREEN_MARGIN
+    shifted = None
+    if kind in (sl.SAFE, sl.GSAFE):
+        flags = plain
+    else:
+        shift_sq = ctx.dst3_shift**2 if p.kind == sl.LASSO else ctx._gst3_geometry[2]
+        radius = np.sqrt(max(rsq - shift_sq, 0.0))
+        if kind == sl.DOME:
+            dome = sl.DomeParams(p.lam, ctx.lmax.value, ctx.star_corr, ctx.y_corr, radius)
+            return sl.test_dome(dome, kept), None
+        slack = ctx.dst3_slack if kind == sl.DST3 else ctx.gst3_slack
+        shifted = slack.values[idx] - radius > screening.SCREEN_MARGIN
+        base_applies = p.kind == sl.GROUP or r_safe < 1.0
+        flags = shifted | plain if base_applies else shifted
+    if p.kind == sl.GROUP:
+        flags = np.isin(p.partition.group_of[kept], idx[flags])
+    return flags, shifted
+
+
+class TestLeanScreen:
+    # `screen` keeps the slack of every kept set gathered, skips the
+    # per-atom comparison when the largest slack cannot clear the radius, and
+    # takes the dual scaling from scalars; its masks must equal the plain
+    # computation on every call.
+
+    @staticmethod
+    def _kept_sets(p, rng):
+        # random kept sets that keep the extremal atom (group), so every
+        # scaled point satisfies its constraint and the shifted radius exists
+        lmax = sl.lambda_max(p)
+        for size in (p.n_cols, 25, 12, 25):
+            if p.kind == sl.LASSO:
+                picked = rng.choice(p.n_cols, size=size, replace=False)
+                kept = np.union1d(picked, [lmax.atom_index]).astype(np.int64)
+            else:
+                part = p.partition
+                gids = rng.choice(part.n_groups, size=size * part.n_groups // p.n_cols)
+                gids = np.union1d(gids, [lmax.group]).astype(np.int64)
+                kept = np.sort(np.concatenate([part.groups[g] for g in gids]))
+            # read-only kept sets are gathered once; writable ones every call
+            if size != 12:
+                kept.setflags(write=False)
+            yield kept
+
+    def test_masks_match_reference(self):
+        rng = np.random.default_rng(31)
+        exits = base_only = flagged = 0
+        for seed in range(12):
+            ratio = 0.5 + 0.45 * (seed % 4) / 3
+            for p in (make_lasso(seed, n=14, k=36, ratio=ratio), make_group(seed, ratio=ratio)):
+                ctx = screening.ScreeningContext(p)
+                kinds = sl.LASSO_TESTS if p.kind == sl.LASSO else sl.GROUP_TESTS
+                for kept in self._kept_sets(p, rng):
+                    layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
+                    near_static = -p.y + 0.3 * rng.standard_normal(p.n_rows) / np.sqrt(p.n_rows)
+                    for theta in (rng.standard_normal(p.n_rows), near_static, np.zeros(p.n_rows)):
+                        corr = p.dictionary.data[:, kept].T @ theta
+                        for kind in kinds:
+                            want, shifted = reference_screen(ctx, kind, theta, corr, kept, layout)
+                            for _ in range(2):
+                                got = ctx.screen(kind, theta, corr, kept, layout)
+                                assert got.dtype == bool and np.array_equal(got, want)
+                            exits += int(not want.any())
+                            flagged += int(want.any())
+                            if shifted is not None and not shifted.any():
+                                base_only += int(want.any())
+        assert exits and flagged and base_only
+
+    def test_early_exit_is_exact_at_the_margin(self):
+        # radii around the largest slack minus the margin: the comparison is
+        # skipped only where it would flag nothing
+        rng = np.random.default_rng(32)
+        values = rng.random(50)
+        kept = np.arange(50)
+        kept.setflags(write=False)
+        top = float(values.max())
+        edge = top - screening.SCREEN_MARGIN
+        partition = sl.GroupPartition.build(
+            sl.Dictionary(np.eye(50)), [np.array([i]) for i in range(50)], weights=np.ones(50)
+        )
+        counts = []
+        below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
+        for radius in (top - 1e-9, below, edge, above, top):
+            region = screening.SphereRegion(None, float(radius), None, screening.Slack(values))
+            want = values - radius > screening.SCREEN_MARGIN
+            assert np.array_equal(sl.test_sphere_lasso(region, kept), want)
+            assert np.array_equal(sl.test_sphere_group(region, partition, kept), want)
+            counts.append(int(want.sum()))
+        assert counts[0] > 0 and counts[1] > 0 and counts[-1] == 0
+
+    @pytest.mark.parametrize("kind", sl.ALL_TESTS)
+    def test_dynamic_run_gets_reference_mask(self, kind):
+        if kind in sl.LASSO_TESTS:
+            p = make_lasso(14, ratio=0.8)
+        else:
+            p = make_group(15, ratio=0.7)
+        ctx = screening.ScreeningContext(p)
+        kept_sizes = []
+
+        def hook(info):
+            layout = p.partition.layout(info.kept) if p.kind == sl.GROUP else None
+            want, _ = reference_screen(ctx, kind, info.theta, info.corr, info.kept, layout)
+            assert np.array_equal(info.mask, want), info.t
+            kept_sizes.append(info.kept.size)
+
+        cfg = sl.SolverConfig(algorithm="fista", strategy="dynamic", test=kind,
+                              max_iters=300, rel_tol=1e-10)
+        sl.run(p, cfg, iteration_hook=hook)
+        # the masks were checked on a shrinking kept set
+        assert kept_sizes[-1] < kept_sizes[0] == p.n_cols
+
+
 class TestReducedDualFeasibility:
     def test_scaled_points_feasible_for_reduced_problem(self):
         # during a dynamic run the clip bound comes from the surviving

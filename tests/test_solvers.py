@@ -1,13 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
 import screenlab as sl
+from screenlab import solvers
 from screenlab.solvers import (
     CP,
     SolverConfig,
     SolverState,
+    _extrapolated_resid,
     _LiveColumns,
     _reduce_dic,
+    _reduce_state,
     init_state,
     update_cp,
     update_fista,
@@ -352,6 +357,94 @@ class TestRun:
         assert res.trace.init_flops == p.n_cols * p.n_rows
         assert res.trace.flops_cum[0] > res.trace.init_flops
         assert res.trace.recompute_flops() == res.trace.flops_cum
+
+
+class TestResidualReuse:
+    # The extrapolated point u of FISTA and Chambolle-Pock combines iterates
+    # whose residuals the steps already computed, so D @ u - y is the same
+    # combination of those residuals and costs no product.
+
+    @staticmethod
+    def _record_callers(monkeypatch, events):
+        apply = sl.Dictionary.apply
+
+        def recording(self, x):
+            events.append(sys._getframe(1).f_code.co_name)
+            return apply(self, x)
+
+        monkeypatch.setattr(sl.Dictionary, "apply", recording)
+
+    def test_fista_multiplies_only_in_backtracking(self, monkeypatch):
+        events = []
+        self._record_callers(monkeypatch, events)
+        res = sl.run(make_lasso(8, ratio=0.5), SolverConfig(algorithm="fista", max_iters=50),
+                     iteration_hook=lambda info: events.append(info.t))
+        assert res.iterations > 2
+        after_first = events[events.index(1):]
+        assert {e for e in after_first if isinstance(e, str)} == {"_backtrack"}
+
+    def test_cp_one_product_per_iteration(self, monkeypatch):
+        events = []
+        self._record_callers(monkeypatch, events)
+        res = sl.run(make_lasso(8, ratio=0.5), SolverConfig(algorithm="cp", max_iters=50))
+        assert res.iterations > 2
+        assert 0 < len(events) <= res.iterations
+
+    @pytest.mark.parametrize("algo", ["fista", "cp"])
+    @pytest.mark.parametrize("kind", ["lasso", "group"])
+    def test_extrapolated_residual_matches_product(self, algo, kind, monkeypatch):
+        p = make_lasso(14, ratio=0.8) if kind == "lasso" else make_group(15, ratio=0.7)
+        widths = []
+        update = solvers._UPDATES[algo]
+
+        def checking(state, dic, problem, layout=None):
+            if state.u_resid is not None:
+                want = dic.apply(state.u) - problem.y
+                assert np.allclose(state.u_resid, want, rtol=0.0, atol=1e-12)
+                widths.append(dic.n_cols)
+            return update(state, dic, problem, layout)
+
+        monkeypatch.setitem(solvers._UPDATES, algo, checking)
+        test = "dst3" if kind == "lasso" else "gst3"
+        res = sl.run(p, SolverConfig(algorithm=algo, strategy="dynamic", test=test,
+                                     max_iters=300, rel_tol=1e-10))
+        assert len(widths) > res.iterations // 2
+        # checked on reduced dictionaries too
+        assert min(widths) < p.n_cols
+
+    @pytest.mark.parametrize("algo", ["fista", "cp"])
+    @pytest.mark.parametrize("drop", ["x", "x_prev", "zeros"])
+    def test_residuals_track_direct_reduction(self, algo, drop):
+        # a reduction that drops a nonzero of x or u clears that residual, so
+        # the next step multiplies instead of using a stale one
+        p = make_lasso(1, n=16, k=40, ratio=0.3)
+        update = update_fista if algo == "fista" else update_cp
+        st = init_state(p, SolverConfig(algorithm=algo))
+        # after 6 steps both algorithms have coordinates of each kind
+        for _ in range(6):
+            update(st, p.dictionary, p)
+        zero_x = st.x == 0.0
+        candidates = {
+            "x": ~zero_x,
+            "x_prev": zero_x & (st.x_prev != 0.0),
+            "zeros": zero_x & (st.x_prev == 0.0) & (st.u == 0.0),
+        }[drop]
+        mask = np.zeros(p.n_cols, dtype=bool)
+        mask[np.flatnonzero(candidates)[0]] = True
+        assert (st.u[mask] != 0.0).all() or drop == "zeros"
+        _reduce_state(st, mask)
+        dic = _reduce_dic(p.dictionary, np.flatnonzero(~mask))
+        if drop == "zeros":
+            assert st.resid is not None and st.u_resid is not None
+        if st.resid is not None:
+            assert np.allclose(st.resid, dic.apply(st.x) - p.y, rtol=0.0, atol=1e-12)
+        else:
+            # the run loop recomputes a cleared residual before the next step
+            st.resid = dic.apply(st.x) - p.y
+        used = _extrapolated_resid(st, dic, p.y)
+        assert np.allclose(used, dic.apply(st.u) - p.y, rtol=0.0, atol=1e-12)
+        update(st, dic, p)
+        assert np.allclose(st.u_resid, dic.apply(st.u) - p.y, rtol=0.0, atol=1e-12)
 
 
 class TestColumnReduction:

@@ -11,7 +11,8 @@ final objective, eliminated set, `x_star`, and the kept count of every
 iteration. Where runs differ, prints one line per penalty and algorithm: how
 many runs differ and in which fields, whether the eliminated sets and the
 iteration counts still match, and the largest relative gap between final
-objectives. Exits nonzero on any difference.
+objectives. The last line names the (penalty, algorithm) pairs whose runs are
+all bit-identical. Exits nonzero on any difference.
 """
 
 import os
@@ -95,6 +96,8 @@ def main(old_src, new_src):
             f" max relative objective gap {gap:.2e}"
         )
     print(f"{len(old)} runs compared, {sum(runs for runs, _, _ in summary.values())} differ")
+    same = sorted({(key[0], key[3]) for key in old} - summary.keys())
+    print("bit-identical:", ", ".join(f"{penalty} {algo}" for penalty, algo in same) or "none")
     return 1 if summary else 0
 
 
