@@ -39,11 +39,11 @@ class Dictionary:
 
     Columns are stored Fortran-ordered so that the column selections performed
     by screening stay contiguous. Instances are immutable (`data` is marked
-    read-only); `reduce` returns a new Dictionary. `_opnorm` caches the
-    operator norm once `operator_norm` has computed it.
+    read-only); `reduce` copies columns into a new Dictionary. `_opnorm`
+    caches the operator norm once `operator_norm` has computed it.
     """
 
-    __slots__ = ("data", "col_norm_checked", "_opnorm")
+    __slots__ = ("data", "_opnorm")
 
     def __init__(self, data, check_unit_norms=True):
         arr = np.array(data, dtype=np.float64, order="F")
@@ -64,18 +64,7 @@ class Dictionary:
             raise ValueError("dictionary entries must be finite")
         arr.setflags(write=False)
         self.data = arr
-        self.col_norm_checked = bool(check_unit_norms)
         self._opnorm = None
-
-    @classmethod
-    def _wrap(cls, arr, col_norm_checked):
-        self = cls.__new__(cls)
-        arr = np.asfortranarray(arr)
-        arr.setflags(write=False)
-        self.data = arr
-        self.col_norm_checked = col_norm_checked
-        self._opnorm = None
-        return self
 
     @property
     def n_rows(self):
@@ -102,25 +91,20 @@ class Dictionary:
     def column(self, i):
         return self.data[:, i]
 
-    def reduce(self, kept_prev, kept_next):
-        """Sub-dictionary obtained by keeping only the columns in `kept_next`.
+    def reduce(self, cols):
+        """Sub-dictionary of the columns at the strictly increasing positions `cols`.
 
-        Both arguments are sorted *original* column indices; this dictionary is
-        assumed to hold exactly the `kept_prev` columns, in order. `kept_next`
-        must be a subset of `kept_prev`.
+        Returns this dictionary itself when every column is kept, and a copy
+        of the kept columns otherwise.
         """
-        kept_prev = index_set(kept_prev)
-        kept_next = index_set(kept_next)
-        if kept_prev.size != self.n_cols:
-            raise ValueError("kept_prev does not match the current column count")
-        pos = np.searchsorted(kept_prev, kept_next)
-        if np.any(pos >= kept_prev.size) or np.any(kept_prev[np.minimum(pos, kept_prev.size - 1)] != kept_next):
-            raise ValueError("kept_next must be a subset of kept_prev")
-        if kept_next.size == kept_prev.size:
+        cols = index_set(cols, self.n_cols)
+        if cols.size == self.n_cols:
             return self
-        if kept_next.size == 0:
-            return Dictionary._wrap(self.data[:, :0], self.col_norm_checked)
-        return Dictionary._wrap(self.data[:, pos], self.col_norm_checked)
+        out = Dictionary.__new__(Dictionary)
+        out.data = np.asfortranarray(self.data[:, cols])
+        out.data.setflags(write=False)
+        out._opnorm = None
+        return out
 
 
 def _top_singular_values(blocks):
@@ -186,8 +170,8 @@ class GroupPartition:
         if weights is None:
             weights = np.sqrt([g.size for g in groups])
         weights = np.array(weights, dtype=np.float64)
-        if weights.shape != (len(groups),) or np.any(weights <= 0):
-            raise ValueError("need one strictly positive weight per group")
+        if weights.shape != (len(groups),) or not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("need one finite, strictly positive weight per group")
         sizes = np.array([g.size for g in groups], dtype=np.int64)
         norms = np.empty(len(groups))
         for size in np.unique(sizes):
@@ -380,7 +364,12 @@ def read_group_file(path):
             if not idx:
                 raise ValueError(f"{path}:{lineno}: empty group")
             if head.strip():
-                w = float(head)
+                try:
+                    w = float(head)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad weight") from exc
+                if not np.isfinite(w):
+                    raise ValueError(f"{path}:{lineno}: bad weight")
             else:
                 w = float(np.sqrt(len(idx)))
             groups.append(np.asarray(idx, dtype=np.int64))

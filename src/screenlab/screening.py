@@ -76,15 +76,12 @@ class Slack:
 class SphereRegion:
     """Sphere known to contain the dual optimum, optionally cut by a second one.
 
-    `center_correlations` holds the correlations of the *original* dictionary
-    columns with the center, so tests on a reduced problem just index into it.
-    `slack`, when set, is the `Slack` of the center: for every original atom
-    (group) the largest radius at which a sphere around this center still
-    certifies it, ``1 - |a_i . center|`` (``(w_g - ||D_g.T center||) /
-    ||D_g||``). The center never moves during a solve, so the screening
-    context computes it once and each test is then one comparison per kept
-    atom or group, or none when the largest kept slack is already within the
-    radius.
+    `slack` is the `Slack` of the center: for every original atom (group) the
+    largest radius at which a sphere around this center still certifies it,
+    ``1 - |a_i . center|`` (``(w_g - ||D_g.T center||) / ||D_g||``). The
+    center never moves during a solve, so the screening context computes it
+    once and each test is then one comparison per kept atom or group, or none
+    when the largest kept slack is already within the radius.
 
     `base`, when set, is a second sphere that also contains the dual optimum,
     and the region is the intersection of the two. The shifted tests (DST3,
@@ -95,18 +92,17 @@ class SphereRegion:
     sphere eliminates. Since both spheres contain the dual optimum, eliminating
     whatever either one certifies is safe, and the shifted test then
     eliminates at least everything the plain test does at the same dual point.
-    The primary `center`, `radius` and `center_correlations` stay those of the
-    shifted sphere. A region is built for one dual point and not changed after.
+    The primary `center`, `radius` and `slack` stay those of the shifted
+    sphere. A region is built for one dual point and not changed after.
     """
 
     center: np.ndarray
     radius: float
-    center_correlations: np.ndarray
-    slack: Slack | None = None
+    slack: Slack
     base: SphereRegion | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DomeParams:
     """Inputs of the dome test: both correlation profiles plus the radius.
 
@@ -124,12 +120,6 @@ class DomeParams:
     y_correlations: np.ndarray
     radius: float
 
-    def __post_init__(self):
-        for name in ("star_correlations", "y_correlations"):
-            arr = getattr(self, name)
-            if arr.size and float(np.max(np.abs(arr))) > 1.0 + _CORR_BOUND_TOL:
-                raise ValueError(f"{name} must lie in [-1, 1] up to roundoff")
-
 
 @dataclass(frozen=True)
 class ScreenState:
@@ -141,14 +131,11 @@ class ScreenState:
 
     eliminated: np.ndarray
     kept: np.ndarray
-    test_kind: str | None = None
 
     @classmethod
-    def initial(cls, k, test_kind=None):
+    def initial(cls, k):
         return cls(
-            eliminated=np.empty(0, dtype=np.int64),
-            kept=_frozen(np.arange(k, dtype=np.int64)),
-            test_kind=test_kind,
+            eliminated=np.empty(0, dtype=np.int64), kept=_frozen(np.arange(k, dtype=np.int64))
         )
 
     @property
@@ -169,9 +156,7 @@ def screen_update(state, mask):
     if not mask.any():
         return state
     eliminated = np.sort(np.concatenate((state.eliminated, state.kept[mask])), kind="stable")
-    return ScreenState(
-        eliminated=eliminated, kept=_frozen(state.kept[~mask]), test_kind=state.test_kind
-    )
+    return ScreenState(eliminated=eliminated, kept=_frozen(state.kept[~mask]))
 
 
 def _frozen(arr):
@@ -284,54 +269,53 @@ class ScreeningContext:
     def dst3_shift(self):
         return self.lmax.value / self.problem.lam - 1.0
 
-    @cached_property
-    def dst3_center(self):
-        return self.safe_center - self.dst3_shift * self.lmax.atom
-
-    @cached_property
-    def dst3_center_corr(self):
-        return self.safe_center_corr - self.dst3_shift * self.star_corr
-
-    @cached_property
-    def _gst3_geometry(self):
+    def _slack(self, center_corr):
+        """`Slack` of a sphere center, from its correlations with every column."""
+        if self.problem.kind == LASSO:
+            return Slack(1.0 - np.abs(center_corr))
         part = self.problem.partition
-        g = self.lmax.group
-        idx = part.groups[g]
-        sub = self.problem.dictionary.data[:, idx]
-        normal = sub @ (sub.T @ self.problem.y) / self.lmax.value
-        normal_sq = float(normal @ normal)
-        if normal_sq == 0.0:
-            raise RuntimeError("degenerate extremal group: zero tangent normal")
-        coef = float(normal @ self.problem.y) / self.problem.lam - float(part.weights[g]) ** 2
-        center = self.safe_center - (coef / normal_sq) * normal
-        center_corr = self.safe_center_corr - (coef / normal_sq) * self.problem.dictionary.correlate(normal)
-        shift_sq = coef * coef / normal_sq
-        return center, center_corr, shift_sq
-
-    def _group_slack(self, center_corr):
-        part = self.problem.partition
-        return (part.weights - part.group_norms(center_corr)) / part.spectral_norms
+        return Slack((part.weights - part.group_norms(center_corr)) / part.spectral_norms)
 
     @cached_property
     def safe_slack(self):
-        if self.problem.kind == LASSO:
-            return Slack(1.0 - np.abs(self.safe_center_corr))
-        return Slack(self._group_slack(self.safe_center_corr))
+        return self._slack(self.safe_center_corr)
 
     @cached_property
-    def dst3_slack(self):
-        return Slack(1.0 - np.abs(self.dst3_center_corr))
+    def _shifted(self):
+        """Center, slack and squared shift of the DST3 (GST3) sphere.
+
+        The sphere moves from ``y / lam`` along a normal of the extremal
+        constraint: by `dst3_shift` along the extremal atom, or by
+        ``coef / ||normal||^2`` along the extremal group's tangent normal
+        ``D_g D_g.T y / lambda_max``.
+        """
+        problem = self.problem
+        if problem.kind == LASSO:
+            normal, normal_corr, step = self.lmax.atom, self.star_corr, self.dst3_shift
+            shift_sq = step**2
+        else:
+            g = self.lmax.group
+            sub = problem.dictionary.data[:, problem.partition.groups[g]]
+            normal = sub @ (sub.T @ problem.y) / self.lmax.value
+            normal_sq = float(normal @ normal)
+            if normal_sq == 0.0:
+                raise RuntimeError("degenerate extremal group: zero tangent normal")
+            weight = float(problem.partition.weights[g])
+            coef = float(normal @ problem.y) / problem.lam - weight**2
+            normal_corr = problem.dictionary.correlate(normal)
+            step, shift_sq = coef / normal_sq, coef * coef / normal_sq
+        center_corr = self.safe_center_corr - step * normal_corr
+        return self.safe_center - step * normal, self._slack(center_corr), shift_sq
 
     @cached_property
-    def gst3_slack(self):
-        return Slack(self._group_slack(self._gst3_geometry[1]))
+    def _dome_correlations(self):
+        """The dome's star and observation correlations, checked to lie in [-1, 1]."""
+        for name, arr in (("star_correlations", self.star_corr), ("y_correlations", self.y_corr)):
+            if float(np.max(np.abs(arr))) > 1.0 + _CORR_BOUND_TOL:
+                raise ValueError(f"{name} must lie in [-1, 1] up to roundoff")
+        return self.star_corr, self.y_corr
 
     # -- regions and the screening dispatch --------------------------------
-
-    def _safe_sphere(self, radius_sq):
-        return SphereRegion(
-            self.safe_center, math.sqrt(radius_sq), self.safe_center_corr, self.safe_slack
-        )
 
     def region(self, kind, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
         """Region of test `kind` around the dual candidate `theta`.
@@ -354,30 +338,15 @@ class ScreeningContext:
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
             )
         rsq = self._safe_radius_sq(theta, corr_inf, group_corr_norms, group_weights)
+        safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
         if kind in (SAFE, GSAFE):
-            return self._safe_sphere(rsq)
-        if kind == GST3:
-            center, center_corr, shift_sq = self._gst3_geometry
-            radius = self._shifted_radius(rsq, shift_sq)
-            return SphereRegion(
-                center, radius, center_corr, self.gst3_slack, base=self._safe_sphere(rsq)
-            )
-        radius = self._shifted_radius(rsq, self.dst3_shift**2)
+            return safe
+        center, slack, shift_sq = self._shifted
+        radius = self._shifted_radius(rsq, shift_sq)
         if kind == DOME:
-            return DomeParams(
-                lam=self.problem.lam,
-                lambda_star=self.lmax.value,
-                star_correlations=self.star_corr,
-                y_correlations=self.y_corr,
-                radius=radius,
-            )
-        return SphereRegion(
-            self.dst3_center,
-            radius,
-            self.dst3_center_corr,
-            self.dst3_slack,
-            base=self._safe_sphere(rsq),
-        )
+            star_corr, y_corr = self._dome_correlations
+            return DomeParams(self.problem.lam, self.lmax.value, star_corr, y_corr, radius)
+        return SphereRegion(center, radius, slack, base=safe)
 
     def _region_at(self, kind, theta, corr, layout):
         if self.problem.kind == LASSO:
@@ -410,32 +379,27 @@ class ScreeningContext:
         if layout is None:
             layout = self.problem.partition.layout(kept)
         region = self._region_at(kind, theta, corr, layout)
-        group_mask = test_sphere_group(region, self.problem.partition, layout.group_ids)
+        group_mask = test_sphere_group(region, layout.group_ids)
         if not group_mask.any():
             return np.zeros(len(kept), dtype=bool)
-        return group_mask_to_index_mask(self.problem.partition, kept, layout.group_ids, group_mask)
+        return group_mask_to_index_mask(layout, group_mask)
 
 
 # -- tests --------------------------------------------------------------------
 
 
-def _certified(region, idx, slack_of):
+def _certified(region, idx):
     """Mask over `idx` of what `region` or its base certifies, or None if nothing.
 
-    `slack_of(center_correlations, idx)` gives the slack of a sphere that
-    carries no cached `Slack`. Entry i is flagged iff ``slack_i - radius``
-    exceeds `SCREEN_MARGIN`. Rounding is monotone, so no entry can pass when
-    the largest slack does not, and the comparison over `idx` is then skipped
-    without changing the mask.
+    Entry i is flagged iff ``slack_i - radius`` exceeds `SCREEN_MARGIN`.
+    Rounding is monotone, so no entry can pass when the largest slack does
+    not, and the comparison over `idx` is then skipped without changing the
+    mask.
     """
-    if region.slack is not None:
-        slack, top = region.slack.over(idx)
-    else:
-        slack = slack_of(region.center_correlations, idx)
-        top = float(slack.max(initial=-np.inf))
+    slack, top = region.slack.over(idx)
     mask = slack - region.radius > SCREEN_MARGIN if top - region.radius > SCREEN_MARGIN else None
     if region.base is not None:
-        base = _certified(region.base, idx, slack_of)
+        base = _certified(region.base, idx)
         if mask is None:
             mask = base
         elif base is not None:
@@ -443,27 +407,28 @@ def _certified(region, idx, slack_of):
     return mask
 
 
-def _atom_slack(center_correlations, kept):
-    return 1.0 - np.abs(center_correlations[kept])
+def test_sphere_lasso(region, idx):
+    """Elimination mask over the atoms (or groups) `idx` for a sphere region.
 
-
-def test_sphere_lasso(region, kept):
-    """Per-atom elimination mask over `kept` for a sphere region.
-
-    Atom i is flagged iff ``1 - |a_i . center| > radius`` with at least
-    `SCREEN_MARGIN` to spare, i.e. its worst-case correlation over the sphere
-    stays clearly below the dual bound. For a composite region the atom is
-    flagged when either sphere certifies it; both contain the dual optimum, so
-    each certificate alone is safe. A sphere whose radius is at least the
-    largest slack over `kept` certifies no atom and costs one comparison of
-    scalars. Since ``1 - |a_i . center| <= 1``, that covers every radius of at
-    least 1; the SAFE radius never drops below ``lambda_max / lam - 1``, so
-    below half the trivial threshold the SAFE sphere of a DST3 region costs
-    nothing more.
+    Entry i is flagged iff the region's slack for it exceeds the radius with
+    at least `SCREEN_MARGIN` to spare: ``1 - |a_i . center| > radius`` for an
+    atom, ``(w_g - ||D_g.T center||) / ||D_g|| > radius`` for a group, i.e.
+    its worst-case correlation over the sphere stays clearly below the dual
+    bound. For a composite region the entry is flagged when either sphere
+    certifies it; both contain the dual optimum, so each certificate alone is
+    safe. A sphere whose radius is at least the largest slack over `idx`
+    certifies nothing and costs one comparison of scalars. Since
+    ``1 - |a_i . center| <= 1``, that covers every radius of at least 1; the
+    SAFE radius never drops below ``lambda_max / lam - 1``, so below half the
+    trivial threshold the SAFE sphere of a DST3 region costs nothing more.
     """
-    kept = np.asarray(kept, dtype=np.int64)
-    mask = _certified(region, kept, _atom_slack)
-    return np.zeros(kept.size, dtype=bool) if mask is None else mask
+    idx = np.asarray(idx, dtype=np.int64)
+    mask = _certified(region, idx)
+    return np.zeros(idx.size, dtype=bool) if mask is None else mask
+
+
+# groups take the same test over group ids, under their own name
+test_sphere_group = test_sphere_lasso
 
 
 def test_dome(dp, kept):
@@ -495,29 +460,8 @@ def test_dome(dp, kept):
     return (u - lower > margin) & (upper - u > margin)
 
 
-def test_sphere_group(region, partition, kept_groups):
-    """Per-group elimination mask over `kept_groups` for a sphere region.
-
-    Group g is flagged iff ``(w_g - ||D_g.T center||) / ||D_g|| > radius``,
-    read from the region's cached `slack`, or computed from its center
-    correlations when it has none. For a composite region the group is
-    flagged when either sphere certifies it; both contain the dual optimum,
-    so each certificate alone is safe.
-    """
-    kept_groups = np.asarray(kept_groups, dtype=np.int64)
-
-    def group_slack(center_correlations, groups):
-        norms = partition.group_norms(center_correlations)[groups]
-        return (partition.weights[groups] - norms) / partition.spectral_norms[groups]
-
-    mask = _certified(region, kept_groups, group_slack)
-    return np.zeros(kept_groups.size, dtype=bool) if mask is None else mask
-
-
-def group_mask_to_index_mask(partition, kept, kept_groups, group_mask):
-    """Expand a per-group mask to the per-index mask over `kept`."""
-    kept = np.asarray(kept, dtype=np.int64)
-    kept_groups = np.asarray(kept_groups, dtype=np.int64)
-    gids = partition.group_of[kept]
-    pos = np.searchsorted(kept_groups, gids)
-    return np.asarray(group_mask, dtype=bool)[pos]
+def group_mask_to_index_mask(layout, group_mask):
+    """Expand a mask over ``layout.group_ids`` to the columns the layout places."""
+    mask = np.empty(layout.order.size, dtype=bool)
+    mask[layout.order] = np.repeat(group_mask, layout.sizes)
+    return mask

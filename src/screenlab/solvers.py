@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screening
-from .dictionary import Dictionary, operator_norm
+from .dictionary import operator_norm
 from .instrument import (
     DYNAMIC,
     NONE,
@@ -409,9 +409,7 @@ def run(problem, cfg, iteration_hook=None):
 
     if problem.lam > lmax.value:
         state_screen = screening.ScreenState(
-            eliminated=np.arange(k, dtype=np.int64),
-            kept=np.empty(0, dtype=np.int64),
-            test_kind=cfg.test,
+            eliminated=np.arange(k, dtype=np.int64), kept=np.empty(0, dtype=np.int64)
         )
         yy = 0.5 * float(problem.y @ problem.y)
         return SolveResult(
@@ -422,7 +420,7 @@ def run(problem, cfg, iteration_hook=None):
             screen_state=state_screen,
         )
 
-    state_screen = screening.ScreenState.initial(k, cfg.test)
+    state_screen = screening.ScreenState.initial(k)
     dic = problem.dictionary
     layout = problem.partition.layout() if problem.kind == GROUP else None
 
@@ -430,7 +428,7 @@ def run(problem, cfg, iteration_hook=None):
     if cfg.strategy == STATIC:
         mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state_screen.kept, layout)
         state_screen = screening.screen_update(state_screen, mask)
-        dic = problem.dictionary.reduce(np.arange(k, dtype=np.int64), state_screen.kept)
+        dic = dic.reduce(state_screen.kept)
         if problem.kind == GROUP:
             layout = problem.partition.layout(state_screen.kept)
         trace.init_flops = flops_static_init(k, n)
@@ -546,4 +544,4 @@ def _reduce_dic(dic, keep_pos):
         packed, live = dic, keep_pos
     if live.size > _REPACK_FRACTION * packed.n_cols:
         return _LiveColumns(packed, live)
-    return Dictionary._wrap(packed.data[:, live], packed.col_norm_checked)
+    return packed.reduce(live)

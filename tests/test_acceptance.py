@@ -302,7 +302,7 @@ class TestCriterion7Figure1Shape:
         atoms = np.arange(problem.n_cols)
 
         def safe_kept(radius):
-            region = screening.SphereRegion(ctx.safe_center, radius, ctx.safe_center_corr)
+            region = screening.SphereRegion(ctx.safe_center, radius, ctx.safe_slack)
             return atoms[~screening.test_sphere_lasso(region, atoms)]
 
         floor_low = safe_kept(max(r_ref - slack, 0.0))  # kept at theta* for certain

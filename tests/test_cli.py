@@ -175,6 +175,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"{bad}: non-finite value inf at row 6, column 1" in err
 
+    def test_non_finite_group_weight_names_file_and_line(self, lasso_files, tmp_path, capsys):
+        d, y = lasso_files
+        groups = tmp_path / "g.txt"
+        for weight in ("nan", "inf"):
+            lines = [f"1.0;{2 * i},{2 * i + 1}" for i in range(60)]
+            lines[2] = f"{weight};4,5"
+            groups.write_text("\n".join(lines) + "\n")
+            assert run_cli("solve", "--dict", str(d), "--obs", str(y), "--groups", str(groups),
+                           "--lambda-ratio", "0.7", "--algo", "fista",
+                           "--strategy", "dynamic", "--test", "gsafe") == 1
+            assert f"{groups}:3: bad weight" in capsys.readouterr().err
+
 
 class TestBench:
     def test_single_cell_row_count(self, tmp_path):

@@ -99,15 +99,26 @@ class TestRegionSafe:
         assert np.allclose(reg.center, [1.25, 0.0])
         assert reg.radius == pytest.approx(0.25)
 
-    def test_center_correlations_invariant(self):
+    def test_slack_invariant(self):
+        # every sphere, the base sphere of a shifted region too, carries the
+        # penalty's slack at its own center
         for seed in range(10):
-            p = make_lasso(seed)
-            theta = np.random.default_rng(seed).standard_normal(p.n_rows)
-            ctx = sl.ScreeningContext(p)
-            for kind in (sl.SAFE, sl.DST3):
-                reg = ctx.region(kind, theta)
-                want = p.dictionary.correlate(reg.center)
-                assert np.allclose(reg.center_correlations, want, atol=1e-10)
+            for p in (make_lasso(seed), make_group(seed)):
+                theta = np.random.default_rng(seed).standard_normal(p.n_rows)
+                ctx = sl.ScreeningContext(p)
+                for kind in sl.LASSO_TESTS if p.kind == sl.LASSO else sl.GROUP_TESTS:
+                    if kind == sl.DOME:
+                        continue
+                    reg = ctx.region(kind, theta)
+                    spheres = [reg] if reg.base is None else [reg, reg.base]
+                    for sphere in spheres:
+                        corr = p.dictionary.correlate(sphere.center)
+                        if p.kind == sl.LASSO:
+                            want = 1.0 - np.abs(corr)
+                        else:
+                            part = p.partition
+                            want = (part.weights - part.group_norms(corr)) / part.spectral_norms
+                        assert np.allclose(sphere.slack.values, want, atol=1e-10)
 
     def test_threshold_radius_screens_by_correlation(self):
         # at lam == lambda_max with theta = y the radius collapses to zero and
@@ -172,11 +183,8 @@ class TestRegionDst3:
 class TestSphereLassoMask:
     def test_large_radius_screens_nothing(self):
         p = make_lasso(4)
-        reg = screening.SphereRegion(
-            center=p.y / p.lam,
-            radius=1.0,
-            center_correlations=p.dictionary.correlate(p.y / p.lam),
-        )
+        ctx = screening.ScreeningContext(p)
+        reg = screening.SphereRegion(ctx.safe_center, 1.0, ctx.safe_slack)
         assert not sl.test_sphere_lasso(reg, kept_all(p)).any()
 
     def test_static_safe_matches_closed_form(self):
@@ -242,14 +250,13 @@ class TestDome:
         assert cut == pytest.approx(lm.value, rel=1e-12)
 
     def test_correlation_bounds_validated(self):
-        with pytest.raises(ValueError, match="star_correlations"):
-            screening.DomeParams(
-                lam=0.5,
-                lambda_star=0.9,
-                star_correlations=np.array([1.5]),
-                y_correlations=np.array([0.5]),
-                radius=0.1,
-            )
+        # a column of norm 1.5 correlates with itself at 2.25
+        dic = sl.Dictionary(np.diag([1.5, 1.0, 1.0]), check_unit_norms=False)
+        p = sl.Problem(dic, np.array([0.8, 0.6, 0.0]), 0.5)
+        ctx = screening.ScreeningContext(p)
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(ValueError, match=r"star_correlations must lie in \[-1, 1\]"):
+                ctx.region(sl.DOME, np.zeros(3))
 
 
 class TestGroupRegions:
@@ -264,7 +271,7 @@ class TestGroupRegions:
     def test_gsafe_identity_group_mask(self):
         pg = identity_problem(0.8, kind="group")
         reg = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
-        mask = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
+        mask = sl.test_sphere_group(reg, np.array([0, 1]))
         assert mask.tolist() == [False, True]
 
     def test_gsafe_zero_theta_radius(self):
@@ -277,7 +284,7 @@ class TestGroupRegions:
         reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y)
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-14)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
-        mask = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
+        mask = sl.test_sphere_group(reg, np.array([0, 1]))
         assert mask.tolist() == [False, True]
 
     def test_gst3_singleton_matches_dst3(self):
@@ -322,9 +329,7 @@ class TestCompositeShiftedRegions:
 
     @staticmethod
     def _shifted_only(region):
-        return screening.SphereRegion(
-            region.center, region.radius, region.center_correlations, region.slack
-        )
+        return screening.SphereRegion(region.center, region.radius, region.slack)
 
     @staticmethod
     def _dual_points(p, rng):
@@ -365,11 +370,11 @@ class TestCompositeShiftedRegions:
             for theta in self._dual_points(p, rng):
                 norms = part.group_norms(p.dictionary.correlate(theta))
                 reg = ctx.region(sl.GSAFE, theta, group_corr_norms=norms)
-                m_gsafe = sl.test_sphere_group(reg, part, groups)
+                m_gsafe = sl.test_sphere_group(reg, groups)
                 reg = ctx.region(sl.GST3, theta, group_corr_norms=norms)
-                m_gst3 = sl.test_sphere_group(reg, part, groups)
+                m_gst3 = sl.test_sphere_group(reg, groups)
                 assert not np.any(m_gsafe & ~m_gst3)
-                m_shifted = sl.test_sphere_group(self._shifted_only(reg), part, groups)
+                m_shifted = sl.test_sphere_group(self._shifted_only(reg), groups)
                 assert np.array_equal(m_gst3, m_gsafe | m_shifted)
                 protruding += int(np.any(m_gsafe & ~m_shifted))
         assert protruding > 0
@@ -379,20 +384,19 @@ class TestSphereGroupMask:
     def test_large_radius_screens_nothing(self):
         pg = make_group(8)
         part = pg.partition
-        reg = screening.SphereRegion(
-            center=pg.y / pg.lam,
-            radius=float(np.max(part.weights / part.spectral_norms)),
-            center_correlations=pg.dictionary.correlate(pg.y / pg.lam),
-        )
-        mask = sl.test_sphere_group(reg, part, np.arange(part.n_groups))
+        ctx = screening.ScreeningContext(pg)
+        radius = float(np.max(part.weights / part.spectral_norms))
+        reg = screening.SphereRegion(ctx.safe_center, radius, ctx.safe_slack)
+        mask = sl.test_sphere_group(reg, np.arange(part.n_groups))
         assert not mask.any()
 
     def test_singleton_matches_lasso_decisions(self):
         p = identity_problem(0.8)
         pg = identity_problem(0.8, kind="group")
-        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
-        m_l = sl.test_sphere_lasso(reg, kept_all(p))
-        m_g = sl.test_sphere_group(reg, pg.partition, np.array([0, 1]))
+        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
+        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
+        m_l = sl.test_sphere_lasso(reg_l, kept_all(p))
+        m_g = sl.test_sphere_group(reg_g, np.array([0, 1]))
         assert np.array_equal(m_l, m_g)
 
     def test_index_mask_expansion(self):
@@ -402,10 +406,31 @@ class TestSphereGroupMask:
         gmask = np.zeros(part.n_groups, dtype=bool)
         gmask[[1, 4]] = True
         kept = np.arange(30)
-        mask = sl.group_mask_to_index_mask(part, kept, kept_groups, gmask)
+        mask = sl.group_mask_to_index_mask(part.layout(), gmask)
         screened = set(kept[mask].tolist())
         want = set(part.groups[1].tolist()) | set(part.groups[4].tolist())
         assert screened == want
+
+    def test_layout_expansion_matches_searchsorted(self):
+        # the expansion through the layout equals a lookup of each kept
+        # column's group among the kept groups
+        rng = np.random.default_rng(16)
+        for trial in range(40):
+            k = int(rng.integers(2, 60))
+            cuts = np.sort(rng.choice(np.arange(1, k), size=int(rng.integers(0, k - 1)), replace=False))
+            perm = rng.permutation(k)
+            groups = [np.sort(g) for g in np.split(perm, cuts)]
+            dic = sl.Dictionary(np.eye(k))
+            part = sl.GroupPartition.build(dic, groups)
+            chosen = np.flatnonzero(rng.random(part.n_groups) < 0.6)
+            if chosen.size == 0:
+                chosen = np.array([trial % part.n_groups])
+            kept = np.sort(np.concatenate([part.groups[g] for g in chosen]))
+            layout = part.layout(kept)
+            group_mask = rng.random(layout.n_groups) < 0.5
+            pos = np.searchsorted(layout.group_ids, part.group_of[kept])
+            want = group_mask[pos]
+            assert np.array_equal(sl.group_mask_to_index_mask(layout, group_mask), want)
 
 
 class TestScreen:
@@ -440,7 +465,7 @@ class TestScreen:
                         want = sl.test_sphere_lasso(reg, kept)
                     else:
                         all_groups = np.arange(p.partition.n_groups)
-                        groups = sl.test_sphere_group(reg, p.partition, all_groups)
+                        groups = sl.test_sphere_group(reg, all_groups)
                         want = groups[p.partition.group_of]
                     assert np.array_equal(ctx.screen(kind, p.y, ctx.y_corr, kept), want)
 
@@ -466,7 +491,7 @@ class TestScreen:
                     reg = ctx.region(
                         kind, theta, group_corr_norms=norms, group_weights=layout.weights
                     )
-                    groups = sl.test_sphere_group(reg, part, layout.group_ids)
+                    groups = sl.test_sphere_group(reg, layout.group_ids)
                     assert set(kept[mask]) == set(np.concatenate(
                         [part.groups[g] for g in layout.group_ids[groups]] + [np.empty(0, int)]
                     ))
@@ -500,12 +525,11 @@ def reference_screen(ctx, kind, theta, corr, kept, layout=None):
     if kind in (sl.SAFE, sl.GSAFE):
         flags = plain
     else:
-        shift_sq = ctx.dst3_shift**2 if p.kind == sl.LASSO else ctx._gst3_geometry[2]
+        _, slack, shift_sq = ctx._shifted
         radius = np.sqrt(max(rsq - shift_sq, 0.0))
         if kind == sl.DOME:
             dome = sl.DomeParams(p.lam, ctx.lmax.value, ctx.star_corr, ctx.y_corr, radius)
             return sl.test_dome(dome, kept), None
-        slack = ctx.dst3_slack if kind == sl.DST3 else ctx.gst3_slack
         shifted = slack.values[idx] - radius > screening.SCREEN_MARGIN
         base_applies = p.kind == sl.GROUP or r_safe < 1.0
         flags = shifted | plain if base_applies else shifted
@@ -572,16 +596,13 @@ class TestLeanScreen:
         kept.setflags(write=False)
         top = float(values.max())
         edge = top - screening.SCREEN_MARGIN
-        partition = sl.GroupPartition.build(
-            sl.Dictionary(np.eye(50)), [np.array([i]) for i in range(50)], weights=np.ones(50)
-        )
         counts = []
         below, above = np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
         for radius in (top - 1e-9, below, edge, above, top):
-            region = screening.SphereRegion(None, float(radius), None, screening.Slack(values))
+            region = screening.SphereRegion(None, float(radius), screening.Slack(values))
             want = values - radius > screening.SCREEN_MARGIN
             assert np.array_equal(sl.test_sphere_lasso(region, kept), want)
-            assert np.array_equal(sl.test_sphere_group(region, partition, kept), want)
+            assert np.array_equal(sl.test_sphere_group(region, kept), want)
             counts.append(int(want.sum()))
         assert counts[0] > 0 and counts[1] > 0 and counts[-1] == 0
 
@@ -647,7 +668,7 @@ class TestReducedDualFeasibility:
 
 class TestScreenState:
     def test_initial(self):
-        st = screening.ScreenState.initial(5, "safe")
+        st = screening.ScreenState.initial(5)
         assert st.eliminated.size == 0 and st.kept.size == 5 and st.size == 5
 
     def test_all_false_mask_is_noop(self):
