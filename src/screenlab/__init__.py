@@ -3,7 +3,6 @@
 from .dictionary import (
     Dictionary,
     GroupPartition,
-    complement,
     index_set,
     operator_norm,
     read_dsmx,

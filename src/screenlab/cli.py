@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,18 +65,27 @@ class BenchPlan:
             raise ValueError("lambda ratios must lie in (0, 1]")
         if self.problem == "group" and (self.group_size < 1 or self.k % self.group_size):
             raise ValueError("group benchmarks need a group size dividing k")
-        allowed = screening.LASSO_TESTS if self.problem == "lasso" else screening.GROUP_TESTS
-        if any(s != instrument.NONE for s in self.strategies) and not self.tests:
-            raise ValueError("screening strategies need at least one test kind")
-        for t in self.tests:
-            if t not in allowed:
-                raise ValueError(f"test {t!r} does not apply to {self.problem} problems")
-        for a in self.algorithms:
-            if a not in solvers.ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
-        for s in self.strategies:
-            if s not in instrument.STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
+        self.configs()
+
+    def configs(self):
+        """The validated solver configuration of each run at one seed and ratio."""
+        out = []
+        for algo in self.algorithms:
+            for strategy in self.strategies:
+                # a screening strategy without tests runs once with none, which
+                # `SolverConfig.validate` rejects
+                tests = [None] if strategy == instrument.NONE else self.tests or [None]
+                for test in tests:
+                    cfg = solvers.SolverConfig(
+                        algorithm=algo,
+                        strategy=strategy,
+                        test=test,
+                        max_iters=self.max_iters,
+                        rel_tol=self.rel_tol,
+                    )
+                    cfg.validate(self.problem)
+                    out.append(cfg)
+        return out
 
     def to_json(self):
         return json.dumps(self.__dict__, sort_keys=True)
@@ -222,53 +232,37 @@ def _bench_data(plan, seed):
 def _bench_seed(plan, seed):
     dic, y, partition = _bench_data(plan, seed)
     lmax = lambda_max(Problem(dic, y, 1.0, partition)).value
+    configs = plan.configs()
     rows = []
     for ratio in plan.lambda_ratios:
         problem = Problem(dic, y, ratio * lmax, partition)
-        for algo in plan.algorithms:
-            for strategy in plan.strategies:
-                tests = ["-"] if strategy == instrument.NONE else plan.tests
-                for test in tests:
-                    cfg = solvers.SolverConfig(
-                        algorithm=algo,
-                        strategy=strategy,
-                        test=None if test == "-" else test,
-                        max_iters=plan.max_iters,
-                        rel_tol=plan.rel_tol,
-                    )
-                    t0 = time.perf_counter()
-                    res = solvers.run(problem, cfg)
-                    elapsed = time.perf_counter() - t0
-                    rows.append(
-                        (
-                            seed,
-                            algo,
-                            strategy,
-                            test,
-                            ratio,
-                            res.iterations,
-                            res.trace.total_flops,
-                            elapsed,
-                            res.final_objective,
-                            res.screened_fraction,
-                        )
-                    )
+        for cfg in configs:
+            t0 = time.perf_counter()
+            res = solvers.run(problem, cfg)
+            elapsed = time.perf_counter() - t0
+            rows.append(
+                (
+                    seed,
+                    cfg.algorithm,
+                    cfg.strategy,
+                    cfg.test or "-",
+                    ratio,
+                    res.iterations,
+                    res.trace.total_flops,
+                    elapsed,
+                    res.final_objective,
+                    res.screened_fraction,
+                )
+            )
     return rows
-
-
-def _bench_seed_star(payload):
-    plan_dict, seed = payload
-    plan = BenchPlan(**plan_dict)
-    return _bench_seed(plan, seed)
 
 
 def run_bench(plan, out_path, parallel=False):
     plan.validate()
     rows = []
     if parallel:
-        payloads = [(plan.__dict__, seed) for seed in plan.seeds]
         with ProcessPoolExecutor() as pool:
-            for chunk in pool.map(_bench_seed_star, payloads):
+            for chunk in pool.map(_bench_seed, itertools.repeat(plan), plan.seeds):
                 rows.extend(chunk)
     else:
         for seed in plan.seeds:

@@ -27,41 +27,30 @@ def index_set(values, size=None):
     return arr
 
 
-def complement(kept, size):
-    """Indices of ``[0, size)`` not present in the sorted array `kept`."""
-    mask = np.ones(size, dtype=bool)
-    mask[kept] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 class Dictionary:
     """Dense N x K real matrix whose columns are the candidate atoms.
 
-    Columns are stored Fortran-ordered so that the column selections performed
-    by screening stay contiguous. Instances are immutable (`data` is marked
-    read-only); `reduce` copies columns into a new Dictionary. `_opnorm`
-    caches the operator norm once `operator_norm` has computed it.
+    Every column has unit l2 norm up to `UNIT_NORM_TOL`; the sphere tests'
+    slack ``1 - |a_i . center|`` certifies an atom only when ``||a_i|| <= 1``.
+    Columns are stored Fortran-ordered so that the column selections
+    performed by screening stay contiguous. Instances are immutable (`data`
+    is marked read-only); `reduce` copies columns into a new Dictionary.
+    `_opnorm` caches the operator norm once `operator_norm` has computed it.
     """
 
     __slots__ = ("data", "_opnorm")
 
-    def __init__(self, data, check_unit_norms=True):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="F")
         if arr.ndim != 2:
             raise ValueError("dictionary data must be a 2-D matrix")
         n, k = arr.shape
         if n < 1 or k < 1:
             raise ValueError("dictionary must have at least one row and one column")
-        if check_unit_norms:
-            norms = np.linalg.norm(arr, axis=0)
-            worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-            # written so that a NaN deviation fails too
-            if not worst <= UNIT_NORM_TOL:
-                raise ValueError(
-                    f"columns must have unit l2 norm (worst deviation {worst:.3e})"
-                )
-        elif not np.all(np.isfinite(arr)):
-            raise ValueError("dictionary entries must be finite")
+        worst = float(np.max(np.abs(np.linalg.norm(arr, axis=0) - 1.0)))
+        # written so that a NaN deviation fails too
+        if not worst <= UNIT_NORM_TOL:
+            raise ValueError(f"columns must have unit l2 norm (worst deviation {worst:.3e})")
         arr.setflags(write=False)
         self.data = arr
         self._opnorm = None
@@ -87,9 +76,6 @@ class Dictionary:
         if v.shape != (self.n_rows,):
             raise ValueError(f"expected observation-space vector of length {self.n_rows}")
         return self.data.T @ v
-
-    def column(self, i):
-        return self.data[:, i]
 
     def reduce(self, cols):
         """Sub-dictionary of the columns at the strictly increasing positions `cols`.
@@ -307,17 +293,11 @@ def read_dsmx(path):
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, cols)
 
 
-def read_csv_matrix(path):
-    """Read a comma-separated matrix, one row per line."""
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return arr
-
-
 def read_matrix(path):
-    """Read a finite matrix from DSMX (detected by magic bytes) or CSV."""
+    """Read a finite matrix from DSMX (detected by magic bytes) or CSV, one row per line."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    arr = read_dsmx(path) if magic == _DSMX_MAGIC else read_csv_matrix(path)
+    arr = read_dsmx(path) if magic == _DSMX_MAGIC else np.loadtxt(path, delimiter=",", ndmin=2)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         row, col = bad[0]

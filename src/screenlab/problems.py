@@ -86,7 +86,7 @@ def lambda_max(problem, corr=None):
         i = int(np.argmax(np.abs(corr)))
         value = float(abs(corr[i]))
         sign = 1.0 if corr[i] >= 0 else -1.0
-        atom = sign * problem.dictionary.column(i)
+        atom = sign * problem.dictionary.data[:, i]
         return LambdaMax(value=value, atom=atom, atom_index=i)
     ratios = problem.partition.group_norms(corr) / problem.partition.weights
     g = int(np.argmax(ratios))

@@ -226,22 +226,12 @@ class ScreeningContext:
     slacks are compared with the radius only when their maximum clears it.
     """
 
-    def __init__(self, problem, lmax=None):
+    def __init__(self, problem):
         self.problem = problem
         self.y_corr = problem.dictionary.correlate(problem.y)
-        self.lmax = lmax if lmax is not None else lambda_max(problem, self.y_corr)
+        self.lmax = lambda_max(problem, self.y_corr)
 
     # -- shared scalar machinery -------------------------------------------
-
-    def _safe_radius_sq(self, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
-        if self.problem.kind == LASSO:
-            _, v = dual_scale_lasso(self.problem, theta, corr_inf=corr_inf)
-        else:
-            _, v = dual_scale_group(
-                self.problem, theta, group_corr_norms=group_corr_norms, group_weights=group_weights
-            )
-        diff = self.safe_center - v
-        return float(diff @ diff)
 
     def _shifted_radius(self, radius_sq, shift_sq):
         arg = radius_sq - shift_sq
@@ -317,13 +307,14 @@ class ScreeningContext:
 
     # -- regions and the screening dispatch --------------------------------
 
-    def region(self, kind, theta, corr_inf=None, group_corr_norms=None, group_weights=None):
+    def region(self, kind, theta, corr, layout=None):
         """Region of test `kind` around the dual candidate `theta`.
 
-        `theta` is first scaled onto the dual feasible segment; `corr_inf`
-        (Lasso) or `group_corr_norms` with `group_weights` (groups) describe
-        the columns still in play, and default to the full dictionary. SAFE
-        and GSAFE give the plain sphere around ``y / lam``. DST3 and GST3 give
+        `corr` holds the correlations of `theta` with the columns still in
+        play; for group problems `layout` places those columns in their
+        groups, and is the whole partition's when omitted. `theta` is first
+        scaled onto the dual feasible segment those columns allow. SAFE and
+        GSAFE give the plain sphere around ``y / lam``. DST3 and GST3 give
         the shifted sphere intersected with the plain sphere it was cut from:
         the shifted sphere bounds the plain sphere's intersection with the
         extremal atom's half-space ``a* . theta <= 1`` (the extremal group's
@@ -331,13 +322,21 @@ class ScreeningContext:
         test also eliminates what only the plain sphere certifies. DOME gives
         the `DomeParams` of that intersection.
         """
+        problem = self.problem
         if kind not in ALL_TESTS:
             raise ValueError(f"unknown screening test {kind!r}")
-        if kind not in (SAFE, GSAFE) and self.problem.lam > self.lmax.value:
+        if kind not in (SAFE, GSAFE) and problem.lam > self.lmax.value:
             raise ValueError(
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
             )
-        rsq = self._safe_radius_sq(theta, corr_inf, group_corr_norms, group_weights)
+        if problem.kind == LASSO:
+            _, v = dual_scale_lasso(problem, theta, float(np.abs(corr).max(initial=0.0)))
+        else:
+            if layout is None:
+                layout = problem.partition.layout()
+            _, v = dual_scale_group(problem, theta, layout.norms(corr), layout.weights)
+        diff = self.safe_center - v
+        rsq = float(diff @ diff)
         safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
         if kind in (SAFE, GSAFE):
             return safe
@@ -345,20 +344,12 @@ class ScreeningContext:
         radius = self._shifted_radius(rsq, shift_sq)
         if kind == DOME:
             star_corr, y_corr = self._dome_correlations
-            return DomeParams(self.problem.lam, self.lmax.value, star_corr, y_corr, radius)
+            return DomeParams(problem.lam, self.lmax.value, star_corr, y_corr, radius)
         return SphereRegion(center, radius, slack, base=safe)
-
-    def _region_at(self, kind, theta, corr, layout):
-        if self.problem.kind == LASSO:
-            return self.region(kind, theta, corr_inf=float(np.abs(corr).max(initial=0.0)))
-        return self.region(
-            kind, theta, group_corr_norms=layout.norms(corr), group_weights=layout.weights
-        )
 
     def static_region(self, kind):
         """Region for the screen-once strategy, built from the observation itself."""
-        layout = self.problem.partition.layout() if self.problem.kind == GROUP else None
-        return self._region_at(kind, self.problem.y, self.y_corr, layout)
+        return self.region(kind, self.problem.y, self.y_corr)
 
     def screen(self, kind, theta, corr, kept, layout=None):
         """Elimination mask over `kept` from test `kind` at the dual candidate `theta`.
@@ -372,13 +363,13 @@ class ScreeningContext:
         flags each of their columns.
         """
         if self.problem.kind == LASSO:
-            region = self._region_at(kind, theta, corr, None)
+            region = self.region(kind, theta, corr)
             if kind == DOME:
                 return test_dome(region, kept)
             return test_sphere_lasso(region, kept)
         if layout is None:
             layout = self.problem.partition.layout(kept)
-        region = self._region_at(kind, theta, corr, layout)
+        region = self.region(kind, theta, corr, layout)
         group_mask = test_sphere_group(region, layout.group_ids)
         if not group_mask.any():
             return np.zeros(len(kept), dtype=bool)

@@ -149,11 +149,6 @@ def _penalty(x, layout):
     return layout.penalty(x)
 
 
-def _check_finite(x):
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("solver produced a non-finite iterate")
-
-
 def _resid_at(dic, v, y):
     """``D @ v - y``, skipping the product while `v` is all zero."""
     if not v.any():
@@ -167,23 +162,26 @@ def _residual(state, dic, y):
     return dic.apply(state.x) - y
 
 
-def _extrapolate(state, cand, resid_cand, weight):
-    """Move to `cand` and set ``u = cand + weight * (cand - x)`` with its residual.
+def _accept(state, theta, corr, cand, resid_cand, weight=None):
+    """Move to `cand`, recording the step's dual point `theta` and its `corr`.
 
-    ``D @ u - y`` is the same combination of the residuals of `cand` and of
-    the current x, so it costs no product while x's residual is known.
+    `resid_cand` is ``D @ cand - y``, or None when the step did not compute
+    it. With a `weight`, also sets ``u = cand + weight * (cand - x)``; its
+    residual is the same combination of the residuals of `cand` and of the
+    current x, so it costs no product while x's residual is known.
     """
+    if not np.all(np.isfinite(cand)):
+        raise FloatingPointError("solver produced a non-finite iterate")
     if weight == 0.0:
         state.u, state.u_resid = cand, resid_cand
-    else:
+    elif weight is not None:
         state.u = cand + weight * (cand - state.x)
         if state.resid is None:
             state.u_resid = None
         else:
             state.u_resid = resid_cand + weight * (resid_cand - state.resid)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = resid_cand
+    state.x_prev, state.x, state.resid = state.x, cand, resid_cand
+    state.theta, state.corr = theta, corr
 
 
 def _extrapolated_resid(state, dic, y):
@@ -223,14 +221,8 @@ def update_ista(state, dic, problem, layout=None):
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
     corr = dic.correlate(theta)
-    cand, resid_cand, L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, layout)
-    _check_finite(cand)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = resid_cand
-    state.theta = theta
-    state.corr = corr
-    state.L = L
+    cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, layout)
+    _accept(state, theta, corr, cand, resid_cand)
     return state
 
 
@@ -240,14 +232,10 @@ def update_fista(state, dic, problem, layout=None):
     y, lam = problem.y, problem.lam
     theta = _extrapolated_resid(state, dic, y)
     corr = dic.correlate(theta)
-    cand, resid_cand, L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, layout)
-    _check_finite(cand)
+    cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, layout)
     l_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * state.l_acc**2))
-    _extrapolate(state, cand, resid_cand, (state.l_acc - 1.0) / l_new)
+    _accept(state, theta, corr, cand, resid_cand, (state.l_acc - 1.0) / l_new)
     state.l_acc = float(l_new)
-    state.theta = theta
-    state.corr = corr
-    state.L = L
     return state
 
 
@@ -271,12 +259,7 @@ def update_twist(state, dic, problem, layout=None):
     else:
         a, b = _TWIST_ALPHA, _TWIST_BETA
         cand = (1.0 - a) * state.x_prev + (a - b) * state.x + b * z
-    _check_finite(cand)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = None
-    state.theta = theta
-    state.corr = corr
+    _accept(state, theta, corr, cand, None)
     return state
 
 
@@ -292,21 +275,14 @@ def update_sparsa(state, dic, problem, layout=None):
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
     corr = dic.correlate(theta)
-    L = state.L
     if state.x_prev is not None:
         s = state.x - state.x_prev
         ss = float(s @ s)
         if ss > 0.0:
             ds = dic.apply(s)
-            L = float(np.clip(float(ds @ ds) / ss, _BB_L_MIN, _BB_L_MAX))
-    cand = _prox(state.x - corr / L, lam / L, layout)
-    _check_finite(cand)
-    state.x_prev = state.x
-    state.x = cand
-    state.resid = None
-    state.theta = theta
-    state.corr = corr
-    state.L = L
+            state.L = float(np.clip(float(ds @ ds) / ss, _BB_L_MIN, _BB_L_MAX))
+    cand = _prox(state.x - corr / state.L, lam / state.L, layout)
+    _accept(state, theta, corr, cand, None)
     return state
 
 
@@ -325,10 +301,7 @@ def update_cp(state, dic, problem, layout=None):
     theta = (theta_prev + s * _extrapolated_resid(state, dic, y)) / (1.0 + s)
     corr = dic.correlate(theta)
     cand = _prox(state.x - s * corr, lam * s, layout)
-    _check_finite(cand)
-    _extrapolate(state, cand, _resid_at(dic, cand, y), 1.0)
-    state.theta = theta
-    state.corr = corr
+    _accept(state, theta, corr, cand, _resid_at(dic, cand, y), 1.0)
     return state
 
 
@@ -349,12 +322,7 @@ def init_state(problem, cfg, kept_count=None):
     if cfg.algorithm in (FISTA, CP):
         state.u, state.u_resid = state.x, state.resid
     if cfg.algorithm == CP:
-        nrm = operator_norm(problem.dictionary)
-        if nrm <= 0:
-            raise ValueError("dictionary has zero operator norm")
-        state.step = _CP_STEP_SAFETY / nrm
-        if state.step * state.step * nrm**2 >= 1.0:
-            raise ValueError("primal-dual step sizes violate tau*sigma*||D||^2 < 1")
+        state.step = _CP_STEP_SAFETY / operator_norm(problem.dictionary)
         state.theta = np.zeros(problem.n_rows)
     if cfg.algorithm == TWIST:
         state.step = 1.0 / operator_norm(problem.dictionary) ** 2
@@ -388,8 +356,9 @@ def run(problem, cfg, iteration_hook=None):
     the dictionary is screened once, from the observation itself, before the
     first iteration; with the dynamic strategy the test is re-evaluated every
     iteration at the dual point the update just produced, and the eliminated
-    set grows monotonically. Above the trivial-solution threshold the zero
-    solution is returned immediately with every atom screened.
+    set grows monotonically. Above the trivial-solution threshold every atom
+    is screened before the first iteration, and the zero solution is
+    returned without one.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -407,25 +376,15 @@ def run(problem, cfg, iteration_hook=None):
         digest=problem_digest(problem),
     )
 
-    if problem.lam > lmax.value:
-        state_screen = screening.ScreenState(
-            eliminated=np.arange(k, dtype=np.int64), kept=np.empty(0, dtype=np.int64)
-        )
-        yy = 0.5 * float(problem.y @ problem.y)
-        return SolveResult(
-            x_star=np.zeros(k),
-            iterations=0,
-            trace=trace,
-            final_objective=yy,
-            screen_state=state_screen,
-        )
-
     state_screen = screening.ScreenState.initial(k)
     dic = problem.dictionary
     layout = problem.partition.layout() if problem.kind == GROUP else None
 
     cum_flops = 0
-    if cfg.strategy == STATIC:
+    if problem.lam > lmax.value:
+        # the zero solution: every column goes, and the loop below stops at once
+        state_screen = screening.screen_update(state_screen, np.ones(k, dtype=bool))
+    elif cfg.strategy == STATIC:
         mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state_screen.kept, layout)
         state_screen = screening.screen_update(state_screen, mask)
         dic = dic.reduce(state_screen.kept)

@@ -213,6 +213,24 @@ class TestBench:
         assert all(r[3] == "gst3" for r in dyn)
         assert all(0.0 <= float(r[9]) <= 1.0 for r in rows)
 
+    def test_parallel_rows_match_serial(self, tmp_path):
+        # seeds fanned out to worker processes give the serial rows, times aside
+        outs = []
+        for name, extra in (("serial.csv", ()), ("parallel.csv", ("--parallel",))):
+            out = tmp_path / name
+            assert run_cli("bench", "--problem", "lasso", "--dict-kind", "gaussian",
+                           "--n", "15", "--k", "30", "--algos", "ista,cp",
+                           "--strategies", "none,dynamic", "--tests", "safe,dst3",
+                           "--ratios", "0.5,0.8", "--seeds", "1,2", "--out", str(out),
+                           *extra) == 0
+            comment, header, *rows = out.read_text().splitlines()
+            assert header.split(",")[7] == "time_s"
+            outs.append([comment, header] + [r.split(",")[:7] + r.split(",")[8:] for r in rows])
+        serial, parallel = outs
+        # seeds x ratios x algorithms x (none + two dynamic tests)
+        assert len(serial) == 2 + 2 * 2 * 2 * 3
+        assert parallel == serial
+
     def test_group_size_must_divide(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("bench", "--problem", "group", "--n", "20", "--k", "40",

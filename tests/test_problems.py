@@ -158,7 +158,7 @@ class TestLambdaMax:
         assert lm.group == 0
 
     def test_lowest_index_tie_break(self):
-        dic = sl.Dictionary(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), check_unit_norms=True)
+        dic = sl.Dictionary(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         p = sl.Problem(dic, np.array([1.0, 0.0]), 0.5)
         assert sl.lambda_max(p).atom_index == 0
 

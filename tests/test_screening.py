@@ -83,19 +83,19 @@ class TestDualScaleGroup:
 class TestRegionSafe:
     def test_zero_radius_at_threshold(self):
         p = identity_problem(1.0)  # lam == lambda_max
-        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
         assert reg.radius == pytest.approx(0.0, abs=1e-15)
         mask = sl.test_sphere_lasso(reg, kept_all(p))
         assert mask.tolist() == [False, True]
 
     def test_zero_theta_radius(self):
         p = identity_problem(0.8)
-        reg = sl.ScreeningContext(p).region(sl.SAFE, np.zeros(2))
+        reg = sl.ScreeningContext(p).region(sl.SAFE, np.zeros(2), np.zeros(2))
         assert reg.radius == pytest.approx(1.0 / 0.8)
 
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
         assert np.allclose(reg.center, [1.25, 0.0])
         assert reg.radius == pytest.approx(0.25)
 
@@ -109,7 +109,7 @@ class TestRegionSafe:
                 for kind in sl.LASSO_TESTS if p.kind == sl.LASSO else sl.GROUP_TESTS:
                     if kind == sl.DOME:
                         continue
-                    reg = ctx.region(kind, theta)
+                    reg = ctx.region(kind, theta, p.dictionary.correlate(theta))
                     spheres = [reg] if reg.base is None else [reg, reg.base]
                     for sphere in spheres:
                         corr = p.dictionary.correlate(sphere.center)
@@ -127,7 +127,7 @@ class TestRegionSafe:
             base = make_lasso(seed, n=15, k=35)
             lm = sl.lambda_max(base)
             p = sl.Problem(base.dictionary, base.y, lm.value)
-            reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=lm.value)
+            reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
             assert reg.radius <= 1e-12
             mask = sl.test_sphere_lasso(reg, np.arange(35))
             corr = np.abs(p.dictionary.correlate(p.y))
@@ -139,14 +139,14 @@ class TestRegionSafe:
 class TestRegionDst3:
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, p.dictionary.correlate(p.y))
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-15)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
         assert sl.test_sphere_lasso(reg, kept_all(p)).tolist() == [False, True]
 
     def test_at_threshold_center_matches_safe(self):
         p = identity_problem(1.0)
-        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, corr_inf=1.0)
+        reg = sl.ScreeningContext(p).region(sl.DST3, p.y, p.dictionary.correlate(p.y))
         assert np.allclose(reg.center, p.y / p.lam)
 
     def test_static_point_sign_symmetry(self):
@@ -154,10 +154,9 @@ class TestRegionDst3:
         # regions and masks must agree exactly
         for seed in range(10):
             p = make_lasso(seed, ratio=0.6)
-            lm = sl.lambda_max(p)
-            ci = lm.value
-            r_pos = sl.ScreeningContext(p, lm).region(sl.DST3, p.y, corr_inf=ci)
-            r_neg = sl.ScreeningContext(p, lm).region(sl.DST3, -p.y, corr_inf=ci)
+            ctx = sl.ScreeningContext(p)
+            r_pos = ctx.region(sl.DST3, p.y, p.dictionary.correlate(p.y))
+            r_neg = ctx.region(sl.DST3, -p.y, p.dictionary.correlate(-p.y))
             assert r_pos.radius == r_neg.radius
             m_pos = sl.test_sphere_lasso(r_pos, kept_all(p))
             m_neg = sl.test_sphere_lasso(r_neg, kept_all(p))
@@ -167,10 +166,11 @@ class TestRegionDst3:
         base = make_lasso(3)
         lam = 2.0 * sl.lambda_max(base).value
         p = sl.Problem(base.dictionary, base.y, lam)
+        corr = p.dictionary.correlate(p.y)
         with pytest.raises(ValueError, match="trivial"):
-            sl.ScreeningContext(p).region(sl.DST3, p.y)
+            sl.ScreeningContext(p).region(sl.DST3, p.y, corr)
         with pytest.raises(ValueError, match="trivial"):
-            sl.ScreeningContext(p).region(sl.DOME, p.y)
+            sl.ScreeningContext(p).region(sl.DOME, p.y, corr)
 
     def test_radius_clamp_guard(self):
         p = identity_problem(0.8)
@@ -193,7 +193,7 @@ class TestSphereLassoMask:
         for seed in range(15):
             p = make_lasso(seed, n=16, k=40, ratio=0.85)
             lm = sl.lambda_max(p)
-            ctx = screening.ScreeningContext(p, lm)
+            ctx = screening.ScreeningContext(p)
             reg = ctx.static_region(screening.SAFE)
             mask = sl.test_sphere_lasso(reg, kept_all(p))
             thresh = p.lam - 1.0 + p.lam / lm.value
@@ -206,7 +206,7 @@ class TestSphereLassoMask:
 class TestDome:
     def test_identity_worked_example(self):
         p = identity_problem(0.8)
-        dp = sl.ScreeningContext(p).region(sl.DOME, p.y, corr_inf=1.0)
+        dp = sl.ScreeningContext(p).region(sl.DOME, p.y, p.dictionary.correlate(p.y))
         assert dp.radius == pytest.approx(0.0, abs=1e-12)
         assert sl.test_dome(dp, kept_all(p)).tolist() == [False, True]
 
@@ -230,10 +230,10 @@ class TestDome:
             p = make_lasso(seed, n=14, k=36, ratio=0.55 + 0.4 * (seed % 5) / 5)
             ctx = screening.ScreeningContext(p)
             theta = rng.standard_normal(p.n_rows)
-            ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
-            m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr_inf=ci), kept_all(p))
-            m_dst3 = sl.test_sphere_lasso(ctx.region(sl.DST3, theta, corr_inf=ci), kept_all(p))
-            m_dome = sl.test_dome(ctx.region(sl.DOME, theta, corr_inf=ci), kept_all(p))
+            corr = p.dictionary.correlate(theta)
+            m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr), kept_all(p))
+            m_dst3 = sl.test_sphere_lasso(ctx.region(sl.DST3, theta, corr), kept_all(p))
+            m_dome = sl.test_dome(ctx.region(sl.DOME, theta, corr), kept_all(p))
             assert not np.any(m_safe & ~m_dome)
             assert not np.any(m_dst3 & ~m_dome)
 
@@ -242,7 +242,7 @@ class TestDome:
         # lam - 1 + lam/lambda_max and the cut to lambda_max itself
         p = make_lasso(9, ratio=0.8)
         lm = sl.lambda_max(p)
-        dp = screening.ScreeningContext(p, lm).static_region(screening.DOME)
+        dp = screening.ScreeningContext(p).static_region(screening.DOME)
         r_sphere = float(np.hypot(dp.radius, lm.value / p.lam - 1.0))
         assert r_sphere == pytest.approx(1.0 / p.lam - 1.0 / lm.value, rel=1e-12)
         assert p.lam * (1.0 - r_sphere) == pytest.approx(p.lam - 1.0 + p.lam / lm.value, rel=1e-12)
@@ -250,38 +250,40 @@ class TestDome:
         assert cut == pytest.approx(lm.value, rel=1e-12)
 
     def test_correlation_bounds_validated(self):
-        # a column of norm 1.5 correlates with itself at 2.25
-        dic = sl.Dictionary(np.diag([1.5, 1.0, 1.0]), check_unit_norms=False)
-        p = sl.Problem(dic, np.array([0.8, 0.6, 0.0]), 0.5)
+        # columns and y within the unit-norm tolerances, 1 + 0.99e-9 long,
+        # correlate at 1 + 1.98e-9, past the dome's bound of 1 + 1e-9
+        scale = 1.0 + 0.99e-9
+        dic = sl.Dictionary(scale * np.eye(3))
+        p = sl.Problem(dic, np.array([scale, 0.0, 0.0]), 0.5)
         ctx = screening.ScreeningContext(p)
         for _ in range(2):  # a failed check is not cached
             with pytest.raises(ValueError, match=r"star_correlations must lie in \[-1, 1\]"):
-                ctx.region(sl.DOME, np.zeros(3))
+                ctx.region(sl.DOME, np.zeros(3), np.zeros(3))
 
 
 class TestGroupRegions:
     def test_gsafe_singleton_matches_safe(self):
         p = identity_problem(0.8)
         pg = identity_problem(0.8, kind="group")
-        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
-        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
+        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
+        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y, pg.dictionary.correlate(pg.y))
         assert np.allclose(reg_l.center, reg_g.center)
         assert reg_l.radius == pytest.approx(reg_g.radius, abs=1e-14)
 
     def test_gsafe_identity_group_mask(self):
         pg = identity_problem(0.8, kind="group")
-        reg = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
+        reg = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y, pg.dictionary.correlate(pg.y))
         mask = sl.test_sphere_group(reg, np.array([0, 1]))
         assert mask.tolist() == [False, True]
 
     def test_gsafe_zero_theta_radius(self):
         pg = identity_problem(0.8, kind="group")
-        reg = sl.ScreeningContext(pg).region(sl.GSAFE, np.zeros(2))
+        reg = sl.ScreeningContext(pg).region(sl.GSAFE, np.zeros(2), np.zeros(2))
         assert reg.radius == pytest.approx(1.0 / 0.8)
 
     def test_gst3_identity_worked_example(self):
         pg = identity_problem(0.8, kind="group")
-        reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y)
+        reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y, pg.dictionary.correlate(pg.y))
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-14)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
         mask = sl.test_sphere_group(reg, np.array([0, 1]))
@@ -296,10 +298,9 @@ class TestGroupRegions:
             )
             pg = sl.Problem(p.dictionary, p.y, p.lam, part)
             theta = rng.standard_normal(10)
-            ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
-            norms = part.group_norms(p.dictionary.correlate(theta))
-            reg_l = sl.ScreeningContext(p).region(sl.DST3, theta, corr_inf=ci)
-            reg_g = sl.ScreeningContext(pg).region(sl.GST3, theta, group_corr_norms=norms)
+            corr = p.dictionary.correlate(theta)
+            reg_l = sl.ScreeningContext(p).region(sl.DST3, theta, corr)
+            reg_g = sl.ScreeningContext(pg).region(sl.GST3, theta, corr)
             assert np.allclose(reg_l.center, reg_g.center, atol=1e-10)
             assert reg_l.radius == pytest.approx(reg_g.radius, abs=1e-10)
 
@@ -308,15 +309,33 @@ class TestGroupRegions:
             pg = make_group(seed, ratio=0.6)
             ref = sl.solve_reference(pg, 1e-12)
             theta_star = (pg.y - pg.dictionary.apply(ref.x_ref)) / pg.lam
-            reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y)
+            reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y, pg.dictionary.correlate(pg.y))
             assert np.linalg.norm(theta_star - reg.center) <= reg.radius + 1e-9
+
+    def test_omitted_layout_is_the_whole_partition(self):
+        rng = np.random.default_rng(17)
+        for seed in range(6):
+            pg = make_group(seed, ratio=0.6)
+            ctx = sl.ScreeningContext(pg)
+            for theta in (pg.y, rng.standard_normal(pg.n_rows)):
+                corr = pg.dictionary.correlate(theta)
+                for kind in sl.GROUP_TESTS:
+                    got = ctx.region(kind, theta, corr)
+                    want = ctx.region(kind, theta, corr, pg.partition.layout())
+                    for a, b in ((got, want), (got.base, want.base)):
+                        if a is None:
+                            assert b is None
+                            continue
+                        assert a.radius == b.radius
+                        assert np.array_equal(a.center, b.center)
+                        assert np.array_equal(a.slack.values, b.slack.values)
 
     def test_gst3_rejects_trivial_regime(self):
         base = make_group(7)
         lam = 1.5 * sl.lambda_max(base).value
         pg = sl.Problem(base.dictionary, base.y, lam, base.partition)
         with pytest.raises(ValueError, match="trivial"):
-            sl.ScreeningContext(pg).region(sl.GST3, pg.y)
+            sl.ScreeningContext(pg).region(sl.GST3, pg.y, pg.dictionary.correlate(pg.y))
 
 
 class TestCompositeShiftedRegions:
@@ -343,9 +362,9 @@ class TestCompositeShiftedRegions:
             p = make_lasso(seed, n=14, k=36, ratio=0.55 + 0.4 * (seed % 5) / 5)
             ctx = screening.ScreeningContext(p)
             for theta in self._dual_points(p, rng):
-                ci = float(np.max(np.abs(p.dictionary.correlate(theta))))
-                m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr_inf=ci), kept_all(p))
-                reg = ctx.region(sl.DST3, theta, corr_inf=ci)
+                corr = p.dictionary.correlate(theta)
+                m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr), kept_all(p))
+                reg = ctx.region(sl.DST3, theta, corr)
                 m_dst3 = sl.test_sphere_lasso(reg, kept_all(p))
                 assert not np.any(m_safe & ~m_dst3)
                 m_shifted = sl.test_sphere_lasso(self._shifted_only(reg), kept_all(p))
@@ -368,10 +387,10 @@ class TestCompositeShiftedRegions:
             part = p.partition
             groups = np.arange(part.n_groups)
             for theta in self._dual_points(p, rng):
-                norms = part.group_norms(p.dictionary.correlate(theta))
-                reg = ctx.region(sl.GSAFE, theta, group_corr_norms=norms)
+                corr = p.dictionary.correlate(theta)
+                reg = ctx.region(sl.GSAFE, theta, corr)
                 m_gsafe = sl.test_sphere_group(reg, groups)
-                reg = ctx.region(sl.GST3, theta, group_corr_norms=norms)
+                reg = ctx.region(sl.GST3, theta, corr)
                 m_gst3 = sl.test_sphere_group(reg, groups)
                 assert not np.any(m_gsafe & ~m_gst3)
                 m_shifted = sl.test_sphere_group(self._shifted_only(reg), groups)
@@ -393,8 +412,8 @@ class TestSphereGroupMask:
     def test_singleton_matches_lasso_decisions(self):
         p = identity_problem(0.8)
         pg = identity_problem(0.8, kind="group")
-        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, corr_inf=1.0)
-        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y)
+        reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
+        reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y, pg.dictionary.correlate(pg.y))
         m_l = sl.test_sphere_lasso(reg_l, kept_all(p))
         m_g = sl.test_sphere_group(reg_g, np.array([0, 1]))
         assert np.array_equal(m_l, m_g)
@@ -446,9 +465,8 @@ class TestScreen:
             kept = kept_all(p)
             for theta in (p.y, rng.standard_normal(p.n_rows)):
                 corr = p.dictionary.correlate(theta)
-                ci = float(np.max(np.abs(corr)))
                 for kind in sl.LASSO_TESTS:
-                    reg = ctx.region(kind, theta, corr_inf=ci)
+                    reg = ctx.region(kind, theta, corr)
                     test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
                     assert np.array_equal(ctx.screen(kind, theta, corr, kept), test(reg, kept))
 
@@ -483,14 +501,11 @@ class TestScreen:
             layout = part.layout(kept)
             for theta in (-p.y, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)):
                 corr = p.dictionary.data[:, kept].T @ theta
-                norms = layout.norms(corr)
                 for kind in sl.GROUP_TESTS:
                     mask = ctx.screen(kind, theta, corr, kept, layout)
                     assert mask.dtype == bool and mask.shape == kept.shape
                     assert np.array_equal(mask, ctx.screen(kind, theta, corr, kept))
-                    reg = ctx.region(
-                        kind, theta, group_corr_norms=norms, group_weights=layout.weights
-                    )
+                    reg = ctx.region(kind, theta, corr, layout)
                     groups = sl.test_sphere_group(reg, layout.group_ids)
                     assert set(kept[mask]) == set(np.concatenate(
                         [part.groups[g] for g in layout.group_ids[groups]] + [np.empty(0, int)]

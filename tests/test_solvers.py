@@ -33,12 +33,6 @@ class TestInitState:
         assert not st.x.any()
         assert np.array_equal(st.resid, -p.y)
 
-    def test_cp_rejects_zero_operator_norm(self):
-        dic = sl.Dictionary(np.zeros((4, 6)), check_unit_norms=False)
-        p = sl.Problem(dic, np.eye(4)[0], 0.5)
-        with pytest.raises(ValueError, match="zero operator norm"):
-            init_state(p, SolverConfig(algorithm=CP))
-
 
 class TestUpdateIsta:
     def test_one_step_solves_orthonormal(self):
@@ -223,24 +217,29 @@ class TestRun:
         assert res.iterations > 2
         assert all(a != b for a, b in zip(args, args[1:]))
 
+    @staticmethod
+    def _check_trivial(p, test):
+        # every column is screened before the first iteration, whatever the
+        # algorithm and strategy, and no static screen is run
+        for algo in sl.ALGORITHMS:
+            for strategy, t in (("none", None), ("static", test), ("dynamic", test)):
+                res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy, test=t))
+                assert res.iterations == 0 and not res.trace.objective
+                assert res.trace.init_flops == 0
+                assert np.array_equal(res.x_star, np.zeros(p.n_cols))
+                assert np.array_equal(res.screen_state.eliminated, np.arange(p.n_cols))
+                assert res.screen_state.kept.size == 0
+                assert res.final_objective == pytest.approx(0.5, abs=1e-12)
+
     def test_trivial_regime(self):
         base = make_lasso(0)
         lam = 1.5 * sl.lambda_max(base).value
-        p = sl.Problem(base.dictionary, base.y, lam)
-        res = sl.run(p, SolverConfig(algorithm="ista", strategy="none"))
-        assert res.iterations == 0
-        assert np.all(res.x_star == 0.0)
-        assert res.screen_state.eliminated.size == p.n_cols
-        assert res.final_objective == pytest.approx(0.5, abs=1e-12)
+        self._check_trivial(sl.Problem(base.dictionary, base.y, lam), "dst3")
 
     def test_trivial_regime_group(self):
         base = make_group(1, k=30)
         lam = 1.2 * sl.lambda_max(base).value
-        p = sl.Problem(base.dictionary, base.y, lam, base.partition)
-        res = sl.run(p, sl.SolverConfig(algorithm="fista", strategy="dynamic", test="gst3"))
-        assert res.iterations == 0
-        assert np.all(res.x_star == 0.0)
-        assert res.screen_state.kept.size == 0
+        self._check_trivial(sl.Problem(base.dictionary, base.y, lam, base.partition), "gst3")
 
     @pytest.mark.parametrize("kind,test", [("lasso", "dst3"), ("group", "gst3")])
     def test_near_threshold_ratio(self, kind, test):

@@ -5,10 +5,10 @@
 
 Each tree is imported in its own subprocess and solves the same grid: every
 algorithm, with no screening and with static and dynamic screening under every
-applicable test, on Lasso and Group-Lasso problems over three seeds and three
-penalty ratios. The two sets of results are compared exactly: iteration count,
-final objective, eliminated set, `x_star`, and the kept count of every
-iteration. Where runs differ, prints one line per penalty and algorithm: how
+applicable test, on Lasso and Group-Lasso problems over three seeds and four
+penalty ratios, the last above the trivial-solution threshold. The two sets of
+results are compared exactly: iteration count, final objective, eliminated
+set, `x_star`, and the kept count of every iteration. Where runs differ, prints one line per penalty and algorithm: how
 many runs differ and in which fields, whether the eliminated sets and the
 iteration counts still match, and the largest relative gap between final
 objectives. The last line names the (penalty, algorithm) pairs whose runs are
@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 2, 3)
-RATIOS = (0.3, 0.6, 0.9)
+RATIOS = (0.3, 0.6, 0.9, 1.1)
 N, K, GROUP_SIZE = 40, 160, 4
 
 
