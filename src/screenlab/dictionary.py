@@ -13,6 +13,8 @@ _DSMX_MAGIC = b"DSMX"
 _DSMX_VERSION = 1
 _DSMX_HEADER = struct.Struct("<4sIQQ")
 
+_ALIGN_BYTES = 64
+
 
 def index_set(values, size=None):
     """Validate and return a strictly increasing int64 index array.
@@ -27,21 +29,46 @@ def index_set(values, size=None):
     return arr
 
 
+def _aligned_copy(src, cols=None):
+    """Read-only Fortran-ordered float64 copy of the 2-D `src`, or of its columns `cols`.
+
+    The copy starts on a 64-byte boundary. Where the buffer starts moves the
+    time of the dictionary products: plain solves on the 200x1000 and
+    300x2000 benchmark shapes ran 3-21% slower at offsets 16, 32 and 48 mod
+    64 than at 0 (medians of 6 on a 2-core Xeon VM, OpenBLAS on one
+    thread). `cols`, when given, must be valid column positions of a
+    Fortran-ordered `src`.
+    """
+    n = src.shape[0]
+    k = src.shape[1] if cols is None else cols.size
+    raw = np.empty(n * k + _ALIGN_BYTES // 8)
+    start = -raw.ctypes.data % _ALIGN_BYTES // 8
+    out = raw[start : start + n * k].reshape((n, k), order="F")
+    if cols is None:
+        out[...] = src
+    else:
+        # both transposed views are C-ordered, so take copies whole rows
+        np.take(src.T, cols, axis=0, out=out.T, mode="clip")
+    out.setflags(write=False)
+    return out
+
+
 class Dictionary:
     """Dense N x K real matrix whose columns are the candidate atoms.
 
     Every column has unit l2 norm up to `UNIT_NORM_TOL`; the sphere tests'
     slack ``1 - |a_i . center|`` certifies an atom only when ``||a_i|| <= 1``.
     Columns are stored Fortran-ordered so that the column selections
-    performed by screening stay contiguous. Instances are immutable (`data`
-    is marked read-only); `reduce` copies columns into a new Dictionary.
+    performed by screening stay contiguous, in a buffer aligned to 64 bytes.
+    Instances are immutable (`data` is marked read-only); `reduce` copies
+    columns into a new Dictionary.
     `_opnorm` caches the operator norm once `operator_norm` has computed it.
     """
 
     __slots__ = ("data", "_opnorm")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="F")
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("dictionary data must be a 2-D matrix")
         n, k = arr.shape
@@ -51,8 +78,7 @@ class Dictionary:
         # written so that a NaN deviation fails too
         if not worst <= UNIT_NORM_TOL:
             raise ValueError(f"columns must have unit l2 norm (worst deviation {worst:.3e})")
-        arr.setflags(write=False)
-        self.data = arr
+        self.data = _aligned_copy(arr)
         self._opnorm = None
 
     @property
@@ -87,8 +113,7 @@ class Dictionary:
         if cols.size == self.n_cols:
             return self
         out = Dictionary.__new__(Dictionary)
-        out.data = np.asfortranarray(self.data[:, cols])
-        out.data.setflags(write=False)
+        out.data = _aligned_copy(self.data, cols)
         out._opnorm = None
         return out
 
@@ -203,20 +228,11 @@ class GroupPartition:
         if np.any(~whole & (alive_sizes > 0)):
             raise ValueError("kept indices must cover whole groups")
         kept_gids = np.flatnonzero(whole)
-        kept_sizes = sizes[kept_gids]
         # position of each kept column inside the reduced vector
         position = np.cumsum(alive) - 1
-        fields = dict(
-            group_ids=kept_gids,
-            weights=self.weights[kept_gids],
-            order=position[self.order[alive_in_order]],
-            offsets=np.cumsum(kept_sizes) - kept_sizes,
-            sizes=kept_sizes,
+        return GroupLayout._frozen(
+            kept_gids, self.weights[kept_gids], position[self.order[alive_in_order]], sizes[kept_gids]
         )
-        # read-only, so screening can key per-layout work on `group_ids`
-        for arr in fields.values():
-            arr.setflags(write=False)
-        return GroupLayout(**fields)
 
 
 @dataclass(frozen=True)
@@ -229,9 +245,37 @@ class GroupLayout:
     offsets: np.ndarray
     sizes: np.ndarray
 
+    @classmethod
+    def _frozen(cls, group_ids, weights, order, sizes):
+        """Layout of these fields, with the offsets they imply, all made read-only.
+
+        Read-only, so screening can key per-layout work on `group_ids`.
+        """
+        fields = (group_ids, weights, order, np.cumsum(sizes) - sizes, sizes)
+        for arr in fields:
+            arr.setflags(write=False)
+        return cls(*fields)
+
     @property
     def n_groups(self):
         return self.group_ids.size
+
+    def without(self, mask):
+        """Layout over the positions that `mask` leaves, where `mask` flags whole groups.
+
+        `mask` is aligned with the reduced vector this layout places. Equals
+        ``partition.layout(kept[~mask])`` for the `kept` this layout was
+        built from, without going back to the whole partition: the
+        surviving groups keep their order, and each position moves down by
+        the number of flagged positions before it.
+        """
+        keep = ~mask
+        keep_groups = keep[self.order[self.offsets]]
+        position = np.cumsum(keep) - 1
+        order = position[self.order[np.repeat(keep_groups, self.sizes)]]
+        return GroupLayout._frozen(
+            self.group_ids[keep_groups], self.weights[keep_groups], order, self.sizes[keep_groups]
+        )
 
     def norms(self, vec):
         return self._norms_in_order(np.asarray(vec)[self.order])

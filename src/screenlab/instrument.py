@@ -23,16 +23,18 @@ def flops_iteration(kind, strategy, k, n, kept_count, sparsity, group_count=0):
 
     The estimate covers the gradient computation (exploiting iterate
     sparsity) and the proximal step; for the dynamic strategy it adds the
-    dual scaling, radius, and per-atom test evaluations.
+    dual scaling, radius, and per-atom test evaluations. `kept_count` and
+    `sparsity` may also be sequences, one entry per iteration, and the
+    result is then the array of per-iteration counts.
     """
     if kind not in (LASSO, GROUP):
         raise ValueError(f"unknown problem kind {kind!r}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    k, n, kept_count, sparsity, group_count = (
-        int(k), int(n), int(kept_count), int(sparsity), int(group_count),
-    )
-    if min(k, n) < 0 or min(kept_count, sparsity, group_count) < 0:
+    k, n, group_count = int(k), int(n), int(group_count)
+    kept_count = np.asarray(kept_count, dtype=np.int64)
+    sparsity = np.asarray(sparsity, dtype=np.int64)
+    if min(k, n, group_count) < 0 or np.any(kept_count < 0) or np.any(sparsity < 0):
         raise ValueError("counts must be nonnegative")
     if strategy == NONE:
         kept_count = k
@@ -46,7 +48,7 @@ def flops_iteration(kind, strategy, k, n, kept_count, sparsity, group_count=0):
             total = base + 6 * kept_count + 5 * n
         else:
             total = base + 7 * kept_count + 5 * n + 5 * group_count
-    return total
+    return int(total) if np.ndim(total) == 0 else total
 
 
 def flops_static_init(k, n):
@@ -117,14 +119,11 @@ class SolveTrace:
 
     def recompute_flops(self):
         """Re-derive the cumulative flop column from the kept/sparsity columns."""
-        cum = self.init_flops
-        out = []
-        for kept, sparsity in zip(self.kept, self.sparsity):
-            cum += flops_iteration(
-                self.kind, self.strategy, self.n_cols, self.n_rows, kept, sparsity, self.group_count
-            )
-            out.append(cum)
-        return out
+        per = flops_iteration(
+            self.kind, self.strategy, self.n_cols, self.n_rows, self.kept, self.sparsity,
+            self.group_count,
+        )
+        return (self.init_flops + np.cumsum(per, dtype=np.int64)).tolist()
 
     def config_line(self):
         return (

@@ -42,6 +42,8 @@ SCREEN_MARGIN = 1e-12
 
 _CORR_BOUND_TOL = 1e-9
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 class Slack:
     """Per-atom (per-group) slack of a sphere center that stays fixed for a solve.
@@ -224,12 +226,27 @@ class ScreeningContext:
     and so are the slacks of the sphere centers. Per-iteration work is then a
     few O(N) vector operations and the largest kept correlation; the kept
     slacks are compared with the radius only when their maximum clears it.
+
+    Most dynamic screens certify nothing, and `screen` recognizes many of
+    them before it builds a region. Any one kept atom (group) j bounds the
+    dual scaling: the scaling the kept columns allow lies within the
+    segment ``[-s_j, s_j]`` that j allows alone, so the squared radius
+    ``||y / lam - mu theta||^2``, a parabola in mu, is at least its value
+    at the point of that segment closest to the parabola's minimum. That
+    lower bound costs two dot products of the observation's length and a
+    gather of j's correlations; when no sphere's largest kept slack clears
+    the radius it bounds, the exact test would flag nothing either.
+    `_extremal` holds the extremal atom (group) of the last exact screen
+    that flagged nothing, keyed on its read-only kept set: the columns of j
+    among the kept ones and j's weight. A context reused across runs or
+    kept sets can only make that j a looser choice, never an unsafe one.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.y_corr = problem.dictionary.correlate(problem.y)
         self.lmax = lambda_max(problem, self.y_corr)
+        self._extremal = (None, None, 1.0)
 
     # -- shared scalar machinery -------------------------------------------
 
@@ -246,6 +263,10 @@ class ScreeningContext:
     @cached_property
     def safe_center(self):
         return self.problem.y / self.problem.lam
+
+    @cached_property
+    def _y_sq(self):
+        return float(self.problem.y @ self.problem.y)
 
     @cached_property
     def safe_center_corr(self):
@@ -360,20 +381,84 @@ class ScreeningContext:
         omitted). The screen-once strategy is this call at ``theta = y`` on
         the whole dictionary, the dynamic strategy the same call at each
         iteration's dual point. Group tests flag whole groups, and the mask
-        flags each of their columns.
+        flags each of their columns. A sphere test whose radius lower bound
+        already certifies nothing returns the all-False mask without
+        building the region; the mask is the one the region would give.
         """
-        if self.problem.kind == LASSO:
-            region = self.region(kind, theta, corr)
-            if kind == DOME:
-                return test_dome(region, kept)
-            return test_sphere_lasso(region, kept)
-        if layout is None:
-            layout = self.problem.partition.layout(kept)
+        problem = self.problem
+        kept = np.asarray(kept, dtype=np.int64)
+        if problem.kind == GROUP and layout is None:
+            layout = problem.partition.layout(kept)
+        idx = kept if layout is None else layout.group_ids
+        if self._certifies_nothing(kind, theta, corr, kept, idx):
+            return np.zeros(kept.size, dtype=bool)
         region = self.region(kind, theta, corr, layout)
-        group_mask = test_sphere_group(region, layout.group_ids)
-        if not group_mask.any():
-            return np.zeros(len(kept), dtype=bool)
-        return group_mask_to_index_mask(layout, group_mask)
+        if kind == DOME:
+            return test_dome(region, kept)
+        if layout is None:
+            mask = test_sphere_lasso(region, kept)
+        else:
+            mask = test_sphere_group(region, layout.group_ids)
+        if mask.any():
+            return mask if layout is None else group_mask_to_index_mask(layout, mask)
+        if kept.size and not kept.flags.writeable:
+            # remember the extremal atom (group) for the bound on this kept set
+            if layout is None:
+                cols, weight = np.argmax(np.abs(corr), keepdims=True), 1.0
+            else:
+                g = int(np.argmax(layout.norms(corr) / layout.weights))
+                start = layout.offsets[g]
+                cols = layout.order[start : start + layout.sizes[g]]
+                weight = float(layout.weights[g])
+            self._extremal = (kept, cols, weight)
+        return np.zeros(kept.size, dtype=bool)
+
+    def _certifies_nothing(self, kind, theta, corr, kept, idx):
+        """Whether a lower bound on the radius shows that sphere test `kind` flags nothing.
+
+        The bound scales theta onto the feasible segment of the remembered
+        atom (group) j alone, which contains the kept columns' segment, and
+        sums ``||y / lam - mu theta||^2`` term by term. Both that sum and the
+        region's ``diff @ diff`` round a few sums of N products of terms no
+        larger than the three terms here, and the norm of j's correlations
+        may round apart from the layout's; the allowance subtracted covers
+        all of it, so the bound stays below the radius the region computes.
+        Sqrt and subtraction round monotonically, so a slack that does not
+        clear the bounded radius does not clear the region's either. The
+        dome, an unknown kind and a kept set without a remembered j take the
+        exact path, and so does a shifted test the region would reject.
+        """
+        key, cols, weight = self._extremal
+        if key is not kept or kind not in (SAFE, GSAFE, DST3, GST3):
+            return False
+        problem = self.problem
+        lam = problem.lam
+        shifted = kind in (DST3, GST3)
+        if shifted and lam > self.lmax.value:
+            return False
+        theta = np.asarray(theta, dtype=np.float64)
+        sq = float(theta @ theta)
+        ty = float(theta @ problem.y)
+        mu = 0.0
+        if sq != 0.0:
+            cj = np.asarray(corr, dtype=np.float64)[cols]
+            corr_j = math.sqrt(float(cj @ cj)) / weight
+            bound = np.inf if corr_j == 0.0 else 1.0 / corr_j
+            mu = min(max(ty / (lam * sq), -bound), bound)
+        a, b, c = self._y_sq / (lam * lam), 2.0 * mu * ty / lam, mu * mu * sq
+        allowance = 4.0 * (theta.size + cols.size + 8) * _EPS * (a + abs(b) + c)
+        rsq = a - b + c - allowance
+        spheres = [(self.safe_slack, rsq)]
+        if shifted:
+            _, slack, shift_sq = self._shifted
+            if rsq - shift_sq < -RADIUS_GUARD:
+                return False
+            spheres.append((slack, rsq - shift_sq))
+        for slack, radius_sq in spheres:
+            _, top = slack.over(idx)
+            if top - math.sqrt(max(radius_sq, 0.0)) > SCREEN_MARGIN:
+                return False
+        return True
 
 
 # -- tests --------------------------------------------------------------------

@@ -91,6 +91,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dic.data[0, 0] = 1.0
 
+    def test_data_is_an_aligned_fortran_copy(self):
+        mat = random_dictionary(4, 5, 7).data
+        for src in (np.ascontiguousarray(mat), np.asfortranarray(mat), mat.tolist()):
+            dic = sl.Dictionary(src)
+            assert dic.data.ctypes.data % 64 == 0 and dic.data.flags.f_contiguous
+            assert np.array_equal(dic.data, mat) and dic.data is not src
+            out = dic.reduce(np.array([0, 3, 4]))
+            assert out.data.ctypes.data % 64 == 0 and out.data.flags.f_contiguous
+
 
 class TestReduce:
     def test_same_indices_is_identity(self):
@@ -421,6 +430,27 @@ class TestGroupPartition:
                         factor = max(1.0 - t * layout.weights[g] / norms[g], 0.0)
                     want[pos] = v[pos] * factor
                 assert np.array_equal(layout.prox(v, t), want)
+
+    def test_layout_without_matches_layout_of_survivors(self):
+        # a layout derived by dropping flagged groups equals the partition's
+        # layout of the surviving columns, field by field
+        rng = np.random.default_rng(22)
+        for trial in range(30):
+            k = int(rng.integers(1, 40))
+            cuts = np.sort(rng.choice(np.arange(1, k), size=min(k - 1, trial % 9), replace=False))
+            groups = [np.sort(g) for g in np.split(rng.permutation(k), cuts)]
+            mat = rng.standard_normal((4, k))
+            part = GroupPartition.build(sl.Dictionary(mat / np.linalg.norm(mat, axis=0)), groups)
+            kept, layout = np.arange(k), part.layout()
+            while kept.size:
+                flagged = rng.random(layout.n_groups) < 0.3
+                mask = np.isin(part.group_of[kept], layout.group_ids[flagged])
+                layout, kept = layout.without(mask), kept[~mask]
+                want = part.layout(kept)
+                for name in ("group_ids", "weights", "order", "offsets", "sizes"):
+                    got, ref = getattr(layout, name), getattr(want, name)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+                    assert not got.flags.writeable
 
     def test_layout_rejects_partial_groups(self):
         _, part = self.make()

@@ -26,6 +26,17 @@ class TestFlopsIteration:
             "lasso", "none", 10, 5, 10, 2
         )
 
+    def test_sequences_give_per_iteration_counts(self):
+        kept, sparsity = [10, 8, 8, 3], [0, 2, 5, 3]
+        for kind, strategy, groups in (("lasso", "none", 0), ("lasso", "dynamic", 0),
+                                       ("group", "static", 3), ("group", "dynamic", 3)):
+            got = sl.flops_iteration(kind, strategy, 10, 5, kept, sparsity, groups)
+            want = [sl.flops_iteration(kind, strategy, 10, 5, a, b, groups)
+                    for a, b in zip(kept, sparsity)]
+            assert got.tolist() == want
+        with pytest.raises(ValueError):
+            sl.flops_iteration("lasso", "dynamic", 10, 5, [3, -1], [0, 0])
+
     def test_rejects_unknown_and_negative(self):
         with pytest.raises(ValueError):
             sl.flops_iteration("ridge", "none", 10, 5, 10, 2)
@@ -56,6 +67,18 @@ class TestFlopParity:
         res = sl.run(p, sl.SolverConfig(algorithm="ista", strategy=strategy, test=test,
                                         max_iters=150, rel_tol=1e-9))
         assert res.trace.recompute_flops() == res.trace.flops_cum
+
+    def test_flop_column_accumulates_each_iteration(self):
+        p = make_group(25, k=30, ratio=0.6)
+        for strategy, test in (("none", None), ("static", "gst3"), ("dynamic", "gsafe")):
+            tr = sl.run(p, sl.SolverConfig(algorithm="fista", strategy=strategy, test=test,
+                                           max_iters=80, rel_tol=1e-9)).trace
+            cum, want = tr.init_flops, []
+            for kept, sparsity in zip(tr.kept, tr.sparsity):
+                cum += sl.flops_iteration("group", strategy, p.n_cols, p.n_rows, kept, sparsity,
+                                          p.partition.n_groups)
+                want.append(cum)
+            assert tr.flops_cum == want and all(type(v) is int for v in tr.flops_cum)
 
     def test_none_strategy_kept_is_k(self):
         p = make_lasso(23)

@@ -643,6 +643,209 @@ class TestLeanScreen:
         assert kept_sizes[-1] < kept_sizes[0] == p.n_cols
 
 
+_REGION = screening.ScreeningContext.region
+
+
+def exact_screen(ctx, kind, theta, corr, kept):
+    """`screen`'s mask the long way: region, sphere test and group expansion."""
+    p = ctx.problem
+    if p.kind == sl.LASSO:
+        return sl.test_sphere_lasso(_REGION(ctx, kind, theta, corr), kept)
+    layout = p.partition.layout(kept)
+    groups = sl.test_sphere_group(_REGION(ctx, kind, theta, corr, layout), layout.group_ids)
+    return sl.group_mask_to_index_mask(layout, groups)
+
+
+@pytest.fixture
+def region_calls(monkeypatch):
+    """Records the context of every `ScreeningContext.region` call."""
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return _REGION(self, *args, **kwargs)
+
+    monkeypatch.setattr(screening.ScreeningContext, "region", counting)
+    return calls
+
+
+def _bound_problems(kind):
+    make = make_lasso if kind in sl.LASSO_TESTS else make_group
+    return [make(seed, ratio=ratio) for seed in (3, 4) for ratio in (0.5, 0.85)]
+
+
+class TestRadiusBound:
+    # `screen` returns the all-False mask without building the region when a
+    # lower bound on the radius, from the extremal atom (group) of the last
+    # exact screen over the kept set, already certifies nothing. Each mask
+    # must equal the exact one, and the skip must fire for that to mean
+    # anything.
+
+    @pytest.mark.parametrize("kind", [sl.SAFE, sl.DST3, sl.GSAFE, sl.GST3])
+    @pytest.mark.parametrize("algo", ["ista", "fista", "cp"])
+    def test_dynamic_masks_equal_exact(self, kind, algo, region_calls):
+        screens = flagged = 0
+        for p in _bound_problems(kind):
+            ref = screening.ScreeningContext(p)
+
+            def hook(info):
+                nonlocal screens, flagged
+                want = exact_screen(ref, kind, info.theta, info.corr, info.kept)
+                assert np.array_equal(info.mask, want), info.t
+                screens += 1
+                flagged += int(want.any())
+
+            cfg = sl.SolverConfig(algorithm=algo, strategy="dynamic", test=kind,
+                                  max_iters=150, rel_tol=1e-10)
+            sl.run(p, cfg, iteration_hook=hook)
+        assert flagged and len(region_calls) < screens
+
+    @pytest.mark.parametrize("family", ["lasso", "group"])
+    def test_context_shared_across_runs(self, family, region_calls):
+        kinds = [sl.SAFE, sl.DST3] if family == "lasso" else [sl.GSAFE, sl.GST3]
+        screens = built = 0
+        for p in _bound_problems(kinds[0]):
+            ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
+
+            def hook(info):
+                nonlocal screens
+                for kind in kinds:
+                    got = ctx.screen(kind, info.theta, info.corr, info.kept)
+                    assert np.array_equal(got, exact_screen(ref, kind, info.theta, info.corr,
+                                                            info.kept))
+                    screens += 1
+
+            for algo in ("ista", "fista", "cp"):
+                for kind in kinds:
+                    cfg = sl.SolverConfig(algorithm=algo, strategy="dynamic", test=kind,
+                                          max_iters=80, rel_tol=1e-10)
+                    sl.run(p, cfg, iteration_hook=hook)
+            built += sum(c is ctx for c in region_calls)
+        assert built < screens
+
+    @staticmethod
+    def _near_optimal_thetas(p, rng):
+        # residuals around the solution's, where the tests certify most
+        res = sl.run(p, sl.SolverConfig(algorithm="fista", max_iters=400, rel_tol=1e-12))
+        theta = p.dictionary.apply(res.x_star) - p.y
+        for scale in (0.0, 1e-3, 1e-2, 0.1, 1.0):
+            yield theta + scale * rng.standard_normal(p.n_rows) / np.sqrt(p.n_rows)
+
+    def test_any_kept_atom_or_group_is_safe(self):
+        # a remembered j that is not extremal, as a stale or shared context
+        # holds, loosens the bound but never skips a screen that certifies
+        rng = np.random.default_rng(33)
+        flagged = 0
+        for kinds, make in (([sl.SAFE, sl.DST3], make_lasso), ([sl.GSAFE, sl.GST3], make_group)):
+            for seed in range(4):
+                p = make(seed, ratio=0.6 + 0.1 * seed)
+                ctx = screening.ScreeningContext(p)
+                kept = screening.ScreenState.initial(p.n_cols).kept
+                layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
+                for theta in self._near_optimal_thetas(p, rng):
+                    corr = p.dictionary.correlate(theta)
+                    for j in range(p.n_cols if layout is None else layout.n_groups):
+                        if layout is None:
+                            ctx._extremal = (kept, np.array([j]), 1.0)
+                        else:
+                            start = layout.offsets[j]
+                            cols = layout.order[start : start + layout.sizes[j]]
+                            ctx._extremal = (kept, cols, float(layout.weights[j]))
+                        for kind in kinds:
+                            want = exact_screen(ctx, kind, theta, corr, kept)
+                            got = ctx.screen(kind, theta, corr, kept, layout)
+                            assert np.array_equal(got, want), (kind, seed, j)
+                            flagged += int(want.any())
+        assert flagged
+
+    @pytest.mark.parametrize("family", ["lasso", "group"])
+    def test_skip_is_exact_at_the_flip(self, family):
+        # bisect between a dual point the test certifies nothing at and one it
+        # certifies something at, down to adjacent steps; remembered from the
+        # side that flags nothing, the bound is as tight as it gets on the
+        # other, and must still take the exact path there
+        rng = np.random.default_rng(36)
+        kinds = [sl.SAFE, sl.DST3] if family == "lasso" else [sl.GSAFE, sl.GST3]
+        flips = 0
+        for p in _bound_problems(kinds[0]):
+            near = next(self._near_optimal_thetas(p, rng))
+            far = rng.standard_normal(p.n_rows)
+            for kind in kinds:
+                ctx = screening.ScreeningContext(p)
+                kept = screening.ScreenState.initial(p.n_cols).kept
+
+                def flags(s):
+                    theta = near + s * (far - near)
+                    return exact_screen(ctx, kind, theta, p.dictionary.correlate(theta), kept)
+
+                lo, hi = 0.0, 1.0
+                if not flags(lo).any() or flags(hi).any():
+                    continue
+                flips += 1
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if flags(mid).any() else (lo, mid)
+                for s in (hi, lo, hi, lo):
+                    theta = near + s * (far - near)
+                    corr = p.dictionary.correlate(theta)
+                    assert np.array_equal(ctx.screen(kind, theta, corr, kept), flags(s))
+                assert ctx._extremal[0] is kept
+        assert flips >= 4
+
+    @pytest.mark.parametrize("family", ["lasso", "group"])
+    def test_plain_sphere_certificate_is_not_skipped(self, family):
+        # with a shifted sphere that certifies nothing, DST3 (GST3) flags
+        # exactly what its plain sphere does, so the bound must check that
+        # sphere too; dual points sweep from one far from the optimum, where
+        # nothing is certified and the extremal atom (group) is remembered,
+        # to one near it
+        rng = np.random.default_rng(37)
+        kinds = [sl.SAFE, sl.DST3] if family == "lasso" else [sl.GSAFE, sl.GST3]
+        flagged = 0
+        for p in _bound_problems(kinds[0]):
+            ctx, plain = screening.ScreeningContext(p), screening.ScreeningContext(p)
+            center, _, shift_sq = ctx._shifted
+            size = p.n_cols if family == "lasso" else p.partition.n_groups
+            ctx.__dict__["_shifted"] = (center, screening.Slack(np.full(size, -np.inf)), shift_sq)
+            kept = screening.ScreenState.initial(p.n_cols).kept
+            near = next(self._near_optimal_thetas(p, rng))
+            far = rng.standard_normal(p.n_rows)
+            for s in np.linspace(1.0, 0.0, 41):
+                theta = near + s * (far - near)
+                corr = p.dictionary.correlate(theta)
+                want = exact_screen(plain, kinds[0], theta, corr, kept)
+                assert np.array_equal(ctx.screen(kinds[1], theta, corr, kept), want), s
+                flagged += int(want.any())
+        assert flagged
+
+    def test_remembered_extremal_eliminated(self, region_calls):
+        # once the remembered atom (group) is gone, the new kept set takes the
+        # exact path until a screen over it remembers its own
+        rng = np.random.default_rng(34)
+        for kinds, p in (([sl.SAFE, sl.DST3], make_lasso(5, ratio=0.7)),
+                         ([sl.GSAFE, sl.GST3], make_group(5, ratio=0.7))):
+            ctx = screening.ScreeningContext(p)
+            kept = screening.ScreenState.initial(p.n_cols).kept
+            theta = rng.standard_normal(p.n_rows)
+            corr = p.dictionary.correlate(theta)
+            assert not ctx.screen(kinds[0], theta, corr, kept).any()
+            key, cols, _ = ctx._extremal
+            assert key is kept
+            # the remembered columns are one atom, or all of one group
+            drop = np.zeros(kept.size, dtype=bool)
+            drop[cols] = True
+            state = sl.screen_update(screening.ScreenState(np.empty(0, np.int64), kept), drop)
+            built = len(region_calls)
+            thetas = list(self._near_optimal_thetas(p, rng)) + [rng.standard_normal(p.n_rows)]
+            for theta in thetas:
+                corr = p.dictionary.data[:, state.kept].T @ theta
+                for kind in kinds:
+                    want = exact_screen(ctx, kind, theta, corr, state.kept)
+                    assert np.array_equal(ctx.screen(kind, theta, corr, state.kept), want)
+            assert len(region_calls) > built
+            assert ctx._extremal[0] is state.kept
+
+
 class TestReducedDualFeasibility:
     def test_scaled_points_feasible_for_reduced_problem(self):
         # during a dynamic run the clip bound comes from the surviving

@@ -5,10 +5,13 @@
 
 Each tree is imported in its own subprocess and solves the same grid: every
 algorithm, with no screening and with static and dynamic screening under every
-applicable test, on Lasso and Group-Lasso problems over three seeds and four
-penalty ratios, the last above the trivial-solution threshold. The two sets of
-results are compared exactly: iteration count, final objective, eliminated
-set, `x_star`, and the kept count of every iteration. Where runs differ, prints one line per penalty and algorithm: how
+applicable test, on Lasso and Group-Lasso problems from the gaussian and the
+pnoise dictionary families over three seeds and four penalty ratios, the last
+above the trivial-solution threshold; 1440 runs in all. The pnoise atoms are
+coherent, so the extremal atom or group of a dynamic run changes often. The
+two sets of results are compared exactly: iteration count, final objective,
+eliminated set, `x_star`, and the kept count and cumulative flop count of
+every iteration. Where runs differ, prints one line per penalty and algorithm: how
 many runs differ and in which fields, whether the eliminated sets and the
 iteration counts still match, and the largest relative gap between final
 objectives. The last line names the (penalty, algorithm) pairs whose runs are
@@ -21,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 
+FAMILIES = ("gaussian", "pnoise")
 SEEDS = (1, 2, 3)
 RATIOS = (0.3, 0.6, 0.9, 1.1)
 N, K, GROUP_SIZE = 40, 160, 4
@@ -28,8 +32,8 @@ N, K, GROUP_SIZE = 40, 160, 4
 
 def _problems(sl):
     for kind in ("lasso", "group"):
-        for seed in SEEDS:
-            spec = sl.GenSpec(kind="gaussian", n=N, k=K, seed=seed)
+        for family, seed in ((f, s) for f in FAMILIES for s in SEEDS):
+            spec = sl.GenSpec(kind=family, n=N, k=K, seed=seed)
             dic = sl.gen_dictionary(spec)
             part = None
             if kind == "lasso":
@@ -40,7 +44,7 @@ def _problems(sl):
                 y = sl.gen_observation(obs, dic, part).y
             lmax = sl.lambda_max(sl.Problem(dic, y, 1.0, part)).value
             for ratio in RATIOS:
-                yield (kind, seed, ratio), sl.Problem(dic, y, ratio * lmax, part)
+                yield (kind, family, seed, ratio), sl.Problem(dic, y, ratio * lmax, part)
 
 
 def dump(out_path):
@@ -61,6 +65,7 @@ def dump(out_path):
                     res.screen_state.eliminated.tobytes(),
                     res.x_star.tobytes(),
                     list(res.trace.kept),
+                    list(res.trace.flops_cum),
                 )
     with open(out_path, "wb") as fh:
         pickle.dump(results, fh)
@@ -79,15 +84,15 @@ def main(old_src, new_src):
     if old.keys() != new.keys():
         print("the two trees ran different grids")
         return 1
-    fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace")
+    fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace", "flops trace")
     summary = {}  # (penalty, algorithm) -> (runs that differ, fields that differ, max gap)
     for key in old:
         diff = {f for f, a, b in zip(fields, old[key], new[key]) if a != b}
         if diff:
             a, b = (float.fromhex(side[key][1]) for side in (old, new))
-            runs, seen, gap = summary.get((key[0], key[3]), (0, set(), 0.0))
+            runs, seen, gap = summary.get((key[0], key[4]), (0, set(), 0.0))
             gap = max(gap, abs(a - b) / max(abs(a), 1e-300))
-            summary[key[0], key[3]] = (runs + 1, seen | diff, gap)
+            summary[key[0], key[4]] = (runs + 1, seen | diff, gap)
     for (penalty, algo), (runs, seen, gap) in sorted(summary.items()):
         print(
             f"{penalty} {algo}: {runs} differ in {', '.join(f for f in fields if f in seen)};"
@@ -96,7 +101,7 @@ def main(old_src, new_src):
             f" max relative objective gap {gap:.2e}"
         )
     print(f"{len(old)} runs compared, {sum(runs for runs, _, _ in summary.values())} differ")
-    same = sorted({(key[0], key[3]) for key in old} - summary.keys())
+    same = sorted({(key[0], key[4]) for key in old} - summary.keys())
     print("bit-identical:", ", ".join(f"{penalty} {algo}" for penalty, algo in same) or "none")
     return 1 if summary else 0
 
