@@ -155,15 +155,15 @@ class GroupPartition:
     `groups` are sorted original-index arrays, pairwise disjoint and covering
     ``[0, K)``. `spectral_norms[g]` holds the largest singular value of the
     sub-dictionary of group g, computed once at construction; screening never
-    splits a group, so these stay valid for every reduced problem.
+    splits a group, so these stay valid for every reduced problem. `full`,
+    also built once, places every group in the whole coefficient vector.
     """
 
     groups: tuple
     weights: np.ndarray
     spectral_norms: np.ndarray
     group_of: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
+    full: GroupLayout
 
     @classmethod
     def build(cls, dictionary, groups, weights=None):
@@ -189,12 +189,11 @@ class GroupPartition:
             gids = np.flatnonzero(sizes == size)
             cols = np.stack([groups[g] for g in gids])
             norms[gids] = _top_singular_values(dictionary.data[:, cols].transpose(1, 0, 2))
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        order = np.concatenate(groups)
+        full = GroupLayout._frozen(np.arange(len(groups)), weights, np.concatenate(groups), sizes)
         # instances are shared across concurrent runs; freeze the buffers
-        for arr in (weights, norms, group_of, order, offsets, *groups):
+        for arr in (norms, group_of, *groups):
             arr.setflags(write=False)
-        return cls(groups, weights, norms, group_of, order, offsets)
+        return cls(groups, weights, norms, group_of, full)
 
     @property
     def n_groups(self):
@@ -209,30 +208,24 @@ class GroupPartition:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}")
-        sq = vec[self.order] ** 2
-        return np.sqrt(np.add.reduceat(sq, self.offsets))
+        return self.full.norms(vec)
 
     def layout(self, kept=None):
         """Group layout over a reduced coefficient vector indexed by `kept`.
 
         `kept` must be a union of whole groups (screening removes groups
-        atomically); ``None`` means all columns.
+        atomically). The result is `full` with the other groups dropped by
+        `GroupLayout.without`, or `full` itself when `kept` is ``None``.
         """
-        kept = index_set(np.arange(self.size) if kept is None else kept, self.size)
+        if kept is None:
+            return self.full
+        kept = index_set(kept, self.size)
         alive = np.zeros(self.size, dtype=bool)
         alive[kept] = True
-        alive_in_order = alive[self.order]
-        sizes = np.diff(self.offsets, append=self.size)
-        alive_sizes = np.add.reduceat(alive_in_order, self.offsets, dtype=np.int64)
-        whole = alive_sizes == sizes
-        if np.any(~whole & (alive_sizes > 0)):
+        alive_sizes = np.add.reduceat(alive[self.full.order], self.full.offsets, dtype=np.int64)
+        if np.any((alive_sizes != self.full.sizes) & (alive_sizes > 0)):
             raise ValueError("kept indices must cover whole groups")
-        kept_gids = np.flatnonzero(whole)
-        # position of each kept column inside the reduced vector
-        position = np.cumsum(alive) - 1
-        return GroupLayout._frozen(
-            kept_gids, self.weights[kept_gids], position[self.order[alive_in_order]], sizes[kept_gids]
-        )
+        return self.full.without(~alive)
 
 
 @dataclass(frozen=True)
@@ -263,11 +256,10 @@ class GroupLayout:
     def without(self, mask):
         """Layout over the positions that `mask` leaves, where `mask` flags whole groups.
 
-        `mask` is aligned with the reduced vector this layout places. Equals
-        ``partition.layout(kept[~mask])`` for the `kept` this layout was
-        built from, without going back to the whole partition: the
+        `mask` is aligned with the reduced vector this layout places. The
         surviving groups keep their order, and each position moves down by
-        the number of flagged positions before it.
+        the number of flagged positions before it. Every reduced layout is
+        made here, ``partition.layout(kept)`` included.
         """
         keep = ~mask
         keep_groups = keep[self.order[self.offsets]]

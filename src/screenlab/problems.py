@@ -93,12 +93,12 @@ def lambda_max(problem, corr=None):
     return LambdaMax(value=float(ratios[g]), group=g)
 
 
-def penalty_value(x, partition=None):
-    """Regularizer value: l1 norm, or weighted group norms when a partition is given."""
+def penalty_value(x, layout=None):
+    """Regularizer value: l1 norm, or weighted group norms when a group layout is given."""
     x = np.asarray(x, dtype=np.float64)
-    if partition is None:
+    if layout is None:
         return float(np.sum(np.abs(x)))
-    return float(partition.weights @ partition.group_norms(x))
+    return layout.penalty(x)
 
 
 def objective(problem, x):
@@ -107,7 +107,8 @@ def objective(problem, x):
     if x.shape != (problem.n_cols,):
         raise ValueError(f"expected coefficient vector of length {problem.n_cols}")
     resid = problem.dictionary.apply(x) - problem.y
-    return 0.5 * float(resid @ resid) + problem.lam * penalty_value(x, problem.partition)
+    layout = problem.partition.layout() if problem.kind == GROUP else None
+    return 0.5 * float(resid @ resid) + problem.lam * penalty_value(x, layout)
 
 
 def prox_l1(x, t):

@@ -238,15 +238,18 @@ class ScreeningContext:
     the radius it bounds, the exact test would flag nothing either.
     `_extremal` holds the extremal atom (group) of the last exact screen
     that flagged nothing, keyed on its read-only kept set: the columns of j
-    among the kept ones and j's weight. A context reused across runs or
-    kept sets can only make that j a looser choice, never an unsafe one.
+    among the kept ones, j's weight and its original index (group id). An
+    elimination that leaves j kept moves the memo to the new kept set at
+    its first screen, which finds j there by that index. A context reused
+    across runs or kept sets can only make that j a looser choice, never an
+    unsafe one.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.y_corr = problem.dictionary.correlate(problem.y)
         self.lmax = lambda_max(problem, self.y_corr)
-        self._extremal = (None, None, 1.0)
+        self._extremal = (None, None, 1.0, -1)
 
     # -- shared scalar machinery -------------------------------------------
 
@@ -390,30 +393,21 @@ class ScreeningContext:
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
-        if self._certifies_nothing(kind, theta, corr, kept, idx):
+        if self._certifies_nothing(kind, theta, corr, kept, idx, layout):
             return np.zeros(kept.size, dtype=bool)
         region = self.region(kind, theta, corr, layout)
         if kind == DOME:
             return test_dome(region, kept)
-        if layout is None:
-            mask = test_sphere_lasso(region, kept)
-        else:
-            mask = test_sphere_group(region, layout.group_ids)
+        mask = test_sphere_lasso(region, idx)
         if mask.any():
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
         if kept.size and not kept.flags.writeable:
             # remember the extremal atom (group) for the bound on this kept set
-            if layout is None:
-                cols, weight = np.argmax(np.abs(corr), keepdims=True), 1.0
-            else:
-                g = int(np.argmax(layout.norms(corr) / layout.weights))
-                start = layout.offsets[g]
-                cols = layout.order[start : start + layout.sizes[g]]
-                weight = float(layout.weights[g])
-            self._extremal = (kept, cols, weight)
+            ratios = np.abs(corr) if layout is None else layout.norms(corr) / layout.weights
+            self._extremal = _memo(kept, layout, int(np.argmax(ratios)))
         return np.zeros(kept.size, dtype=bool)
 
-    def _certifies_nothing(self, kind, theta, corr, kept, idx):
+    def _certifies_nothing(self, kind, theta, corr, kept, idx, layout):
         """Whether a lower bound on the radius shows that sphere test `kind` flags nothing.
 
         The bound scales theta onto the feasible segment of the remembered
@@ -425,12 +419,18 @@ class ScreeningContext:
         all of it, so the bound stays below the radius the region computes.
         Sqrt and subtraction round monotonically, so a slack that does not
         clear the bounded radius does not clear the region's either. The
-        dome, an unknown kind and a kept set without a remembered j take the
-        exact path, and so does a shifted test the region would reject.
+        dome, an unknown kind and a kept set without j take the exact path,
+        and so does a shifted test the region would reject.
         """
-        key, cols, weight = self._extremal
-        if key is not kept or kind not in (SAFE, GSAFE, DST3, GST3):
+        key, cols, weight, j = self._extremal
+        if kind not in (SAFE, GSAFE, DST3, GST3) or (key is not kept and kept.flags.writeable):
             return False
+        if key is not kept:
+            # j stays in a read-only kept set, sorted, unless it was eliminated
+            i = int(np.searchsorted(idx, j))
+            if i == idx.size or idx[i] != j:
+                return False
+            _, cols, weight, _ = self._extremal = _memo(kept, layout, i)
         problem = self.problem
         lam = problem.lam
         shifted = kind in (DST3, GST3)
@@ -459,6 +459,15 @@ class ScreeningContext:
             if top - math.sqrt(max(radius_sq, 0.0)) > SCREEN_MARGIN:
                 return False
         return True
+
+
+def _memo(kept, layout, i):
+    """`_extremal` for the i-th atom (group) in play: its positions, weight and index."""
+    if layout is None:
+        return kept, np.array([i]), 1.0, int(kept[i])
+    start = layout.offsets[i]
+    cols = layout.order[start : start + layout.sizes[i]]
+    return kept, cols, float(layout.weights[i]), int(layout.group_ids[i])
 
 
 # -- tests --------------------------------------------------------------------

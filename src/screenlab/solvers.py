@@ -30,7 +30,7 @@ from .instrument import (
     flops_static_init,
     problem_digest,
 )
-from .problems import GROUP, LASSO, expand, lambda_max, prox_l1
+from .problems import GROUP, LASSO, expand, lambda_max, penalty_value, prox_l1
 
 ISTA = "ista"
 FISTA = "fista"
@@ -144,12 +144,6 @@ def _prox(v, t, layout):
     if layout is None:
         return prox_l1(v, t)
     return layout.prox(v, t)
-
-
-def _penalty(x, layout):
-    if layout is None:
-        return float(np.sum(np.abs(x)))
-    return layout.penalty(x)
 
 
 def _resid_at(dic, v, y):
@@ -432,7 +426,7 @@ def run(problem, cfg, iteration_hook=None):
 
         if state.resid is None:
             state.resid = _resid_at(dic, state.x, problem.y)
-        f_t = 0.5 * float(state.resid @ state.resid) + problem.lam * _penalty(state.x, layout)
+        f_t = 0.5 * float(state.resid @ state.resid) + problem.lam * penalty_value(state.x, layout)
         nnz = int(np.count_nonzero(state.x))
         # the flop column is filled in once, from the kept and sparsity columns
         trace.append(t, state_screen.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)

@@ -325,6 +325,20 @@ class TestGroupFile:
                 read_group_file(path)
 
 
+def layout_by_hand(part, kept):
+    """Fields of the layout over `kept`, each whole group in it located on its own."""
+    chosen = [g for g, cols in enumerate(part.groups) if np.isin(cols, kept).all()]
+    parts = [np.searchsorted(kept, part.groups[g]) for g in chosen]
+    sizes = np.array([q.size for q in parts], dtype=np.int64)
+    return {
+        "group_ids": np.array(chosen, dtype=np.int64),
+        "weights": part.weights[chosen],
+        "order": np.concatenate(parts + [np.empty(0, dtype=np.int64)]),
+        "offsets": np.cumsum(sizes) - sizes,
+        "sizes": sizes,
+    }
+
+
 class TestGroupPartition:
     def make(self, seed=13, n=6, k=8, sizes=(3, 3, 2)):
         rng = np.random.default_rng(seed)
@@ -411,12 +425,10 @@ class TestGroupPartition:
                 kept = np.sort(np.concatenate([part.groups[g] for g in chosen] + [empty]))
                 layout = part.layout(kept)
                 parts = [np.searchsorted(kept, part.groups[g]) for g in chosen]
-                sizes = np.array([q.size for q in parts], dtype=np.int64)
-                assert np.array_equal(layout.group_ids, chosen)
-                assert np.array_equal(layout.weights, part.weights[chosen])
-                assert np.array_equal(layout.order, np.concatenate(parts + [empty]))
-                assert np.array_equal(layout.offsets, np.cumsum(sizes) - sizes)
-                assert np.array_equal(layout.sizes, sizes)
+                want = layout_by_hand(part, kept)
+                assert np.array_equal(want["group_ids"], chosen)
+                for name, ref in want.items():
+                    assert np.array_equal(getattr(layout, name), ref), name
                 for arr in (layout.group_ids, layout.order, layout.offsets, layout.sizes):
                     assert arr.dtype == np.int64 and not arr.flags.writeable
                 # the prox, one group at a time with the same arithmetic
@@ -432,8 +444,8 @@ class TestGroupPartition:
                 assert np.array_equal(layout.prox(v, t), want)
 
     def test_layout_without_matches_layout_of_survivors(self):
-        # a layout derived by dropping flagged groups equals the partition's
-        # layout of the surviving columns, field by field
+        # a layout derived by dropping flagged groups, again and again, equals
+        # the layout of the surviving columns built by hand, field by field
         rng = np.random.default_rng(22)
         for trial in range(30):
             k = int(rng.integers(1, 40))
@@ -446,11 +458,18 @@ class TestGroupPartition:
                 flagged = rng.random(layout.n_groups) < 0.3
                 mask = np.isin(part.group_of[kept], layout.group_ids[flagged])
                 layout, kept = layout.without(mask), kept[~mask]
-                want = part.layout(kept)
-                for name in ("group_ids", "weights", "order", "offsets", "sizes"):
-                    got, ref = getattr(layout, name), getattr(want, name)
+                for name, ref in layout_by_hand(part, kept).items():
+                    got = getattr(layout, name)
                     assert got.dtype == ref.dtype and np.array_equal(got, ref), name
                     assert not got.flags.writeable
+
+    def test_full_layout_is_built_once(self):
+        _, part = self.make()
+        assert part.layout() is part.layout() is part.full
+        for name, ref in layout_by_hand(part, np.arange(part.size)).items():
+            got = getattr(part.full, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+            assert not got.flags.writeable
 
     def test_layout_rejects_partial_groups(self):
         _, part = self.make()

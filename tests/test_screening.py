@@ -746,11 +746,11 @@ class TestRadiusBound:
                     corr = p.dictionary.correlate(theta)
                     for j in range(p.n_cols if layout is None else layout.n_groups):
                         if layout is None:
-                            ctx._extremal = (kept, np.array([j]), 1.0)
+                            ctx._extremal = (kept, np.array([j]), 1.0, j)
                         else:
                             start = layout.offsets[j]
                             cols = layout.order[start : start + layout.sizes[j]]
-                            ctx._extremal = (kept, cols, float(layout.weights[j]))
+                            ctx._extremal = (kept, cols, float(layout.weights[j]), j)
                         for kind in kinds:
                             want = exact_screen(ctx, kind, theta, corr, kept)
                             got = ctx.screen(kind, theta, corr, kept, layout)
@@ -829,7 +829,7 @@ class TestRadiusBound:
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
             assert not ctx.screen(kinds[0], theta, corr, kept).any()
-            key, cols, _ = ctx._extremal
+            key, cols, _, _ = ctx._extremal
             assert key is kept
             # the remembered columns are one atom, or all of one group
             drop = np.zeros(kept.size, dtype=bool)
@@ -844,6 +844,36 @@ class TestRadiusBound:
                     assert np.array_equal(ctx.screen(kind, theta, corr, state.kept), want)
             assert len(region_calls) > built
             assert ctx._extremal[0] is state.kept
+
+
+    def test_remembered_extremal_kept(self, region_calls):
+        # an elimination that leaves the remembered atom (group) kept carries
+        # it to the new kept set: the next screen that certifies nothing
+        # builds no region and still gets the exact mask
+        rng = np.random.default_rng(38)
+        for kinds, p in (([sl.SAFE, sl.DST3], make_lasso(5, ratio=0.7)),
+                         ([sl.GSAFE, sl.GST3], make_group(5, ratio=0.7))):
+            ctx = screening.ScreeningContext(p)
+            kept = screening.ScreenState.initial(p.n_cols).kept
+            theta = rng.standard_normal(p.n_rows)
+            corr = p.dictionary.correlate(theta)
+            assert not ctx.screen(kinds[0], theta, corr, kept).any()
+            _, cols, weight, j = ctx._extremal
+            # drop the first atom (group) that is not j
+            drop = np.zeros(kept.size, dtype=bool)
+            first = 1 if cols[0] == 0 else 0
+            drop[first if p.kind == sl.LASSO else p.partition.groups[first]] = True
+            state = sl.screen_update(screening.ScreenState(np.empty(0, np.int64), kept), drop)
+            corr = p.dictionary.data[:, state.kept].T @ theta
+            for kind in kinds:
+                built = len(region_calls)
+                want = exact_screen(ctx, kind, theta, corr, state.kept)
+                got = ctx.screen(kind, theta, corr, state.kept)
+                assert not want.any() and np.array_equal(got, want), kind
+                assert len(region_calls) == built, kind
+            key, moved, _, _ = ctx._extremal
+            assert key is state.kept and ctx._extremal[2:] == (weight, j)
+            assert np.array_equal(state.kept[moved], kept[cols])
 
 
 class TestReducedDualFeasibility:

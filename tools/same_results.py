@@ -10,11 +10,12 @@ pnoise dictionary families over three seeds and four penalty ratios, the last
 above the trivial-solution threshold; 1440 runs in all. The pnoise atoms are
 coherent, so the extremal atom or group of a dynamic run changes often. The
 two sets of results are compared exactly: iteration count, final objective,
-eliminated set, `x_star`, and the kept count and cumulative flop count of
-every iteration. Where runs differ, prints one line per penalty and algorithm: how
-many runs differ and in which fields, whether the eliminated sets and the
-iteration counts still match, and the largest relative gap between final
-objectives. The last line names the (penalty, algorithm) pairs whose runs are
+eliminated set, `x_star`, and the kept count, objective and cumulative flop
+count of every iteration, so the whole trace is covered. Objectives are
+compared as float hex strings, arrays as raw bytes. Where runs differ, prints
+one line per penalty and algorithm: how many runs differ and in which fields,
+whether the eliminated sets and the iteration counts still match, and the
+largest relative gap between final objectives. The last line names the (penalty, algorithm) pairs whose runs are
 all bit-identical. Exits nonzero on any difference.
 """
 
@@ -66,6 +67,7 @@ def dump(out_path):
                     res.x_star.tobytes(),
                     list(res.trace.kept),
                     list(res.trace.flops_cum),
+                    [float(f).hex() for f in res.trace.objective],
                 )
     with open(out_path, "wb") as fh:
         pickle.dump(results, fh)
@@ -84,7 +86,8 @@ def main(old_src, new_src):
     if old.keys() != new.keys():
         print("the two trees ran different grids")
         return 1
-    fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace", "flops trace")
+    fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace", "flops trace",
+              "objective trace")
     summary = {}  # (penalty, algorithm) -> (runs that differ, fields that differ, max gap)
     for key in old:
         diff = {f for f, a, b in zip(fields, old[key], new[key]) if a != b}
