@@ -189,9 +189,9 @@ class GroupPartition:
             gids = np.flatnonzero(sizes == size)
             cols = np.stack([groups[g] for g in gids])
             norms[gids] = _top_singular_values(dictionary.data[:, cols].transpose(1, 0, 2))
-        full = GroupLayout._frozen(np.arange(len(groups)), weights, np.concatenate(groups), sizes)
         # instances are shared across concurrent runs; freeze the buffers
-        for arr in (norms, group_of, *groups):
+        full = GroupLayout(np.arange(len(groups)), weights, group_of, sizes)
+        for arr in (norms, *groups):
             arr.setflags(write=False)
         return cls(groups, weights, norms, group_of, full)
 
@@ -220,34 +220,31 @@ class GroupPartition:
         if kept is None:
             return self.full
         kept = index_set(kept, self.size)
-        alive = np.zeros(self.size, dtype=bool)
-        alive[kept] = True
-        alive_sizes = np.add.reduceat(alive[self.full.order], self.full.offsets, dtype=np.int64)
+        alive_sizes = np.bincount(self.group_of[kept], minlength=self.n_groups)
         if np.any((alive_sizes != self.full.sizes) & (alive_sizes > 0)):
             raise ValueError("kept indices must cover whole groups")
+        alive = np.zeros(self.size, dtype=bool)
+        alive[kept] = True
         return self.full.without(~alive)
 
 
 @dataclass(frozen=True)
 class GroupLayout:
-    """Positions of surviving groups inside a reduced coefficient vector."""
+    """Positions of surviving groups inside a reduced coefficient vector.
+
+    `member[p]` indexes, in `group_ids`, `weights` and `sizes`, the group of
+    position p. The fields are read-only, so screening can key per-layout
+    work on `group_ids`.
+    """
 
     group_ids: np.ndarray
     weights: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
+    member: np.ndarray
     sizes: np.ndarray
 
-    @classmethod
-    def _frozen(cls, group_ids, weights, order, sizes):
-        """Layout of these fields, with the offsets they imply, all made read-only.
-
-        Read-only, so screening can key per-layout work on `group_ids`.
-        """
-        fields = (group_ids, weights, order, np.cumsum(sizes) - sizes, sizes)
-        for arr in fields:
+    def __post_init__(self):
+        for arr in (self.group_ids, self.weights, self.member, self.sizes):
             arr.setflags(write=False)
-        return cls(*fields)
 
     @property
     def n_groups(self):
@@ -257,25 +254,23 @@ class GroupLayout:
         """Layout over the positions that `mask` leaves, where `mask` flags whole groups.
 
         `mask` is aligned with the reduced vector this layout places. The
-        surviving groups keep their order, and each position moves down by
-        the number of flagged positions before it. Every reduced layout is
-        made here, ``partition.layout(kept)`` included.
+        surviving groups keep their order and positions, renumbered past the
+        flagged ones. Every reduced layout is made here,
+        ``partition.layout(kept)`` included.
         """
-        keep = ~mask
-        keep_groups = keep[self.order[self.offsets]]
-        position = np.cumsum(keep) - 1
-        order = position[self.order[np.repeat(keep_groups, self.sizes)]]
-        return GroupLayout._frozen(
-            self.group_ids[keep_groups], self.weights[keep_groups], order, self.sizes[keep_groups]
+        member = self.member[~mask]
+        alive = np.zeros(self.n_groups, dtype=bool)
+        alive[member] = True
+        renumber = np.cumsum(alive) - 1
+        return GroupLayout(
+            self.group_ids[alive], self.weights[alive], renumber[member], self.sizes[alive]
         )
 
     def norms(self, vec):
-        return self._norms_in_order(np.asarray(vec)[self.order])
-
-    def _norms_in_order(self, grouped):
-        if grouped.size == 0:
-            return np.zeros(0)
-        return np.sqrt(np.add.reduceat(grouped**2, self.offsets))
+        """Per-group l2 norms; each group's squares are summed in position order."""
+        vec = np.asarray(vec, dtype=np.float64)
+        # sqrt also makes the float64 result of an empty layout, where bincount gives int64
+        return np.sqrt(np.bincount(self.member, vec * vec, minlength=self.n_groups))
 
     def penalty(self, vec):
         """Weighted sum of group norms (the group-sparsity regularizer value)."""
@@ -286,13 +281,10 @@ class GroupLayout:
         if t < 0:
             raise ValueError("threshold must be nonnegative")
         vec = np.asarray(vec, dtype=np.float64)
-        grouped = vec[self.order]
-        norms = self._norms_in_order(grouped)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        factors = np.where(norms > 0.0, np.maximum(1.0 - t * self.weights / safe, 0.0), 0.0)
-        out = np.zeros_like(vec)
-        out[self.order] = grouped * np.repeat(factors, self.sizes)
-        return out
+        norms = self.norms(vec)
+        # a zero-norm group's entries are +-0, which any finite factor keeps
+        factors = np.maximum(1.0 - t * self.weights / np.where(norms > 0.0, norms, 1.0), 0.0)
+        return vec * factors[self.member]
 
 
 def write_dsmx(path, matrix):

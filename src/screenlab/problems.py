@@ -97,7 +97,7 @@ def penalty_value(x, layout=None):
     """Regularizer value: l1 norm, or weighted group norms when a group layout is given."""
     x = np.asarray(x, dtype=np.float64)
     if layout is None:
-        return float(np.sum(np.abs(x)))
+        return float(np.abs(x).sum())
     return layout.penalty(x)
 
 
@@ -125,8 +125,6 @@ def prox_group(x, t, partition):
     Groups with zero norm map to zero (the shrink factor has a removable
     singularity there).
     """
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (partition.size,):
         raise ValueError(f"expected coefficient vector of length {partition.size}")

@@ -465,8 +465,7 @@ def _memo(kept, layout, i):
     """`_extremal` for the i-th atom (group) in play: its positions, weight and index."""
     if layout is None:
         return kept, np.array([i]), 1.0, int(kept[i])
-    start = layout.offsets[i]
-    cols = layout.order[start : start + layout.sizes[i]]
+    cols = np.flatnonzero(layout.member == i)
     return kept, cols, float(layout.weights[i]), int(layout.group_ids[i])
 
 
@@ -547,6 +546,4 @@ def test_dome(dp, kept):
 
 def group_mask_to_index_mask(layout, group_mask):
     """Expand a mask over ``layout.group_ids`` to the columns the layout places."""
-    mask = np.empty(layout.order.size, dtype=bool)
-    mask[layout.order] = np.repeat(group_mask, layout.sizes)
-    return mask
+    return group_mask[layout.member]

@@ -13,6 +13,7 @@ the region.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -87,7 +88,8 @@ class SolverState:
     `u` is the extrapolated point of FISTA and Chambolle-Pock. `resid` and
     `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
     `L` is the backtracked or spectral curvature of ISTA, FISTA and SpaRSA;
-    `step` is the fixed step of TwIST and Chambolle-Pock.
+    `step` is the fixed step of TwIST and Chambolle-Pock. `next_corr` holds
+    the correlations of the next step's dual point when already known.
     """
 
     x: np.ndarray
@@ -100,6 +102,7 @@ class SolverState:
     L: float = 1.0
     l_acc: float = 1.0
     step: float | None = None
+    next_corr: np.ndarray | None = None
 
 
 @dataclass
@@ -153,6 +156,10 @@ def _resid_at(dic, v, y):
     return dic.apply(v) - y
 
 
+def _correlate(state, dic, theta):
+    return dic.correlate(theta) if state.next_corr is None else state.next_corr
+
+
 def _residual(state, dic, y):
     if state.resid is not None:
         return state.resid
@@ -167,7 +174,7 @@ def _accept(state, theta, corr, cand, resid_cand, weight=None):
     residual is the same combination of the residuals of `cand` and of the
     current x, so it costs no product while x's residual is known.
     """
-    if not np.all(np.isfinite(cand)):
+    if not np.isfinite(cand).all():
         raise FloatingPointError("solver produced a non-finite iterate")
     if weight == 0.0:
         state.u, state.u_resid = cand, resid_cand
@@ -178,7 +185,7 @@ def _accept(state, theta, corr, cand, resid_cand, weight=None):
         else:
             state.u_resid = resid_cand + weight * (resid_cand - state.resid)
     state.x_prev, state.x, state.resid = state.x, cand, resid_cand
-    state.theta, state.corr = theta, corr
+    state.theta, state.corr, state.next_corr = theta, corr, None
 
 
 def _extrapolated_resid(state, dic, y):
@@ -217,7 +224,7 @@ def update_ista(state, dic, problem, layout=None):
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
-    corr = dic.correlate(theta)
+    corr = _correlate(state, dic, theta)
     cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, layout)
     _accept(state, theta, corr, cand, resid_cand)
     return state
@@ -228,11 +235,11 @@ def update_fista(state, dic, problem, layout=None):
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     theta = _extrapolated_resid(state, dic, y)
-    corr = dic.correlate(theta)
+    corr = _correlate(state, dic, theta)
     cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, layout)
-    l_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * state.l_acc**2))
+    l_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.l_acc**2))
     _accept(state, theta, corr, cand, resid_cand, (state.l_acc - 1.0) / l_new)
-    state.l_acc = float(l_new)
+    state.l_acc = l_new
     return state
 
 
@@ -249,7 +256,7 @@ def update_twist(state, dic, problem, layout=None):
         raise ValueError("update_twist requires state.step")
     s = state.step
     theta = _residual(state, dic, y)
-    corr = dic.correlate(theta)
+    corr = _correlate(state, dic, theta)
     z = _prox(state.x - s * corr, lam * s, layout)
     if state.x_prev is None:
         cand = z
@@ -271,13 +278,13 @@ def update_sparsa(state, dic, problem, layout=None):
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
-    corr = dic.correlate(theta)
+    corr = _correlate(state, dic, theta)
     if state.x_prev is not None:
         s = state.x - state.x_prev
         ss = float(s @ s)
         if ss > 0.0:
             ds = dic.apply(s)
-            state.L = float(np.clip(float(ds @ ds) / ss, _BB_L_MIN, _BB_L_MAX))
+            state.L = min(max(float(ds @ ds) / ss, _BB_L_MIN), _BB_L_MAX)
     cand = _prox(state.x - corr / state.L, lam / state.L, layout)
     _accept(state, theta, corr, cand, None)
     return state
@@ -362,7 +369,8 @@ def run(problem, cfg, iteration_hook=None):
     k, n = problem.n_cols, problem.n_rows
     group_count = problem.partition.n_groups if problem.kind == GROUP else 0
     ctx = screening.ScreeningContext(problem) if cfg.strategy != NONE else None
-    lmax = ctx.lmax if ctx is not None else lambda_max(problem)
+    y_corr = problem.dictionary.correlate(problem.y) if ctx is None else ctx.y_corr
+    lmax = lambda_max(problem, y_corr) if ctx is None else ctx.lmax
     trace = SolveTrace(
         kind=problem.kind,
         strategy=cfg.strategy,
@@ -389,6 +397,9 @@ def run(problem, cfg, iteration_hook=None):
         trace.init_flops = flops_static_init(k, n)
 
     state = init_state(problem, cfg, kept_count=state_screen.kept.size)
+    if cfg.algorithm != CP and dic is problem.dictionary:
+        # x = 0 puts the first dual point at -y, and negation is exact
+        state.next_corr = -y_corr
     update = _UPDATES[cfg.algorithm]
 
     f_prev = None

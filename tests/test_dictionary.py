@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -328,14 +330,14 @@ class TestGroupFile:
 def layout_by_hand(part, kept):
     """Fields of the layout over `kept`, each whole group in it located on its own."""
     chosen = [g for g, cols in enumerate(part.groups) if np.isin(cols, kept).all()]
-    parts = [np.searchsorted(kept, part.groups[g]) for g in chosen]
-    sizes = np.array([q.size for q in parts], dtype=np.int64)
+    member = np.full(len(kept), -1, dtype=np.int64)
+    for i, g in enumerate(chosen):
+        member[np.searchsorted(kept, part.groups[g])] = i
     return {
         "group_ids": np.array(chosen, dtype=np.int64),
         "weights": part.weights[chosen],
-        "order": np.concatenate(parts + [np.empty(0, dtype=np.int64)]),
-        "offsets": np.cumsum(sizes) - sizes,
-        "sizes": sizes,
+        "member": member,
+        "sizes": np.array([part.groups[g].size for g in chosen], dtype=np.int64),
     }
 
 
@@ -429,7 +431,7 @@ class TestGroupPartition:
                 assert np.array_equal(want["group_ids"], chosen)
                 for name, ref in want.items():
                     assert np.array_equal(getattr(layout, name), ref), name
-                for arr in (layout.group_ids, layout.order, layout.offsets, layout.sizes):
+                for arr in (layout.group_ids, layout.member, layout.sizes):
                     assert arr.dtype == np.int64 and not arr.flags.writeable
                 # the prox, one group at a time with the same arithmetic
                 v = rng.standard_normal(kept.size)
@@ -466,10 +468,68 @@ class TestGroupPartition:
     def test_full_layout_is_built_once(self):
         _, part = self.make()
         assert part.layout() is part.layout() is part.full
+        # the full layout places position p in group group_of[p]
+        assert part.full.member is part.group_of
         for name, ref in layout_by_hand(part, np.arange(part.size)).items():
             got = getattr(part.full, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
             assert not got.flags.writeable
+
+    def test_group_kernels_match_loop_bit_for_bit(self):
+        # norms, penalty and prox against one Python loop per group that sums
+        # the squares in position order, on unequal partitions with singletons
+        # and groups of 8 and 17 or more columns, over the full layout, a
+        # reduced one and each layout of a chain of `without`
+        rng = np.random.default_rng(41)
+        sizes = [1, 8, 1, 17, 2, 3, 1, 21, 5]
+        k = sum(sizes)
+        empty = np.empty(0, dtype=np.int64)
+        for trial in range(6):
+            groups = [np.sort(g) for g in np.split(rng.permutation(k), np.cumsum(sizes)[:-1])]
+            mat = rng.standard_normal((5, k))
+            part = GroupPartition.build(sl.Dictionary(mat / np.linalg.norm(mat, axis=0)), groups)
+            chosen = np.flatnonzero(rng.random(part.n_groups) < 0.6)
+            kept = np.sort(np.concatenate([part.groups[g] for g in chosen] + [empty]))
+            cases = [(np.arange(k), part.layout()), (kept, part.layout(kept))]
+            kept, layout = cases[0]
+            while kept.size:
+                flagged = layout.group_ids[rng.random(layout.n_groups) < 0.3]
+                mask = np.isin(part.group_of[kept], flagged)
+                kept, layout = kept[~mask], layout.without(mask)
+                cases.append((kept, layout))
+            for kept, layout in cases:
+                # magnitudes spread over six decades, and one group of signed zeros
+                v = rng.standard_normal(kept.size) * 10.0 ** rng.integers(-3, 4, kept.size)
+                positions = [np.searchsorted(kept, part.groups[g]) for g in layout.group_ids]
+                if positions:
+                    v[positions[0]] = -0.0
+                t = float(rng.random())
+                norms = np.empty(layout.n_groups)
+                prox = np.empty(kept.size)
+                for g, pos in enumerate(positions):
+                    sq = 0.0
+                    for p in pos:
+                        sq += v[p] * v[p]
+                    norms[g] = math.sqrt(sq)
+                    factor = 0.0
+                    if norms[g] > 0:
+                        factor = max(1.0 - t * layout.weights[g] / norms[g], 0.0)
+                    prox[pos] = v[pos] * factor
+                assert layout.norms(v).tobytes() == norms.tobytes()
+                assert layout.penalty(v) == float(layout.weights @ norms)
+                assert layout.prox(v, t).tobytes() == prox.tobytes()
+
+    def test_empty_layout_kernels(self):
+        # a dynamic screen can drop every group; `run` then still takes the
+        # penalty over the empty layout
+        _, part = self.make()
+        for layout in (part.layout([]), part.full.without(np.ones(part.size, dtype=bool))):
+            assert layout.n_groups == 0 and layout.member.dtype == np.int64
+            norms = layout.norms(np.empty(0))
+            assert norms.dtype == np.float64 and norms.shape == (0,)
+            assert layout.penalty(np.empty(0)) == 0.0
+            prox = layout.prox(np.empty(0), 0.5)
+            assert prox.dtype == np.float64 and prox.shape == (0,)
 
     def test_layout_rejects_partial_groups(self):
         _, part = self.make()

@@ -449,7 +449,13 @@ class TestSphereGroupMask:
             group_mask = rng.random(layout.n_groups) < 0.5
             pos = np.searchsorted(layout.group_ids, part.group_of[kept])
             want = group_mask[pos]
-            assert np.array_equal(sl.group_mask_to_index_mask(layout, group_mask), want)
+            got = sl.group_mask_to_index_mask(layout, group_mask)
+            assert np.array_equal(got, want)
+            # the scatter of per-group decisions over each group's positions
+            order = np.concatenate([np.searchsorted(kept, part.groups[g]) for g in layout.group_ids])
+            scatter = np.empty(kept.size, dtype=bool)
+            scatter[order] = np.repeat(group_mask, layout.sizes)
+            assert np.array_equal(got, scatter)
 
 
 class TestScreen:
@@ -748,8 +754,7 @@ class TestRadiusBound:
                         if layout is None:
                             ctx._extremal = (kept, np.array([j]), 1.0, j)
                         else:
-                            start = layout.offsets[j]
-                            cols = layout.order[start : start + layout.sizes[j]]
+                            cols = np.flatnonzero(layout.member == j)
                             ctx._extremal = (kept, cols, float(layout.weights[j]), j)
                         for kind in kinds:
                             want = exact_screen(ctx, kind, theta, corr, kept)

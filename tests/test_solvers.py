@@ -148,6 +148,99 @@ class TestUpdateSparsa:
         assert st.L == 1e-10
 
 
+    def test_clamps_as_np_clip(self):
+        # the curvature estimate is clamped like np.clip, NaN passing through;
+        # a scaled dictionary moves the estimate below, inside and above range
+        p = make_lasso(4)
+        x = np.random.default_rng(4).standard_normal(p.n_cols)
+        for scale in (1e-8, 1.0, 1e8):
+            dic = _Scaled(p.dictionary, scale)
+            st = SolverState(x=x.copy(), x_prev=np.zeros(p.n_cols))
+            update_sparsa(st, dic, p)
+            ds = dic.apply(x)
+            assert st.L == float(np.clip(float(ds @ ds) / float(x @ x), 1e-10, 1e10))
+        # an infinite displacement gives the estimate inf / inf
+        bad = np.zeros(p.n_cols)
+        bad[0] = np.inf
+        st = SolverState(x=bad, x_prev=np.zeros(p.n_cols))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            update_sparsa(st, p.dictionary, p)
+        assert np.isnan(st.L)
+
+
+class _Scaled:
+    """`dic` with both products multiplied by `scale`."""
+
+    def __init__(self, dic, scale):
+        self.dic, self.scale, self.n_cols = dic, scale, dic.n_cols
+
+    def apply(self, x):
+        return self.scale * self.dic.apply(x)
+
+    def correlate(self, v):
+        return self.scale * self.dic.correlate(v)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_accept_rejects(self, bad):
+        st = SolverState(x=np.zeros(3))
+        cand = np.array([0.5, bad, 0.0])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            solvers._accept(st, np.zeros(2), np.zeros(3), cand, None)
+        assert st.x is not cand
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_every_algorithm_raises(self, algo, bad):
+        p = make_lasso(3)
+        st = init_state(p, SolverConfig(algorithm=algo))
+        st.x = np.zeros(p.n_cols)
+        st.x[2] = bad
+        st.resid = None
+        st.u, st.u_resid = st.x, None
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            solvers._UPDATES[algo](st, p.dictionary, p)
+
+
+class TestFirstCorrelation:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("kind,test", [("lasso", "safe"), ("group", "gsafe")])
+    def test_observation_correlations_serve_the_first_step(self, algo, kind, test, monkeypatch):
+        # `run` correlates y once, for lambda_max or the screening context. At
+        # x = 0 the first dual point of ISTA, FISTA, TwIST and SpaRSA is -y, and
+        # that step takes -(D.T @ y) instead of its own product; CP's first
+        # dual point is a scaled -y, so CP keeps its product
+        p = make_lasso(6, ratio=0.5) if kind == "lasso" else make_group(6, ratio=0.5)
+        correlate = sl.Dictionary.correlate
+        for strategy in ("none", "dynamic"):
+            cfg = SolverConfig(algorithm=algo, strategy=strategy,
+                               test=None if strategy == "none" else test, max_iters=40)
+            calls, first = [], []
+
+            def counting(self, v):
+                calls.append(1)
+                return correlate(self, v)
+
+            def hook(info):
+                if info.t == 1:
+                    first.append((info.theta, info.corr))
+
+            with monkeypatch.context() as m:
+                m.setattr(sl.Dictionary, "correlate", counting)
+                res = sl.run(p, cfg, iteration_hook=hook)
+            assert res.iterations > 1
+            assert len(calls) == res.iterations + (algo == CP)
+            theta, corr = first[0]
+            assert corr.tobytes() == p.dictionary.correlate(theta).tobytes()
+            if strategy == "none":
+                # the same iterates as steps that correlate for themselves
+                st = init_state(p, cfg)
+                for _ in range(res.iterations):
+                    solvers._UPDATES[algo](st, p.dictionary, p)
+                assert st.x.tobytes() == res.x_star.tobytes()
+
+
 class TestUpdateCp:
     def test_zero_gamma_keeps_steps_constant(self):
         # primal and dual steps are both 0.99 / ||D||, so tau*sigma*||D||^2 < 1

@@ -14,9 +14,13 @@ eliminated set, `x_star`, and the kept count, objective and cumulative flop
 count of every iteration, so the whole trace is covered. Objectives are
 compared as float hex strings, arrays as raw bytes. Where runs differ, prints
 one line per penalty and algorithm: how many runs differ and in which fields,
-whether the eliminated sets and the iteration counts still match, and the
-largest relative gap between final objectives. The last line names the (penalty, algorithm) pairs whose runs are
-all bit-identical. Exits nonzero on any difference.
+whether the eliminated sets and the iteration counts still match, the largest
+relative gap between final objectives twice, and the largest `x_star` gap
+relative to ``max|x|``. The first objective gap is over the runs whose
+iteration counts match, so it shows rounding; the second over the runs whose
+counts differ, so it shows where the stopping rule landed. The last line names
+the (penalty, algorithm) pairs whose runs are all bit-identical. Exits nonzero
+on any difference.
 """
 
 import os
@@ -24,6 +28,8 @@ import pickle
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 FAMILIES = ("gaussian", "pnoise")
 SEEDS = (1, 2, 3)
@@ -88,22 +94,30 @@ def main(old_src, new_src):
         return 1
     fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace", "flops trace",
               "objective trace")
-    summary = {}  # (penalty, algorithm) -> (runs that differ, fields that differ, max gap)
+    # (penalty, algorithm) -> [runs that differ, fields that differ, max objective gap
+    # where iterations match, where they differ, max x_star gap]
+    summary = {}
     for key in old:
         diff = {f for f, a, b in zip(fields, old[key], new[key]) if a != b}
         if diff:
+            entry = summary.setdefault((key[0], key[4]), [0, set(), None, None, 0.0])
+            entry[0] += 1
+            entry[1] |= diff
             a, b = (float.fromhex(side[key][1]) for side in (old, new))
-            runs, seen, gap = summary.get((key[0], key[4]), (0, set(), 0.0))
-            gap = max(gap, abs(a - b) / max(abs(a), 1e-300))
-            summary[key[0], key[4]] = (runs + 1, seen | diff, gap)
-    for (penalty, algo), (runs, seen, gap) in sorted(summary.items()):
+            slot = 3 if "iterations" in diff else 2
+            entry[slot] = max(entry[slot] or 0.0, abs(a - b) / max(abs(a), 1e-300))
+            xa, xb = (np.frombuffer(side[key][3]) for side in (old, new))
+            entry[4] = max(entry[4], np.abs(xa - xb).max() / max(np.abs(xa).max(), 1e-300))
+    for (penalty, algo), (runs, seen, matched, moved, x_gap) in sorted(summary.items()):
+        gaps = ["-" if gap is None else f"{gap:.2e}" for gap in (matched, moved)]
         print(
             f"{penalty} {algo}: {runs} differ in {', '.join(f for f in fields if f in seen)};"
             f" eliminated sets {'differ' if 'eliminated' in seen else 'same'},"
             f" iterations {'differ' if 'iterations' in seen else 'same'},"
-            f" max relative objective gap {gap:.2e}"
+            f" max relative objective gap {gaps[0]} where iterations match,"
+            f" {gaps[1]} where they differ, max x_star gap {x_gap:.2e} of max|x|"
         )
-    print(f"{len(old)} runs compared, {sum(runs for runs, _, _ in summary.values())} differ")
+    print(f"{len(old)} runs compared, {sum(entry[0] for entry in summary.values())} differ")
     same = sorted({(key[0], key[4]) for key in old} - summary.keys())
     print("bit-identical:", ", ".join(f"{penalty} {algo}" for penalty, algo in same) or "none")
     return 1 if summary else 0
