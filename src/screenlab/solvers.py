@@ -49,9 +49,8 @@ _TWIST_ALPHA = _TWIST_BETA = 1.78
 # Chambolle-Pock steps tau = sigma = _CP_STEP_SAFETY / ||D||, so that
 # tau * sigma * ||D||^2 < 1
 _CP_STEP_SAFETY = 0.99
-# range of SpaRSA's Barzilai-Borwein curvature estimate
+# floor of SpaRSA's Barzilai-Borwein curvature estimate
 _BB_L_MIN = 1e-10
-_BB_L_MAX = 1e10
 
 
 @dataclass
@@ -87,8 +86,9 @@ class SolverState:
 
     `u` is the extrapolated point of FISTA and Chambolle-Pock. `resid` and
     `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
-    `L` is the backtracked or spectral curvature of ISTA, FISTA and SpaRSA;
-    `step` is the fixed step of TwIST and Chambolle-Pock. `next_corr` holds
+    `L` is the backtracked curvature of ISTA, FISTA and SpaRSA, which SpaRSA
+    restarts at the Barzilai-Borwein curvature of each step it takes; `step`
+    is the fixed step of TwIST and Chambolle-Pock. `next_corr` holds
     the correlations of the next step's dual point when already known.
     """
 
@@ -215,7 +215,7 @@ def _backtrack(point, theta, corr, dic, y, lam, L, layout):
         if f_cand <= bound + _MAJORIZATION_SLACK * max(1.0, f0):
             return cand, resid_cand, L
         L *= _BACKTRACK_FACTOR
-        if L > _L_CEILING:
+        if not L <= _L_CEILING:
             raise FloatingPointError("backtracking failed to find a valid step")
 
 
@@ -268,25 +268,19 @@ def update_twist(state, dic, problem, layout=None):
 
 
 def update_sparsa(state, dic, problem, layout=None):
-    """One proximal gradient step with the spectral (Barzilai-Borwein) step size.
+    """ISTA's backtracked step, then L restarts at the step's spectral curvature.
 
-    The curvature estimate ``||D s||^2 / ||s||^2`` from the latest displacement
-    replaces backtracking; it is clamped to ``[_BB_L_MIN, _BB_L_MAX]`` and the
-    first iteration keeps the initial ``L = 1``. A zero displacement keeps the
-    previous estimate.
+    The Barzilai-Borwein curvature ``||D s||^2 / ||s||^2`` of the step s,
+    floored at ``_BB_L_MIN``, only seeds the next backtracking. ``D s`` is the
+    difference of the two residuals the step holds, so it costs no product.
+    A zero step keeps L.
     """
-    layout = _resolve_layout(problem, dic, layout)
-    y, lam = problem.y, problem.lam
-    theta = _residual(state, dic, y)
-    corr = _correlate(state, dic, theta)
-    if state.x_prev is not None:
-        s = state.x - state.x_prev
-        ss = float(s @ s)
-        if ss > 0.0:
-            ds = dic.apply(s)
-            state.L = min(max(float(ds @ ds) / ss, _BB_L_MIN), _BB_L_MAX)
-    cand = _prox(state.x - corr / state.L, lam / state.L, layout)
-    _accept(state, theta, corr, cand, None)
+    update_ista(state, dic, problem, layout)
+    s = state.x - state.x_prev
+    ss = float(s @ s)
+    if ss > 0.0:
+        ds = state.resid - state.theta
+        state.L = max(float(ds @ ds) / ss, _BB_L_MIN)
     return state
 
 
@@ -300,6 +294,8 @@ def update_cp(state, dic, problem, layout=None):
     """
     layout = _resolve_layout(problem, dic, layout)
     y, lam = problem.y, problem.lam
+    if state.step is None:
+        raise ValueError("update_cp requires state.step")
     theta_prev = state.theta if state.theta is not None else np.zeros_like(y)
     s = state.step
     theta = (theta_prev + s * _extrapolated_resid(state, dic, y)) / (1.0 + s)

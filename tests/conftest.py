@@ -3,23 +3,27 @@ import numpy as np
 import screenlab as sl
 
 
-def gaussian_dictionary(seed, n=12, k=30):
-    spec = sl.GenSpec(kind="gaussian", n=n, k=k, seed=seed)
+def make_dictionary(seed, n=12, k=30, family="gaussian"):
+    spec = sl.GenSpec(kind=family, n=n, k=k, seed=seed)
     return sl.gen_dictionary(spec)
 
 
-def make_lasso(seed, n=12, k=30, ratio=0.7):
-    """Random unit-sphere lasso instance at a fraction of the trivial threshold."""
-    dic = gaussian_dictionary(seed, n, k)
-    spec = sl.GenSpec(kind="gaussian", n=n, k=k, seed=seed)
+def make_lasso(seed, n=12, k=30, ratio=0.7, family="gaussian"):
+    """Random lasso instance at a fraction of the trivial threshold.
+
+    The atoms and the observation come from `family`: the unit sphere for
+    `gaussian`, a shared spike plus a small cloud (coherent atoms) for `pnoise`.
+    """
+    dic = make_dictionary(seed, n, k, family)
+    spec = sl.GenSpec(kind=family, n=n, k=k, seed=seed)
     y = sl.gen_observation(spec, dic).y
     lam = ratio * sl.lambda_max(sl.Problem(dic, y, 1.0)).value
     return sl.Problem(dic, y, lam)
 
 
-def make_group(seed, n=12, k=30, ratio=0.7, group_size=3):
-    """Random group instance with a planted group-sparse observation."""
-    dic = gaussian_dictionary(seed, n, k)
+def make_group(seed, n=12, k=30, ratio=0.7, group_size=3, family="gaussian"):
+    """Random group instance over `family` atoms with a planted group-sparse observation."""
+    dic = make_dictionary(seed, n, k, family)
     part = sl.random_partition(dic, group_size, seed)
     spec = sl.GenSpec(kind="bernoulli-gaussian-obs", n=n, k=k, seed=seed, bernoulli_p=0.2)
     y = sl.gen_observation(spec, dic, part).y

@@ -1,3 +1,4 @@
+import functools
 import sys
 
 import numpy as np
@@ -109,11 +110,12 @@ class TestUpdateTwist:
         update_twist(st, p.dictionary, p)
         assert np.allclose(st.x, x_star, atol=1e-14)
 
-    def test_requires_fixed_step(self):
+    @pytest.mark.parametrize("update", [update_twist, update_cp])
+    def test_requires_fixed_step(self, update):
         p = identity_problem(0.8)
         st = SolverState(x=np.zeros(2))
         with pytest.raises(ValueError, match="state.step"):
-            update_twist(st, p.dictionary, p)
+            update(st, p.dictionary, p)
 
     def test_non_finite_iterate_raises(self):
         p = identity_problem(0.8)
@@ -127,45 +129,49 @@ class TestUpdateSparsa:
         p = identity_problem(0.8)
         st = init_state(p, SolverConfig(algorithm="sparsa"))
         st.L = 4.0
-        update_sparsa(st, p.dictionary, p)  # the first step keeps the initial L
-        assert st.L == 4.0
-        update_sparsa(st, p.dictionary, p)
-        assert st.L == pytest.approx(1.0, abs=1e-12)
+        for _ in range(2):
+            update_sparsa(st, p.dictionary, p)
+            assert st.x.any() and (st.x != st.x_prev).any()
+            assert st.L == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_displacement_keeps_previous(self):
-        p = identity_problem(0.8)
-        st = SolverState(x=np.zeros(2), x_prev=np.zeros(2), L=3.0)
+        # above the trivial threshold the step from x = 0 stays at 0
+        p = identity_problem(1.5)
+        st = SolverState(x=np.zeros(2), L=3.0)
         update_sparsa(st, p.dictionary, p)
+        assert not st.x.any()
         assert st.L == 3.0
 
-    def test_clamps(self):
-        # antipodal atoms e1, -e1 cancel on s = (1, 1): D s = 0, so the
-        # curvature estimate 0 is clamped up to its floor
+    def test_floors_cancelled_curvature(self):
+        # antipodal atoms e1, -e1 cancel on the step s = (-0.5, -0.5): D s = 0,
+        # so the curvature estimate 0 is floored
         dic = sl.Dictionary(np.array([[1.0, -1.0], [0.0, 0.0]]))
-        p = sl.Problem(dic, np.array([0.6, 0.8]), 0.3)
-        st = SolverState(x=np.ones(2), x_prev=np.zeros(2))
+        p = sl.Problem(dic, np.array([0.6, 0.8]), 0.5)
+        st = SolverState(x=np.array([1.2, 0.6]))
         update_sparsa(st, p.dictionary, p)
-        assert st.L == 1e-10
+        assert np.array_equal(st.x - st.x_prev, [-0.5, -0.5])
+        assert st.L == solvers._BB_L_MIN
 
-
-    def test_clamps_as_np_clip(self):
-        # the curvature estimate is clamped like np.clip, NaN passing through;
-        # a scaled dictionary moves the estimate below, inside and above range
+    def test_ista_step_then_product_free_curvature(self):
+        # the step is ISTA's, bit for bit; the curvature taken from the two
+        # residuals equals ||D s||^2 / ||s||^2 with D s from a product, to
+        # rounding, floored below and not capped above; a scaled dictionary
+        # moves the estimate below and above the unit-norm range
         p = make_lasso(4)
         x = np.random.default_rng(4).standard_normal(p.n_cols)
+        estimates = []
         for scale in (1e-8, 1.0, 1e8):
             dic = _Scaled(p.dictionary, scale)
-            st = SolverState(x=x.copy(), x_prev=np.zeros(p.n_cols))
+            st = SolverState(x=x.copy())
+            ista = SolverState(x=x.copy())
             update_sparsa(st, dic, p)
-            ds = dic.apply(x)
-            assert st.L == float(np.clip(float(ds @ ds) / float(x @ x), 1e-10, 1e10))
-        # an infinite displacement gives the estimate inf / inf
-        bad = np.zeros(p.n_cols)
-        bad[0] = np.inf
-        st = SolverState(x=bad, x_prev=np.zeros(p.n_cols))
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            update_sparsa(st, p.dictionary, p)
-        assert np.isnan(st.L)
+            update_ista(ista, dic, p)
+            assert st.x.tobytes() == ista.x.tobytes()
+            s = st.x - x
+            ds = dic.apply(s)
+            assert st.L == pytest.approx(max(float(ds @ ds) / float(s @ s), 1e-10), rel=1e-12)
+            estimates.append(st.L)
+        assert estimates[0] == 1e-10 and estimates[2] > 1e10
 
 
 class _Scaled:
@@ -201,6 +207,32 @@ class TestNonFinite:
         st.u, st.u_resid = st.x, None
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             solvers._UPDATES[algo](st, p.dictionary, p)
+
+    def test_nan_step_size_raises(self):
+        # a NaN L fails every majorization test and stays NaN when doubled;
+        # the apply budget turns a backtracking loop that never stops into a failure
+        p = make_lasso(3)
+        dic = _Budgeted(p.dictionary, 100)
+        st = SolverState(x=np.zeros(p.n_cols), L=float("nan"))
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="backtracking"):
+            update_ista(st, dic, p)
+        assert dic.calls == 2  # the residual at x and a single trial
+
+
+class _Budgeted:
+    """`dic` that fails once it has made `budget` products `D @ x`."""
+
+    def __init__(self, dic, budget):
+        self.dic, self.budget, self.calls, self.n_cols = dic, budget, 0, dic.n_cols
+
+    def apply(self, x):
+        self.calls += 1
+        if self.calls > self.budget:
+            raise AssertionError(f"more than {self.budget} products")
+        return self.dic.apply(x)
+
+    def correlate(self, v):
+        return self.dic.correlate(v)
 
 
 class TestFirstCorrelation:
@@ -449,6 +481,58 @@ class TestRun:
         assert res.trace.init_flops == p.n_cols * p.n_rows
         assert res.trace.flops_cum[0] > res.trace.init_flops
         assert res.trace.recompute_flops() == res.trace.flops_cum
+
+
+# the acceptance suite's budget
+COHERENT_BUDGET = dict(max_iters=4000, rel_tol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def coherent_problem(kind, seed, ratio):
+    """A 60x200 problem over `pnoise` atoms and its certified reference."""
+    if kind == "lasso":
+        p = make_lasso(seed, n=60, k=200, ratio=ratio, family="pnoise")
+    else:
+        p = make_group(seed, n=60, k=200, ratio=ratio, group_size=4, family="pnoise")
+    return p, sl.solve_reference(p, 1e-10)
+
+
+class TestCoherentAtoms:
+    # pnoise atoms share a spike, so their Gram matrix is far from the
+    # identity and a step sized by curvature along the last displacement
+    # alone can overshoot by orders of magnitude
+
+    @pytest.mark.parametrize(
+        "kind,seed,ratio", [("lasso", 2, 0.1), ("lasso", 3, 0.3), ("group", 5, 0.2), ("group", 6, 0.2)]
+    )
+    def test_sparsa_reaches_reference(self, kind, seed, ratio):
+        p, ref = coherent_problem(kind, seed, ratio)
+        f_zero = 0.5 * float(p.y @ p.y)
+        tests = sl.LASSO_TESTS if kind == "lasso" else sl.GROUP_TESTS
+        runs = [("none", None)] + [(s, t) for s in ("static", "dynamic") for t in tests]
+        for strategy, test in runs:
+            cfg = SolverConfig(algorithm="sparsa", strategy=strategy, test=test, **COHERENT_BUDGET)
+            res = sl.run(p, cfg)
+            label = f"{strategy}/{test}: {res.final_objective!r} after {res.iterations}"
+            assert res.final_objective <= f_zero, label
+            assert abs(res.final_objective - ref.objective) <= 1e-6 * ref.objective, label
+            assert sl.verify_screen_safety(p, res.screen_state, ref), label
+            if strategy == "none":
+                # each accepted step lowers F by L/2 ||dx||^2, up to the
+                # majorization slack
+                prev = f_zero
+                for f in res.trace.objective:
+                    assert f <= prev + solvers._MAJORIZATION_SLACK * max(1.0, prev), label
+                    prev = f
+
+    def test_every_algorithm_ends_at_or_below_zero_objective(self):
+        # ISTA, TwIST and CP converge slowly here, so only SpaRSA is held to
+        # the reference, above
+        p, _ = coherent_problem("lasso", 3, 0.3)
+        f_zero = 0.5 * float(p.y @ p.y)
+        for algo in sl.ALGORITHMS:
+            res = sl.run(p, SolverConfig(algorithm=algo, **COHERENT_BUDGET))
+            assert res.final_objective <= f_zero, algo
 
 
 class TestResidualReuse:

@@ -16,11 +16,13 @@ compared as float hex strings, arrays as raw bytes. Where runs differ, prints
 one line per penalty and algorithm: how many runs differ and in which fields,
 whether the eliminated sets and the iteration counts still match, the largest
 relative gap between final objectives twice, and the largest `x_star` gap
-relative to ``max|x|``. The first objective gap is over the runs whose
-iteration counts match, so it shows rounding; the second over the runs whose
-counts differ, so it shows where the stopping rule landed. The last line names
-the (penalty, algorithm) pairs whose runs are all bit-identical. Exits nonzero
-on any difference.
+relative to the larger ``max|x|`` of the two runs. The first objective gap is
+over the runs whose iteration counts match, so it shows rounding; the second
+over the runs whose counts differ, so it shows where the stopping rule landed.
+The line ends with how many final objectives fell and how many rose, and the
+largest relative rise, so a deliberate change to one solver shows whether its
+differences are improvements. The last line names the (penalty, algorithm)
+pairs whose runs are all bit-identical. Exits nonzero on any difference.
 """
 
 import os
@@ -94,30 +96,42 @@ def main(old_src, new_src):
         return 1
     fields = ("iterations", "final_objective", "eliminated", "x_star", "kept trace", "flops trace",
               "objective trace")
-    # (penalty, algorithm) -> [runs that differ, fields that differ, max objective gap
-    # where iterations match, where they differ, max x_star gap]
+    # (penalty, algorithm) -> counts and largest gaps of the runs that differ
     summary = {}
     for key in old:
         diff = {f for f, a, b in zip(fields, old[key], new[key]) if a != b}
         if diff:
-            entry = summary.setdefault((key[0], key[4]), [0, set(), None, None, 0.0])
-            entry[0] += 1
-            entry[1] |= diff
+            entry = summary.setdefault(
+                (key[0], key[4]),
+                dict(runs=0, seen=set(), matched=None, moved=None, x_gap=0.0, fell=0, rose=0,
+                     rise=0.0),
+            )
+            entry["runs"] += 1
+            entry["seen"] |= diff
             a, b = (float.fromhex(side[key][1]) for side in (old, new))
-            slot = 3 if "iterations" in diff else 2
-            entry[slot] = max(entry[slot] or 0.0, abs(a - b) / max(abs(a), 1e-300))
+            gap = abs(a - b) / max(abs(a), 1e-300)
+            slot = "moved" if "iterations" in diff else "matched"
+            entry[slot] = max(entry[slot] or 0.0, gap)
+            if b < a:
+                entry["fell"] += 1
+            elif b > a:
+                entry["rose"] += 1
+                entry["rise"] = max(entry["rise"], gap)
             xa, xb = (np.frombuffer(side[key][3]) for side in (old, new))
-            entry[4] = max(entry[4], np.abs(xa - xb).max() / max(np.abs(xa).max(), 1e-300))
-    for (penalty, algo), (runs, seen, matched, moved, x_gap) in sorted(summary.items()):
-        gaps = ["-" if gap is None else f"{gap:.2e}" for gap in (matched, moved)]
+            scale = max(np.abs(xa).max(), np.abs(xb).max(), 1e-300)
+            entry["x_gap"] = max(entry["x_gap"], np.abs(xa - xb).max() / scale)
+    for (penalty, algo), e in sorted(summary.items()):
+        gaps = ["-" if gap is None else f"{gap:.2e}" for gap in (e["matched"], e["moved"])]
         print(
-            f"{penalty} {algo}: {runs} differ in {', '.join(f for f in fields if f in seen)};"
-            f" eliminated sets {'differ' if 'eliminated' in seen else 'same'},"
-            f" iterations {'differ' if 'iterations' in seen else 'same'},"
+            f"{penalty} {algo}: {e['runs']} differ in {', '.join(f for f in fields if f in e['seen'])};"
+            f" eliminated sets {'differ' if 'eliminated' in e['seen'] else 'same'},"
+            f" iterations {'differ' if 'iterations' in e['seen'] else 'same'},"
             f" max relative objective gap {gaps[0]} where iterations match,"
-            f" {gaps[1]} where they differ, max x_star gap {x_gap:.2e} of max|x|"
+            f" {gaps[1]} where they differ, max x_star gap {e['x_gap']:.2e} of max|x|;"
+            f" final objective fell in {e['fell']}, rose in {e['rose']},"
+            f" largest relative rise {e['rise']:.2e}"
         )
-    print(f"{len(old)} runs compared, {sum(entry[0] for entry in summary.values())} differ")
+    print(f"{len(old)} runs compared, {sum(e['runs'] for e in summary.values())} differ")
     same = sorted({(key[0], key[4]) for key in old} - summary.keys())
     print("bit-identical:", ", ".join(f"{penalty} {algo}" for penalty, algo in same) or "none")
     return 1 if summary else 0
