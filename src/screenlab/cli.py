@@ -167,7 +167,10 @@ def cmd_gen(args):
 
 def _load_problem(args):
     mat = read_matrix(args.dict)
-    y = read_matrix(args.obs).ravel()
+    y = read_matrix(args.obs)
+    if min(y.shape) != 1:
+        raise ValueError(f"{args.obs}: observation must be one row or column, not {y.shape}")
+    y = y.ravel()
     if args.normalize:
         mat = mat / np.linalg.norm(mat, axis=0)
         y = y / np.linalg.norm(y)

@@ -23,9 +23,11 @@ def index_set(values, size=None):
     """
     arr = np.asarray(values, dtype=np.int64).ravel()
     if arr.size and np.any(np.diff(arr) <= 0):
-        raise ValueError("index set must be strictly increasing")
+        i = int(np.argmax(np.diff(arr) <= 0))
+        raise ValueError(f"index set must be strictly increasing; {arr[i + 1]} follows {arr[i]}")
     if size is not None and arr.size and (arr[0] < 0 or arr[-1] >= size):
-        raise ValueError(f"indices must lie in [0, {size})")
+        bad = arr[0] if arr[0] < 0 else arr[-1]
+        raise ValueError(f"indices must lie in [0, {size}), not {bad}")
     return arr
 
 
@@ -168,22 +170,32 @@ class GroupPartition:
     @classmethod
     def build(cls, dictionary, groups, weights=None):
         k = dictionary.n_cols
-        groups = tuple(index_set(g, k) for g in groups)
-        if any(g.size == 0 for g in groups):
-            raise ValueError("groups must be nonempty")
+        checked = []
+        for gid, g in enumerate(groups):
+            try:
+                checked.append(index_set(g, k))
+            except ValueError as exc:
+                raise ValueError(f"group {gid}: {exc}") from None
+        groups = tuple(checked)
+        sizes = np.array([g.size for g in groups], dtype=np.int64)
+        if not sizes.all():
+            raise ValueError(f"groups must be nonempty; group {np.argmin(sizes)} is empty")
         group_of = np.full(k, -1, dtype=np.int64)
         for gid, g in enumerate(groups):
             if np.any(group_of[g] != -1):
-                raise ValueError("groups must be pairwise disjoint")
+                i = g[group_of[g] != -1][0]
+                raise ValueError(f"groups must be disjoint; {i} is in groups {group_of[i]}, {gid}")
             group_of[g] = gid
         if np.any(group_of < 0):
-            raise ValueError("groups must cover every column index")
+            raise ValueError(f"groups must cover every column; {np.argmin(group_of)} is in none")
         if weights is None:
-            weights = np.sqrt([g.size for g in groups])
+            weights = np.sqrt(sizes)
         weights = np.array(weights, dtype=np.float64)
-        if weights.shape != (len(groups),) or not np.all(np.isfinite(weights) & (weights > 0)):
-            raise ValueError("need one finite, strictly positive weight per group")
-        sizes = np.array([g.size for g in groups], dtype=np.int64)
+        if weights.shape != (len(groups),):
+            raise ValueError(f"need one weight per group, not {weights.size} for {len(groups)}")
+        for gid, w in enumerate(weights.tolist()):
+            if not 0 < w < np.inf:
+                raise ValueError(f"group {gid}: weight {w!r} must be finite and positive")
         norms = np.empty(len(groups))
         for size in np.unique(sizes):
             gids = np.flatnonzero(sizes == size)
@@ -371,6 +383,8 @@ def read_group_file(path):
                 raise ValueError(f"{path}:{lineno}: bad index list") from exc
             if not idx:
                 raise ValueError(f"{path}:{lineno}: empty group")
+            if len(set(idx)) < len(idx):
+                raise ValueError(f"{path}:{lineno}: index {max(idx, key=idx.count)} repeated")
             if head.strip():
                 try:
                     w = float(head)

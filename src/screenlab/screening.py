@@ -221,11 +221,14 @@ def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
 class ScreeningContext:
     """Per-solve precomputation shared by every region construction.
 
-    All full-dictionary correlations used by the tests (with the observation,
-    the extremal atom, and the shifted sphere centers) are computed once here,
-    and so are the slacks of the sphere centers. Per-iteration work is then a
-    few O(N) vector operations and the largest kept correlation; the kept
-    slacks are compared with the radius only when their maximum clears it.
+    Construction computes only ``D.T y`` (`y_corr`) and `lambda_max` (`lmax`),
+    which every solve needs, so `solvers.run` builds one context for each
+    strategy, plain runs included. The other full-dictionary correlations
+    used by the tests (with the extremal atom and the shifted sphere
+    centers) are computed once, on first use, and so are the slacks of the
+    sphere centers. Per-iteration work is then a few O(N) vector operations
+    and the largest kept correlation; the kept slacks are compared with the
+    radius only when their maximum clears it.
 
     Most dynamic screens certify nothing, and `screen` recognizes many of
     them before it builds a region. Any one kept atom (group) j bounds the

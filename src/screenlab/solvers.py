@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screening
-from .dictionary import operator_norm
+from .dictionary import GroupLayout, operator_norm
 from .instrument import (
     DYNAMIC,
     NONE,
@@ -31,7 +31,8 @@ from .instrument import (
     flops_static_init,
     problem_digest,
 )
-from .problems import GROUP, LASSO, expand, lambda_max, penalty_value, prox_l1
+from .problems import GROUP, LASSO, expand, penalty_value, prox_l1
+from .problems import lambda_max  # noqa: F401  (perfbench/tracing.py looks the name up here)
 
 ISTA = "ista"
 FISTA = "fista"
@@ -68,21 +69,21 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.strategy != NONE:
-            allowed = screening.LASSO_TESTS if kind == LASSO else screening.GROUP_TESTS
-            if self.test is None:
-                raise ValueError("screening strategies require a test kind")
-            if self.test not in allowed:
-                raise ValueError(f"test {self.test!r} does not apply to {kind} problems")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iters must be an int of at least 1, not {iters!r}")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, not {self.rel_tol!r}")
+        if self.strategy != NONE and self.test is None:
+            raise ValueError("screening strategies require a test kind")
+        allowed = screening.LASSO_TESTS if kind == LASSO else screening.GROUP_TESTS
+        if self.test is not None and self.test not in allowed:
+            raise ValueError(f"test {self.test!r} does not apply to {kind} problems")
 
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: primal block, dual point, and step scalars.
+    """Mutable per-run state: primal block, screened positions, dual point, step scalars.
 
     `u` is the extrapolated point of FISTA and Chambolle-Pock. `resid` and
     `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
@@ -90,9 +91,14 @@ class SolverState:
     restarts at the Barzilai-Borwein curvature of each step it takes; `step`
     is the fixed step of TwIST and Chambolle-Pock. `next_corr` holds
     the correlations of the next step's dual point when already known.
+    `layout` places the positions of x in their groups (None for the l1
+    penalty), and `screen_state.kept[p]` is the original column of ``x[p]``;
+    `_reduce_state` drops screened positions from both and from the iterates.
     """
 
     x: np.ndarray
+    layout: GroupLayout | None = None
+    screen_state: screening.ScreenState | None = None
     x_prev: np.ndarray | None = None
     u: np.ndarray | None = None
     theta: np.ndarray | None = None
@@ -133,20 +139,13 @@ class SolveResult:
         return self.screen_state.eliminated.size / self.screen_state.size
 
 
-def _resolve_layout(problem, dic, layout):
-    if problem.kind == LASSO:
-        return None
-    if layout is not None:
-        return layout
-    if dic.n_cols != problem.n_cols:
-        raise ValueError("reduced group problems need an explicit layout")
-    return problem.partition.layout()
-
-
-def _prox(v, t, layout):
-    if layout is None:
-        return prox_l1(v, t)
-    return layout.prox(v, t)
+def _prox(state, problem):
+    """The prox ``(v, t) -> prox of t * penalty at v`` over the positions of ``state.x``."""
+    if state.layout is not None:
+        return state.layout.prox
+    if problem.kind == GROUP:
+        raise ValueError("a group problem's solver state needs state.layout; see init_state")
+    return prox_l1
 
 
 def _resid_at(dic, v, y):
@@ -197,17 +196,18 @@ def _extrapolated_resid(state, dic, y):
     return state.u_resid
 
 
-def _backtrack(point, theta, corr, dic, y, lam, L, layout):
+def _backtrack(point, theta, corr, dic, y, lam, L, prox):
     """Backtracking prox step from `point`; returns (x_new, resid_new, L).
 
-    `theta` and `corr` are the residual and gradient at `point`. L grows by
+    `theta` and `corr` are the residual and gradient at `point`, and `prox`
+    is the penalty's, from `_prox`. L grows by
     the backtrack factor until the quadratic majorization
     ``f(x_new) <= f(point) + <grad, dx> + L/2 ||dx||^2`` holds; the accepted
     trial's residual is returned so callers can reuse it.
     """
     f0 = 0.5 * float(theta @ theta)
     while True:
-        cand = _prox(point - corr / L, lam / L, layout)
+        cand = prox(point - corr / L, lam / L)
         resid_cand = dic.apply(cand) - y
         f_cand = 0.5 * float(resid_cand @ resid_cand)
         step = cand - point
@@ -219,45 +219,45 @@ def _backtrack(point, theta, corr, dic, y, lam, L, layout):
             raise FloatingPointError("backtracking failed to find a valid step")
 
 
-def update_ista(state, dic, problem, layout=None):
+def update_ista(state, dic, problem):
     """One proximal gradient step with backtracked step size."""
-    layout = _resolve_layout(problem, dic, layout)
+    prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
     corr = _correlate(state, dic, theta)
-    cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, layout)
+    cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, prox)
     _accept(state, theta, corr, cand, resid_cand)
     return state
 
 
-def update_fista(state, dic, problem, layout=None):
+def update_fista(state, dic, problem):
     """One accelerated proximal gradient step (momentum on an auxiliary point)."""
-    layout = _resolve_layout(problem, dic, layout)
+    prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     theta = _extrapolated_resid(state, dic, y)
     corr = _correlate(state, dic, theta)
-    cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, layout)
+    cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, prox)
     l_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.l_acc**2))
     _accept(state, theta, corr, cand, resid_cand, (state.l_acc - 1.0) / l_new)
     state.l_acc = l_new
     return state
 
 
-def update_twist(state, dic, problem, layout=None):
+def update_twist(state, dic, problem):
     """One two-step iterative shrinkage update with fixed mixing weights.
 
     The prox step uses the fixed step size ``state.step`` (set to
     ``1 / ||D||^2`` by the driver), which is the canonical operator scaling
     this scheme assumes; unit-norm columns alone do not bound the operator.
     """
-    layout = _resolve_layout(problem, dic, layout)
+    prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     if state.step is None:
         raise ValueError("update_twist requires state.step")
     s = state.step
     theta = _residual(state, dic, y)
     corr = _correlate(state, dic, theta)
-    z = _prox(state.x - s * corr, lam * s, layout)
+    z = prox(state.x - s * corr, lam * s)
     if state.x_prev is None:
         cand = z
     else:
@@ -267,7 +267,7 @@ def update_twist(state, dic, problem, layout=None):
     return state
 
 
-def update_sparsa(state, dic, problem, layout=None):
+def update_sparsa(state, dic, problem):
     """ISTA's backtracked step, then L restarts at the step's spectral curvature.
 
     The Barzilai-Borwein curvature ``||D s||^2 / ||s||^2`` of the step s,
@@ -275,7 +275,7 @@ def update_sparsa(state, dic, problem, layout=None):
     difference of the two residuals the step holds, so it costs no product.
     A zero step keeps L.
     """
-    update_ista(state, dic, problem, layout)
+    update_ista(state, dic, problem)
     s = state.x - state.x_prev
     ss = float(s @ s)
     if ss > 0.0:
@@ -284,7 +284,7 @@ def update_sparsa(state, dic, problem, layout=None):
     return state
 
 
-def update_cp(state, dic, problem, layout=None):
+def update_cp(state, dic, problem):
     """One primal-dual step with constant primal and dual steps ``state.step``.
 
     The dual variable is averaged toward the residual at the extrapolated
@@ -292,7 +292,7 @@ def update_cp(state, dic, problem, layout=None):
     extrapolated point is ``2 * x_new - x``. The step's one product is the
     new iterate's residual, which also gives the next extrapolated point's.
     """
-    layout = _resolve_layout(problem, dic, layout)
+    prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     if state.step is None:
         raise ValueError("update_cp requires state.step")
@@ -300,7 +300,7 @@ def update_cp(state, dic, problem, layout=None):
     s = state.step
     theta = (theta_prev + s * _extrapolated_resid(state, dic, y)) / (1.0 + s)
     corr = dic.correlate(theta)
-    cand = _prox(state.x - s * corr, lam * s, layout)
+    cand = prox(state.x - s * corr, lam * s)
     _accept(state, theta, corr, cand, _resid_at(dic, cand, y), 1.0)
     return state
 
@@ -314,26 +314,32 @@ _UPDATES = {
 }
 
 
-def init_state(problem, cfg, kept_count=None):
-    """Fresh zero-initialized solver state sized for `kept_count` columns."""
-    k = problem.n_cols if kept_count is None else int(kept_count)
+def init_state(problem, cfg):
+    """Fresh zero-initialized solver state over every column of `problem`.
+
+    Its layout is the partition's `full` one for a group problem, and its
+    screened set the initial one, with nothing eliminated. The extrapolated
+    point and Chambolle-Pock's dual point are set by the first step, to x
+    and to 0.
+    """
+    k, layout = problem.n_cols, problem.partition.full if problem.kind == GROUP else None
     # x starts at zero, so the residual D @ x - y is known without a product
-    state = SolverState(x=np.zeros(k), resid=-problem.y)
-    if cfg.algorithm in (FISTA, CP):
-        state.u, state.u_resid = state.x, state.resid
+    state = SolverState(x=np.zeros(k), layout=layout, resid=-problem.y,
+                        screen_state=screening.ScreenState.initial(k))
     if cfg.algorithm == CP:
         state.step = _CP_STEP_SAFETY / operator_norm(problem.dictionary)
-        state.theta = np.zeros(problem.n_rows)
     if cfg.algorithm == TWIST:
         state.step = 1.0 / operator_norm(problem.dictionary) ** 2
     return state
 
 
 def _reduce_state(state, mask):
-    """Drop the screened positions `mask` from the primal vectors.
+    """Drop the screened positions `mask` from everything indexed by the positions of x.
 
-    A residual stays valid only while every coefficient its vector loses is
+    That is the primal vectors, the group layout and the screened set. A
+    residual stays valid only while every coefficient its vector loses is
     zero; otherwise it is cleared, and recomputed where it is next needed.
+    The dictionary is the caller's to reduce.
     """
     keep = ~mask
     if state.x[mask].any():
@@ -345,6 +351,9 @@ def _reduce_state(state, mask):
         if state.u[mask].any():
             state.u_resid = None
         state.u = state.u[keep]
+    if state.layout is not None:
+        state.layout = state.layout.without(mask)
+    state.screen_state = screening.screen_update(state.screen_state, mask)
     state.corr = None
 
 
@@ -358,15 +367,16 @@ def run(problem, cfg, iteration_hook=None):
     iteration at the dual point the update just produced, and the eliminated
     set grows monotonically. Above the trivial-solution threshold every atom
     is screened before the first iteration, and the zero solution is
-    returned without one.
+    returned without one. Each of the three eliminations drops its mask from
+    the state with `_reduce_state` and reduces the dictionary on its own.
+    The screening context serves every strategy: a plain run takes
+    ``D.T y`` and `lambda_max` from it too.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
     k, n = problem.n_cols, problem.n_rows
     group_count = problem.partition.n_groups if problem.kind == GROUP else 0
-    ctx = screening.ScreeningContext(problem) if cfg.strategy != NONE else None
-    y_corr = problem.dictionary.correlate(problem.y) if ctx is None else ctx.y_corr
-    lmax = lambda_max(problem, y_corr) if ctx is None else ctx.lmax
+    ctx = screening.ScreeningContext(problem)
     trace = SolveTrace(
         kind=problem.kind,
         strategy=cfg.strategy,
@@ -377,39 +387,35 @@ def run(problem, cfg, iteration_hook=None):
         digest=problem_digest(problem),
     )
 
-    state_screen = screening.ScreenState.initial(k)
+    state = init_state(problem, cfg)
     dic = problem.dictionary
-    layout = problem.partition.layout() if problem.kind == GROUP else None
-
-    if problem.lam > lmax.value:
+    if problem.lam > ctx.lmax.value:
         # the zero solution: every column goes, and the loop below stops at once
-        state_screen = screening.screen_update(state_screen, np.ones(k, dtype=bool))
+        _reduce_state(state, np.ones(k, dtype=bool))
     elif cfg.strategy == STATIC:
-        mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state_screen.kept, layout)
-        state_screen = screening.screen_update(state_screen, mask)
-        dic = dic.reduce(state_screen.kept)
-        if layout is not None:
-            layout = layout.without(mask)
+        mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state.screen_state.kept, state.layout)
+        _reduce_state(state, mask)
+        dic = dic.reduce(state.screen_state.kept)
         trace.init_flops = flops_static_init(k, n)
 
-    state = init_state(problem, cfg, kept_count=state_screen.kept.size)
     if cfg.algorithm != CP and dic is problem.dictionary:
         # x = 0 puts the first dual point at -y, and negation is exact
-        state.next_corr = -y_corr
+        state.next_corr = -ctx.y_corr
     update = _UPDATES[cfg.algorithm]
 
     f_prev = None
     iterations = 0
     moved = False
     for t in range(1, cfg.max_iters + 1):
-        if state_screen.kept.size == 0:
+        if state.screen_state.kept.size == 0:
             break
-        update(state, dic, problem, layout)
+        update(state, dic, problem)
         iterations = t
 
         mask = None
         if cfg.strategy == DYNAMIC:
-            mask = ctx.screen(cfg.test, state.theta, state.corr, state_screen.kept, layout)
+            kept = state.screen_state.kept
+            mask = ctx.screen(cfg.test, state.theta, state.corr, kept, state.layout)
 
         if iteration_hook is not None:
             iteration_hook(
@@ -417,26 +423,24 @@ def run(problem, cfg, iteration_hook=None):
                     t=t,
                     theta=state.theta,
                     corr=state.corr,
-                    kept=state_screen.kept,
-                    kept_groups=layout.group_ids if layout is not None else None,
+                    kept=state.screen_state.kept,
+                    kept_groups=state.layout.group_ids if state.layout is not None else None,
                     mask=mask,
                     x=state.x,
                 )
             )
 
         if mask is not None and mask.any():
-            state_screen = screening.screen_update(state_screen, mask)
             dic = _reduce_dic(dic, np.flatnonzero(~mask))
-            if layout is not None:
-                layout = layout.without(mask)
             _reduce_state(state, mask)
 
         if state.resid is None:
             state.resid = _resid_at(dic, state.x, problem.y)
-        f_t = 0.5 * float(state.resid @ state.resid) + problem.lam * penalty_value(state.x, layout)
+        f_t = 0.5 * float(state.resid @ state.resid)
+        f_t += problem.lam * penalty_value(state.x, state.layout)
         nnz = int(np.count_nonzero(state.x))
         # the flop column is filled in once, from the kept and sparsity columns
-        trace.append(t, state_screen.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)
+        trace.append(t, state.screen_state.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)
 
         # The variation test only means something once the iterate has left the
         # all-zero start; a dual-driven method can sit at zero for a few warmup
@@ -447,14 +451,14 @@ def run(problem, cfg, iteration_hook=None):
         f_prev = f_t
 
     trace.flops_cum = trace.recompute_flops()
-    x_star = expand(state.x, state_screen.kept, k)
+    x_star = expand(state.x, state.screen_state.kept, k)
     final_objective = trace.objective[-1] if trace.objective else 0.5 * float(problem.y @ problem.y)
     return SolveResult(
         x_star=x_star,
         iterations=iterations,
         trace=trace,
         final_objective=final_objective,
-        screen_state=state_screen,
+        screen_state=state.screen_state,
     )
 
 

@@ -187,6 +187,37 @@ class TestSolve:
                            "--strategy", "dynamic", "--test", "gsafe") == 1
             assert f"{groups}:3: bad weight" in capsys.readouterr().err
 
+    def test_matrix_observation_names_file_and_shape(self, tmp_path, capsys):
+        d, y = tmp_path / "d.dsmx", tmp_path / "y.dsmx"
+        assert run_cli("gen", "--kind", "gaussian", "--n", "10", "--k", "20",
+                       "--seed", "3", "--out", str(d)) == 0
+        obs = np.arange(1.0, 11.0) / np.linalg.norm(np.arange(1.0, 11.0))
+        argv = ["solve", "--dict", str(d), "--obs", str(y), "--lambda-ratio", "0.5",
+                "--algo", "ista"]
+        for shape in ((10, 1), (1, 10)):
+            sl.write_dsmx(y, obs.reshape(shape))
+            assert run_cli(*argv) == 0
+        capsys.readouterr()
+        sl.write_dsmx(y, obs.reshape(2, 5))
+        assert run_cli(*argv) == 1
+        assert f"{y}: observation must be one row or column, not (2, 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("4,5,4", "{path}:3: index 4 repeated"),
+        ("4,130", "group 2: indices must lie in [0, 120), not 130"),
+        ("1.0;2,3", "groups must be disjoint; 2 is in groups 1, 2"),
+        ("0.0;4,5", "group 2: weight 0.0 must be finite and positive"),
+    ])
+    def test_group_file_errors_name_the_group(self, lasso_files, tmp_path, capsys, line, message):
+        d, y = lasso_files
+        groups = tmp_path / "g.txt"
+        lines = [f"1.0;{2 * i},{2 * i + 1}" for i in range(60)]
+        lines[2] = line
+        groups.write_text("\n".join(lines) + "\n")
+        assert run_cli("solve", "--dict", str(d), "--obs", str(y), "--groups", str(groups),
+                       "--lambda-ratio", "0.7", "--algo", "fista") == 1
+        assert message.format(path=groups) in capsys.readouterr().err
+
 
 class TestBench:
     def test_single_cell_row_count(self, tmp_path):

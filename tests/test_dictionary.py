@@ -319,6 +319,12 @@ class TestGroupFile:
         with pytest.raises(ValueError, match="empty group"):
             read_group_file(path)
 
+    def test_repeated_index_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0,1\n# note\n3,2,3\n")
+        with pytest.raises(ValueError, match=rf"{path}:3: index 3 repeated"):
+            read_group_file(path)
+
     def test_rejects_bad_weights(self, tmp_path):
         path = tmp_path / "g.txt"
         for weight in ("x", "nan", "inf", "-inf"):
@@ -381,6 +387,23 @@ class TestGroupPartition:
             GroupPartition.build(dic, [np.arange(5), np.arange(4, 8)])
         with pytest.raises(ValueError, match="cover"):
             GroupPartition.build(dic, [np.arange(4)])
+
+    def test_errors_name_the_group_and_its_fault(self):
+        dic, _ = self.make()
+        cases = [
+            ([np.arange(4), np.array([5, 4, 6, 7])], "group 1: .*strictly increasing; 4 follows 5"),
+            ([np.arange(4), np.arange(4, 9)], r"group 1: indices must lie in \[0, 8\), not 8"),
+            ([np.arange(4), np.array([], dtype=int), np.arange(4, 8)], "nonempty; group 1 is empty"),
+            ([np.arange(5), np.arange(4, 8)], "disjoint; 4 is in groups 0, 1"),
+            ([np.arange(3), np.arange(4, 8)], "cover every column; 3 is in none"),
+        ]
+        for groups, message in cases:
+            with pytest.raises(ValueError, match=message):
+                GroupPartition.build(dic, groups)
+        with pytest.raises(ValueError, match="group 1: weight -2.0 must be finite and positive"):
+            GroupPartition.build(dic, [np.arange(4), np.arange(4, 8)], weights=[1.0, -2.0])
+        with pytest.raises(ValueError, match="one weight per group, not 3 for 2"):
+            GroupPartition.build(dic, [np.arange(4), np.arange(4, 8)], weights=[1.0, 1.0, 1.0])
 
     def test_rejects_nonpositive_weights(self):
         dic, _ = self.make()

@@ -34,6 +34,54 @@ class TestInitState:
         assert not st.x.any()
         assert np.array_equal(st.resid, -p.y)
 
+    @pytest.mark.parametrize("kind", ["lasso", "group"])
+    def test_full_layout_and_initial_screened_set(self, kind):
+        p = make_lasso(3) if kind == "lasso" else make_group(3)
+        st = init_state(p, SolverConfig())
+        assert st.layout is (p.partition.full if kind == "group" else None)
+        assert np.array_equal(st.screen_state.kept, np.arange(p.n_cols))
+        assert st.screen_state.eliminated.size == 0
+        assert not st.screen_state.kept.flags.writeable
+        assert st.x.size == p.n_cols
+
+
+class TestReduceState:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("strategy", ["static", "dynamic"])
+    def test_positions_stay_aligned_after_every_fold(self, algo, strategy, monkeypatch):
+        # x, the iterates, the layout and the kept set are reduced together:
+        # after each fold they have one length, and the layout is the one of
+        # the kept columns. Here the static screen keeps 24 of the 30
+        # columns, and a dynamic run folds 3 or 4 times.
+        p = make_group(15, k=30, ratio=0.5)
+        fold = solvers._reduce_state
+        sizes = []
+
+        def checking(state, mask):
+            fold(state, mask)
+            kept = state.screen_state.kept
+            sizes.append(kept.size)
+            assert state.x.size == state.layout.member.size == kept.size
+            for v in (state.x_prev, state.u):
+                assert v is None or v.size == kept.size
+            for name, ref in vars(p.partition.layout(kept)).items():
+                assert np.array_equal(getattr(state.layout, name), ref), name
+
+        monkeypatch.setattr(solvers, "_reduce_state", checking)
+        res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy, test="gst3",
+                                     max_iters=300, rel_tol=1e-10))
+        assert sizes[-1] == res.screen_state.kept.size < p.n_cols
+        if strategy == "dynamic":
+            assert len(sizes) > 1
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    def test_group_state_without_layout_raises(self, algo):
+        p = make_group(3)
+        st = init_state(p, SolverConfig(algorithm=algo))
+        st.layout = None
+        with pytest.raises(ValueError, match="state.layout"):
+            solvers._UPDATES[algo](st, p.dictionary, p)
+
 
 class TestUpdateIsta:
     def test_one_step_solves_orthonormal(self):
@@ -309,6 +357,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="does not apply"):
             SolverConfig(strategy="static", test="dome").validate("group")
 
+    @pytest.mark.parametrize("strategy", sl.STRATEGIES)
+    def test_unknown_test_rejected_under_every_strategy(self, strategy):
+        for kind in ("lasso", "group"):
+            with pytest.raises(ValueError, match="'bogus'"):
+                SolverConfig(strategy=strategy, test="bogus").validate(kind)
+
+    @pytest.mark.parametrize("bad", [2.5, True, False, "10", None])
+    def test_max_iters_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=bad).validate("lasso")
+
+    def test_numpy_int_max_iters_accepted(self):
+        SolverConfig(max_iters=np.int64(5)).validate("lasso")
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-7, np.inf, np.nan])
+    def test_rel_tol_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SolverConfig(rel_tol=bad).validate("lasso")
+
 
 class TestRun:
     @pytest.mark.parametrize("algo", sl.ALGORITHMS)
@@ -573,12 +640,12 @@ class TestResidualReuse:
         widths = []
         update = solvers._UPDATES[algo]
 
-        def checking(state, dic, problem, layout=None):
+        def checking(state, dic, problem):
             if state.u_resid is not None:
                 want = dic.apply(state.u) - problem.y
                 assert np.allclose(state.u_resid, want, rtol=0.0, atol=1e-12)
                 widths.append(dic.n_cols)
-            return update(state, dic, problem, layout)
+            return update(state, dic, problem)
 
         monkeypatch.setitem(solvers._UPDATES, algo, checking)
         test = "dst3" if kind == "lasso" else "gst3"
