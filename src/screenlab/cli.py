@@ -58,9 +58,19 @@ class BenchPlan:
             raise ValueError(f"unknown dictionary kind {self.dict_kind!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        seeds = list(self.seeds)
+        repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"seed {repeated} is repeated")
         ratios = list(self.lambda_ratios)
-        if ratios != sorted(ratios) or not ratios:
+        if not ratios:
             raise ValueError("lambda ratios must be given in ascending order")
+        for a, b in zip(ratios, ratios[1:]):
+            if b <= a:
+                what = f"{b} is repeated" if b == a else f"{b} follows {a}"
+                raise ValueError(
+                    f"lambda ratios must be given in ascending order, once each: {what}"
+                )
         if ratios[0] <= 0 or ratios[-1] > 1:
             raise ValueError("lambda ratios must lie in (0, 1]")
         if self.problem == "group" and (self.group_size < 1 or self.k % self.group_size):
@@ -172,8 +182,13 @@ def _load_problem(args):
         raise ValueError(f"{args.obs}: observation must be one row or column, not {y.shape}")
     y = y.ravel()
     if args.normalize:
-        mat = mat / np.linalg.norm(mat, axis=0)
-        y = y / np.linalg.norm(y)
+        col_norms, y_norm = np.linalg.norm(mat, axis=0), np.linalg.norm(y)
+        zero = np.flatnonzero(col_norms == 0.0)
+        if zero.size:
+            raise ValueError(f"{args.dict}: column {zero[0] + 1} is zero and cannot be normalized")
+        if y_norm == 0.0:
+            raise ValueError(f"{args.obs}: observation is zero and cannot be normalized")
+        mat, y = mat / col_norms, y / y_norm
     dic = Dictionary(mat)
     partition = None
     if args.groups:
@@ -357,6 +372,11 @@ def aggregate_report(rows):
     baselines = {}
     for r in rows:
         if r["strategy"] == instrument.NONE:
+            if not (r["flops"] > 0 and r["time_s"] > 0):
+                raise ValueError(
+                    f"baseline run for seed={r['seed']} algo={r['algo']} ratio={r['lambda_ratio']}"
+                    f" needs positive flops and time_s, not {r['flops']} and {r['time_s']}"
+                )
             baselines[(r["seed"], r["algo"], r["lambda_ratio"])] = r
     out = {}
     for r in rows:

@@ -19,9 +19,18 @@ _ALIGN_BYTES = 64
 def index_set(values, size=None):
     """Validate and return a strictly increasing int64 index array.
 
-    `size`, when given, bounds the indices to ``[0, size)``.
+    `size`, when given, bounds the indices to ``[0, size)``. Values of a
+    non-integer dtype must be whole numbers; a boolean mask is rejected.
     """
-    arr = np.asarray(values, dtype=np.int64).ravel()
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        if arr.dtype.kind == "b":
+            raise ValueError("indices must be integers, not a boolean mask")
+        arr = np.asarray(arr, dtype=np.float64)
+        bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if bad.any():
+            raise ValueError(f"indices must be integers, not {arr.flat[np.argmax(bad)]}")
+    arr = arr.astype(np.int64, copy=False).ravel()
     if arr.size and np.any(np.diff(arr) <= 0):
         i = int(np.argmax(np.diff(arr) <= 0))
         raise ValueError(f"index set must be strictly increasing; {arr[i + 1]} follows {arr[i]}")

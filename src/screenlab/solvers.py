@@ -89,8 +89,7 @@ class SolverState:
     `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
     `L` is the backtracked curvature of ISTA, FISTA and SpaRSA, which SpaRSA
     restarts at the Barzilai-Borwein curvature of each step it takes; `step`
-    is the fixed step of TwIST and Chambolle-Pock. `next_corr` holds
-    the correlations of the next step's dual point when already known.
+    is the fixed step of TwIST and Chambolle-Pock.
     `layout` places the positions of x in their groups (None for the l1
     penalty), and `screen_state.kept[p]` is the original column of ``x[p]``;
     `_reduce_state` drops screened positions from both and from the iterates.
@@ -108,20 +107,6 @@ class SolverState:
     L: float = 1.0
     l_acc: float = 1.0
     step: float | None = None
-    next_corr: np.ndarray | None = None
-
-
-@dataclass
-class IterationInfo:
-    """Snapshot handed to an iteration hook, before any reduction is applied."""
-
-    t: int
-    theta: np.ndarray
-    corr: np.ndarray
-    kept: np.ndarray
-    kept_groups: np.ndarray | None
-    mask: np.ndarray | None
-    x: np.ndarray
 
 
 @dataclass
@@ -155,10 +140,6 @@ def _resid_at(dic, v, y):
     return dic.apply(v) - y
 
 
-def _correlate(state, dic, theta):
-    return dic.correlate(theta) if state.next_corr is None else state.next_corr
-
-
 def _residual(state, dic, y):
     if state.resid is not None:
         return state.resid
@@ -171,20 +152,19 @@ def _accept(state, theta, corr, cand, resid_cand, weight=None):
     `resid_cand` is ``D @ cand - y``, or None when the step did not compute
     it. With a `weight`, also sets ``u = cand + weight * (cand - x)``; its
     residual is the same combination of the residuals of `cand` and of the
-    current x, so it costs no product while x's residual is known.
+    current x, so it costs no product while x's residual is known. FISTA's
+    first weight is 0 and its x is +0 there, so u is `cand` to the bit.
     """
     if not np.isfinite(cand).all():
         raise FloatingPointError("solver produced a non-finite iterate")
-    if weight == 0.0:
-        state.u, state.u_resid = cand, resid_cand
-    elif weight is not None:
+    if weight is not None:
         state.u = cand + weight * (cand - state.x)
         if state.resid is None:
             state.u_resid = None
         else:
             state.u_resid = resid_cand + weight * (resid_cand - state.resid)
     state.x_prev, state.x, state.resid = state.x, cand, resid_cand
-    state.theta, state.corr, state.next_corr = theta, corr, None
+    state.theta, state.corr = theta, corr
 
 
 def _extrapolated_resid(state, dic, y):
@@ -224,7 +204,7 @@ def update_ista(state, dic, problem):
     prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     theta = _residual(state, dic, y)
-    corr = _correlate(state, dic, theta)
+    corr = dic.correlate(theta)
     cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, prox)
     _accept(state, theta, corr, cand, resid_cand)
     return state
@@ -235,7 +215,7 @@ def update_fista(state, dic, problem):
     prox = _prox(state, problem)
     y, lam = problem.y, problem.lam
     theta = _extrapolated_resid(state, dic, y)
-    corr = _correlate(state, dic, theta)
+    corr = dic.correlate(theta)
     cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, prox)
     l_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.l_acc**2))
     _accept(state, theta, corr, cand, resid_cand, (state.l_acc - 1.0) / l_new)
@@ -256,7 +236,7 @@ def update_twist(state, dic, problem):
         raise ValueError("update_twist requires state.step")
     s = state.step
     theta = _residual(state, dic, y)
-    corr = _correlate(state, dic, theta)
+    corr = dic.correlate(theta)
     z = prox(state.x - s * corr, lam * s)
     if state.x_prev is None:
         cand = z
@@ -370,7 +350,15 @@ def run(problem, cfg, iteration_hook=None):
     returned without one. Each of the three eliminations drops its mask from
     the state with `_reduce_state` and reduces the dictionary on its own.
     The screening context serves every strategy: a plain run takes
-    ``D.T y`` and `lambda_max` from it too.
+    ``D.T y`` and `lambda_max` from it too. Every iteration, the first
+    included, correlates its own dual point.
+
+    `iteration_hook(t, state, mask)` is called after each update and its
+    screen, before the mask is dropped: `mask` is the dynamic elimination
+    aligned with the positions of ``state.x`` (None for the other
+    strategies). The hook reads the live `SolverState` and must not modify
+    it. The loop replaces the arrays it holds and never writes into them,
+    so an array a hook keeps still holds the values it had at the call.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -398,9 +386,6 @@ def run(problem, cfg, iteration_hook=None):
         dic = dic.reduce(state.screen_state.kept)
         trace.init_flops = flops_static_init(k, n)
 
-    if cfg.algorithm != CP and dic is problem.dictionary:
-        # x = 0 puts the first dual point at -y, and negation is exact
-        state.next_corr = -ctx.y_corr
     update = _UPDATES[cfg.algorithm]
 
     f_prev = None
@@ -418,17 +403,7 @@ def run(problem, cfg, iteration_hook=None):
             mask = ctx.screen(cfg.test, state.theta, state.corr, kept, state.layout)
 
         if iteration_hook is not None:
-            iteration_hook(
-                IterationInfo(
-                    t=t,
-                    theta=state.theta,
-                    corr=state.corr,
-                    kept=state.screen_state.kept,
-                    kept_groups=state.layout.group_ids if state.layout is not None else None,
-                    mask=mask,
-                    x=state.x,
-                )
-            )
+            iteration_hook(t, state, mask)
 
         if mask is not None and mask.any():
             dic = _reduce_dic(dic, np.flatnonzero(~mask))

@@ -75,14 +75,15 @@ def _nesting_hook(problem, ctx, sink):
         tests = screening.GROUP_TESTS
         pairs = ((screening.GSAFE, screening.GST3),)
 
-    def hook(info):
+    def hook(t, state, mask):
         sink["checks"] += 1
-        masks = {tk: ctx.screen(tk, info.theta, info.corr, info.kept) for tk in tests}
+        kept = state.screen_state.kept
+        masks = {tk: ctx.screen(tk, state.theta, state.corr, kept) for tk in tests}
         for weaker, stronger in pairs:
             extra = int(np.sum(masks[weaker] & ~masks[stronger]))
             if extra:
                 sink["violations"].append(
-                    (problem.kind, info.t, f"{weaker} !<= {stronger}", extra)
+                    (problem.kind, t, f"{weaker} !<= {stronger}", extra)
                 )
 
     return hook
@@ -170,9 +171,9 @@ class TestCriterion3FirstIterationEquivalence:
             problem = make_problem("lasso", 100 + i, ratios[i % len(ratios)])
             captured = {}
 
-            def hook(info):
-                if info.t == 1:
-                    captured["set"] = np.sort(info.kept[info.mask])
+            def hook(t, state, mask):
+                if t == 1:
+                    captured["set"] = np.sort(state.screen_state.kept[mask])
 
             sl.run(problem, sl.SolverConfig(algorithm="ista", strategy="dynamic",
                                             test="safe", max_iters=1), iteration_hook=hook)

@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -153,6 +154,27 @@ class TestSolve:
                        "--lambda-ratio", "0.7", "--algo", "ista", "--normalize") == 0
         assert "objective" in capsys.readouterr().out
 
+    def test_normalize_rejects_zero_column_and_observation(self, tmp_path, capsys):
+        # a zero norm is named before any division, with no numpy warning
+        def write_csv(name, mat):
+            path = tmp_path / name
+            path.write_text("\n".join(",".join(f"{float(v)!r}" for v in row) for row in mat) + "\n")
+            return path
+
+        mat = np.eye(4)[:, :3]
+        good = write_csv("good.csv", mat)
+        mat[:, 1] = 0.0
+        zero_col = write_csv("zero_col.csv", mat)
+        y = write_csv("y.csv", [[1.0], [2.0], [0.0], [0.0]])
+        zero_y = write_csv("zero_y.csv", np.zeros((4, 1)))
+        for dic, obs, message in ((zero_col, y, f"{zero_col}: column 2 is zero"),
+                                  (good, zero_y, f"{zero_y}: observation is zero")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("solve", "--dict", str(dic), "--obs", str(obs), "--normalize",
+                               "--lambda-ratio", "0.5", "--algo", "ista") == 1
+            assert message in capsys.readouterr().err
+
     def test_nan_in_csv_dictionary_names_file_and_entry(self, lasso_files, tmp_path, capsys):
         _, y = lasso_files
         mat = np.eye(4)[:, :3]
@@ -273,6 +295,22 @@ class TestBench:
             run_cli("bench", "--problem", "lasso", "--n", "15", "--k", "30",
                     "--ratios", "1.5", "--seeds", "1", "--out", str(tmp_path / "b.csv"))
 
+    def test_repeated_ratio_or_seed_rejected(self, tmp_path):
+        # a repeated value would solve one problem twice, and `report` keys
+        # its baselines by (seed, algorithm, ratio)
+        cases = [
+            ("0.5,0.5", "1", "ascending order, once each: 0.5 is repeated"),
+            ("0.5,0.3", "1", "ascending order, once each: 0.3 follows 0.5"),
+            ("0.5", "1,2,1", "seed 1 is repeated"),
+        ]
+        for ratios, seeds, message in cases:
+            out = tmp_path / "b.csv"
+            with pytest.raises(SystemExit, match=message):
+                run_cli("bench", "--problem", "lasso", "--n", "15", "--k", "30", "--algos", "ista",
+                        "--strategies", "none", "--tests", "", "--ratios", ratios,
+                        "--seeds", seeds, "--out", str(out))
+            assert not out.exists()
+
     def test_bench_and_report_round_trip(self, tmp_path):
         bench = tmp_path / "b.csv"
         report = tmp_path / "r.csv"
@@ -323,6 +361,19 @@ class TestBench:
         bad.write_text("not,a,bench\n1,2,3\n")
         with pytest.raises(SystemExit):
             run_cli("report", "--input", str(bad), "--out", str(tmp_path / "r.csv"))
+
+    def test_report_rejects_nonpositive_baseline(self, tmp_path):
+        # `report` divides by the baseline's flops and time
+        bench = tmp_path / "b.csv"
+        header = "seed,algo,strategy,test,lambda_ratio,iters,flops,time_s,final_obj,screened_frac\n"
+        screened = "3,ista,dynamic,safe,0.5,10,400,1.0,0.4,0.5\n"
+        for base, bad in (("3,ista,none,-,0.5,10,1000,0.0,0.4,0.0\n", "not 1000 and 0.0"),
+                          ("3,ista,none,-,0.5,10,0,2.0,0.4,0.0\n", "not 0 and 2.0"),
+                          ("3,ista,none,-,0.5,10,1000,nan,0.4,0.0\n", "not 1000 and nan")):
+            bench.write_text(header + base + screened)
+            want = f"seed=3 algo=ista ratio=0.5 needs positive flops and time_s, {bad}"
+            with pytest.raises(SystemExit, match=want):
+                run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
 
     def test_report_requires_baseline(self, tmp_path):
         bench = tmp_path / "b.csv"

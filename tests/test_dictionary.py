@@ -240,6 +240,24 @@ class TestIndexSet:
             index_set([0, 5], size=5)
         assert np.array_equal(index_set([0, 4], size=5), np.array([0, 4]))
 
+    def test_rejects_fractional_values(self):
+        # a cast to int64 would truncate them without a word
+        for values, bad in (([0.5, 1.7, 2.2], "0.5"), ([0.0, 1.9], "1.9"),
+                            ([1.0, np.nan], "nan"), ([np.inf], "inf")):
+            with pytest.raises(ValueError, match=f"indices must be integers, not {bad}$"):
+                index_set(values, size=5)
+        with pytest.raises(ValueError, match="not 0.9"):
+            sl.expand(np.ones(2), [0.9, 2.5], 4)
+
+    def test_rejects_boolean_mask(self):
+        with pytest.raises(ValueError, match="not a boolean mask"):
+            index_set(np.array([True, False, True]))
+
+    def test_whole_floats_and_integer_dtypes_pass(self):
+        assert index_set([0.0, 2.0, 3.0], size=5).tolist() == [0, 2, 3]
+        assert index_set(np.array([1, 4], dtype=np.int32)).dtype == np.int64
+        assert index_set([]).dtype == np.int64
+
 
 class TestDsmx(object):
     def test_header_layout(self, tmp_path):
@@ -396,6 +414,8 @@ class TestGroupPartition:
             ([np.arange(4), np.array([], dtype=int), np.arange(4, 8)], "nonempty; group 1 is empty"),
             ([np.arange(5), np.arange(4, 8)], "disjoint; 4 is in groups 0, 1"),
             ([np.arange(3), np.arange(4, 8)], "cover every column; 3 is in none"),
+            ([[0.0, 1.9], [2, 3], np.arange(4, 8)], "group 0: indices must be integers, not 1.9"),
+            ([np.arange(4), np.arange(8) >= 4], "group 1: indices must be integers, not a boolean"),
         ]
         for groups, message in cases:
             with pytest.raises(ValueError, match=message):

@@ -636,11 +636,12 @@ class TestLeanScreen:
         ctx = screening.ScreeningContext(p)
         kept_sizes = []
 
-        def hook(info):
-            layout = p.partition.layout(info.kept) if p.kind == sl.GROUP else None
-            want, _ = reference_screen(ctx, kind, info.theta, info.corr, info.kept, layout)
-            assert np.array_equal(info.mask, want), info.t
-            kept_sizes.append(info.kept.size)
+        def hook(t, state, mask):
+            kept = state.screen_state.kept
+            layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
+            want, _ = reference_screen(ctx, kind, state.theta, state.corr, kept, layout)
+            assert np.array_equal(mask, want), t
+            kept_sizes.append(kept.size)
 
         cfg = sl.SolverConfig(algorithm="fista", strategy="dynamic", test=kind,
                               max_iters=300, rel_tol=1e-10)
@@ -694,10 +695,10 @@ class TestRadiusBound:
         for p in _bound_problems(kind):
             ref = screening.ScreeningContext(p)
 
-            def hook(info):
+            def hook(t, state, mask):
                 nonlocal screens, flagged
-                want = exact_screen(ref, kind, info.theta, info.corr, info.kept)
-                assert np.array_equal(info.mask, want), info.t
+                want = exact_screen(ref, kind, state.theta, state.corr, state.screen_state.kept)
+                assert np.array_equal(mask, want), t
                 screens += 1
                 flagged += int(want.any())
 
@@ -713,12 +714,12 @@ class TestRadiusBound:
         for p in _bound_problems(kinds[0]):
             ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
 
-            def hook(info):
+            def hook(t, state, mask):
                 nonlocal screens
                 for kind in kinds:
-                    got = ctx.screen(kind, info.theta, info.corr, info.kept)
-                    assert np.array_equal(got, exact_screen(ref, kind, info.theta, info.corr,
-                                                            info.kept))
+                    got = ctx.screen(kind, state.theta, state.corr, state.screen_state.kept)
+                    assert np.array_equal(got, exact_screen(ref, kind, state.theta, state.corr,
+                                                            state.screen_state.kept))
                     screens += 1
 
             for algo in ("ista", "fista", "cp"):
@@ -889,24 +890,24 @@ class TestReducedDualFeasibility:
         checked = []
 
         def make_hook(problem):
-            def hook(info):
+            def hook(t, state, mask):
                 if problem.kind == sl.LASSO:
-                    ci = float(np.max(np.abs(info.corr), initial=0.0))
-                    mu, v = sl.dual_scale_lasso(problem, info.theta, corr_inf=ci)
-                    corr_v = problem.dictionary.data[:, info.kept].T @ v
+                    ci = float(np.max(np.abs(state.corr), initial=0.0))
+                    mu, v = sl.dual_scale_lasso(problem, state.theta, corr_inf=ci)
+                    corr_v = problem.dictionary.data[:, state.screen_state.kept].T @ v
                     assert np.max(np.abs(corr_v), initial=0.0) <= 1.0 + 1e-9
                 else:
-                    layout = problem.partition.layout(info.kept)
-                    norms = layout.norms(info.corr)
+                    layout = problem.partition.layout(state.screen_state.kept)
+                    norms = layout.norms(state.corr)
                     mu, v = sl.dual_scale_group(
-                        problem, info.theta, group_corr_norms=norms,
+                        problem, state.theta, group_corr_norms=norms,
                         group_weights=layout.weights,
                     )
                     corr_v = problem.dictionary.correlate(v)
-                    vnorms = problem.partition.group_norms(corr_v)[info.kept_groups]
-                    w = problem.partition.weights[info.kept_groups]
+                    vnorms = problem.partition.group_norms(corr_v)[state.layout.group_ids]
+                    w = problem.partition.weights[state.layout.group_ids]
                     assert np.all(vnorms <= w * (1.0 + 1e-9))
-                checked.append(info.t)
+                checked.append(t)
 
             return hook
 

@@ -83,6 +83,34 @@ class TestReduceState:
             solvers._UPDATES[algo](st, p.dictionary, p)
 
 
+class TestIterationHook:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("kind,test", [("lasso", "dst3"), ("group", "gst3")])
+    def test_hook_reads_the_live_state_unwritten(self, algo, kind, test):
+        # the hook gets the state itself, not a snapshot: every array it holds
+        # must keep the bytes it had at the call once the run has ended
+        p = make_lasso(14, ratio=0.8) if kind == "lasso" else make_group(15, k=30, ratio=0.5)
+        held, masks = [], []
+
+        def hook(t, state, mask):
+            size = state.x.size
+            assert mask is None or mask.shape == (size,)
+            assert state.screen_state.kept.size == size
+            if kind == "group":
+                assert state.layout.member.size == size
+            arrays = (state.x, state.theta, state.corr, state.screen_state.kept)
+            held.append([(a, a.tobytes()) for a in arrays])
+            masks.append(mask)
+
+        res = sl.run(p, SolverConfig(algorithm=algo, strategy="dynamic", test=test,
+                                     max_iters=300, rel_tol=1e-10), iteration_hook=hook)
+        assert len(held) == res.iterations
+        assert any(m.any() for m in masks)
+        for arrays in held:
+            for a, before in arrays:
+                assert a.tobytes() == before
+
+
 class TestUpdateIsta:
     def test_one_step_solves_orthonormal(self):
         p = identity_problem(0.8)
@@ -286,11 +314,9 @@ class _Budgeted:
 class TestFirstCorrelation:
     @pytest.mark.parametrize("algo", sl.ALGORITHMS)
     @pytest.mark.parametrize("kind,test", [("lasso", "safe"), ("group", "gsafe")])
-    def test_observation_correlations_serve_the_first_step(self, algo, kind, test, monkeypatch):
-        # `run` correlates y once, for lambda_max or the screening context. At
-        # x = 0 the first dual point of ISTA, FISTA, TwIST and SpaRSA is -y, and
-        # that step takes -(D.T @ y) instead of its own product; CP's first
-        # dual point is a scaled -y, so CP keeps its product
+    def test_every_step_correlates_its_own_dual_point(self, algo, kind, test, monkeypatch):
+        # `run` correlates y once, for lambda_max and the screening context,
+        # and each iteration, the first included, correlates its dual point
         p = make_lasso(6, ratio=0.5) if kind == "lasso" else make_group(6, ratio=0.5)
         correlate = sl.Dictionary.correlate
         for strategy in ("none", "dynamic"):
@@ -302,15 +328,15 @@ class TestFirstCorrelation:
                 calls.append(1)
                 return correlate(self, v)
 
-            def hook(info):
-                if info.t == 1:
-                    first.append((info.theta, info.corr))
+            def hook(t, state, mask):
+                if t == 1:
+                    first.append((state.theta, state.corr))
 
             with monkeypatch.context() as m:
                 m.setattr(sl.Dictionary, "correlate", counting)
                 res = sl.run(p, cfg, iteration_hook=hook)
             assert res.iterations > 1
-            assert len(calls) == res.iterations + (algo == CP)
+            assert len(calls) == res.iterations + 1
             theta, corr = first[0]
             assert corr.tobytes() == p.dictionary.correlate(theta).tobytes()
             if strategy == "none":
@@ -473,9 +499,9 @@ class TestRun:
         p = make_lasso(13, ratio=0.6)
         captured = {}
 
-        def hook(info):
-            if info.t == 1:
-                captured["set"] = info.kept[info.mask].copy()
+        def hook(t, state, mask):
+            if t == 1:
+                captured["set"] = state.screen_state.kept[mask].copy()
 
         sl.run(p, SolverConfig(algorithm="ista", strategy="dynamic", test="safe", max_iters=1),
                iteration_hook=hook)
@@ -494,8 +520,8 @@ class TestRun:
         p = make_group(15, k=30, ratio=0.7)
         records = []
 
-        def hook(info):
-            records.append((info.x.copy(), info.kept.copy()))
+        def hook(t, state, mask):
+            records.append((state.x.copy(), state.screen_state.kept.copy()))
 
         res = sl.run(p, SolverConfig(algorithm="fista", strategy="dynamic", test="gsafe",
                                      max_iters=300, rel_tol=1e-10), iteration_hook=hook)
@@ -509,8 +535,8 @@ class TestRun:
         p = make_lasso(16, ratio=0.8)
         lens = []
 
-        def hook(info):
-            lens.append((info.t, len(info.x), info.kept.size))
+        def hook(t, state, mask):
+            lens.append((t, len(state.x), state.screen_state.kept.size))
 
         sl.run(p, SolverConfig(algorithm="fista", strategy="dynamic", test="safe",
                                max_iters=100, rel_tol=1e-9), iteration_hook=hook)
@@ -621,7 +647,7 @@ class TestResidualReuse:
         events = []
         self._record_callers(monkeypatch, events)
         res = sl.run(make_lasso(8, ratio=0.5), SolverConfig(algorithm="fista", max_iters=50),
-                     iteration_hook=lambda info: events.append(info.t))
+                     iteration_hook=lambda t, state, mask: events.append(t))
         assert res.iterations > 2
         after_first = events[events.index(1):]
         assert {e for e in after_first if isinstance(e, str)} == {"_backtrack"}
