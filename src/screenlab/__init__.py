@@ -23,7 +23,6 @@ from .problems import (
     expand,
     lambda_max,
     objective,
-    prox_group,
     prox_l1,
 )
 from .screening import (
@@ -64,11 +63,9 @@ from .instrument import (
     NONE,
     STATIC,
     STRATEGIES,
-    NormalizedMetrics,
     SolveTrace,
     flops_iteration,
     flops_static_init,
-    normalized_metrics,
 )
 from .datagen import (
     GenSpec,

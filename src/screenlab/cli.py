@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datagen, instrument, screening, solvers
-from .dictionary import Dictionary, GroupPartition, read_group_file, read_matrix, write_dsmx, write_group_file
+from .dictionary import (Dictionary, GroupError, GroupPartition, read_group_file, read_matrix,
+                         write_dsmx, write_group_file)
 from .problems import Problem, lambda_max
 
 BENCH_HEADER = "seed,algo,strategy,test,lambda_ratio,iters,flops,time_s,final_obj,screened_frac"
@@ -31,7 +32,11 @@ _GEN_KINDS = list(datagen.DICT_KINDS) + [datagen.UNIT_SPHERE_OBS, datagen.BERNOU
 def _default_seed(value):
     if value is not None:
         return int(value)
-    return int(os.environ.get("SCREENLAB_SEED", "0"))
+    text = os.environ.get("SCREENLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SCREENLAB_SEED must be an integer, not {text!r}") from None
 
 
 @dataclass
@@ -156,8 +161,7 @@ def cmd_gen(args):
         if kind == datagen.BERNOULLI_GAUSSIAN_OBS:
             if not args.groups:
                 raise SystemExit("bernoulli-gaussian observations need --groups")
-            groups, weights = read_group_file(args.groups)
-            partition = GroupPartition.build(dic, groups, weights)
+            partition = _read_partition(dic, args.groups)
         obs = datagen.gen_observation(spec, dic, partition)
         write_dsmx(args.out, obs.y[:, None])
         if obs.ground_truth is not None:
@@ -175,6 +179,16 @@ def cmd_gen(args):
 # -- solve ----------------------------------------------------------------
 
 
+def _read_partition(dic, path):
+    """Partition of `dic` from the group file `path`; an error names the file and group's line."""
+    groups, weights, lines = read_group_file(path)
+    try:
+        return GroupPartition.build(dic, groups, weights)
+    except ValueError as exc:
+        where = f"{path}:{lines[exc.group]}" if isinstance(exc, GroupError) else path
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _load_problem(args):
     mat = read_matrix(args.dict)
     y = read_matrix(args.obs)
@@ -190,10 +204,7 @@ def _load_problem(args):
             raise ValueError(f"{args.obs}: observation is zero and cannot be normalized")
         mat, y = mat / col_norms, y / y_norm
     dic = Dictionary(mat)
-    partition = None
-    if args.groups:
-        groups, weights = read_group_file(args.groups)
-        partition = GroupPartition.build(dic, groups, weights)
+    partition = _read_partition(dic, args.groups) if args.groups else None
     lam = args.lam
     if args.lambda_ratio is not None:
         lam = args.lambda_ratio * lambda_max(Problem(dic, y, 1.0, partition)).value
@@ -366,11 +377,20 @@ def _read_bench(path):
 def aggregate_report(rows):
     """Normalize each screened run by its plain baseline, then aggregate.
 
-    Returns report rows keyed by (algo, strategy, test, ratio), each holding
-    the 25/50/75 percentiles of the flop and time ratios.
+    Each (seed, algo, strategy, test, ratio) must occur once, so that every
+    screened run has one plain baseline on its own instance. Returns report
+    rows keyed by (algo, strategy, test, ratio), each holding the 25/50/75
+    percentiles of the flop and time ratios. This is the one place the
+    normalized ratios are computed.
     """
-    baselines = {}
+    baselines, seen = {}, set()
     for r in rows:
+        run = (r["seed"], r["algo"], r["strategy"], r["test"], r["lambda_ratio"])
+        if run in seen:
+            raise ValueError(
+                "repeated run for seed={} algo={} strategy={} test={} ratio={}".format(*run)
+            )
+        seen.add(run)
         if r["strategy"] == instrument.NONE:
             if not (r["flops"] > 0 and r["time_s"] > 0):
                 raise ValueError(

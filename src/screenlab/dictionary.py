@@ -20,9 +20,12 @@ def index_set(values, size=None):
     """Validate and return a strictly increasing int64 index array.
 
     `size`, when given, bounds the indices to ``[0, size)``. Values of a
-    non-integer dtype must be whole numbers; a boolean mask is rejected.
+    non-integer dtype must be whole numbers; a boolean mask and an array of
+    more than one dimension are rejected.
     """
     arr = np.asarray(values)
+    if arr.ndim > 1:
+        raise ValueError(f"indices must form a 1-D array, not one of shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         if arr.dtype.kind == "b":
             raise ValueError("indices must be integers, not a boolean mask")
@@ -159,6 +162,14 @@ def operator_norm(dictionary):
     return dictionary._opnorm
 
 
+class GroupError(ValueError):
+    """A `GroupPartition.build` error caused by the group at position `group`."""
+
+    def __init__(self, group, message):
+        super().__init__(message)
+        self.group = group
+
+
 @dataclass(frozen=True)
 class GroupPartition:
     """Partition of the column indices into weighted groups.
@@ -184,16 +195,17 @@ class GroupPartition:
             try:
                 checked.append(index_set(g, k))
             except ValueError as exc:
-                raise ValueError(f"group {gid}: {exc}") from None
+                raise GroupError(gid, f"group {gid}: {exc}") from None
         groups = tuple(checked)
         sizes = np.array([g.size for g in groups], dtype=np.int64)
         if not sizes.all():
-            raise ValueError(f"groups must be nonempty; group {np.argmin(sizes)} is empty")
+            gid = int(np.argmin(sizes))
+            raise GroupError(gid, f"groups must be nonempty; group {gid} is empty")
         group_of = np.full(k, -1, dtype=np.int64)
         for gid, g in enumerate(groups):
             if np.any(group_of[g] != -1):
                 i = g[group_of[g] != -1][0]
-                raise ValueError(f"groups must be disjoint; {i} is in groups {group_of[i]}, {gid}")
+                raise GroupError(gid, f"groups must be disjoint; {i} is in groups {group_of[i]}, {gid}")
             group_of[g] = gid
         if np.any(group_of < 0):
             raise ValueError(f"groups must cover every column; {np.argmin(group_of)} is in none")
@@ -204,7 +216,7 @@ class GroupPartition:
             raise ValueError(f"need one weight per group, not {weights.size} for {len(groups)}")
         for gid, w in enumerate(weights.tolist()):
             if not 0 < w < np.inf:
-                raise ValueError(f"group {gid}: weight {w!r} must be finite and positive")
+                raise GroupError(gid, f"group {gid}: weight {w!r} must be finite and positive")
         norms = np.empty(len(groups))
         for size in np.unique(sizes):
             gids = np.flatnonzero(sizes == size)
@@ -224,22 +236,13 @@ class GroupPartition:
     def size(self):
         return self.group_of.size
 
-    def group_norms(self, vec):
-        """Per-group l2 norms of a full-length coefficient or correlation vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.size,):
-            raise ValueError(f"expected vector of length {self.size}")
-        return self.full.norms(vec)
-
-    def layout(self, kept=None):
+    def layout(self, kept):
         """Group layout over a reduced coefficient vector indexed by `kept`.
 
         `kept` must be a union of whole groups (screening removes groups
         atomically). The result is `full` with the other groups dropped by
-        `GroupLayout.without`, or `full` itself when `kept` is ``None``.
+        `GroupLayout.without`; the whole vector's layout is `full` itself.
         """
-        if kept is None:
-            return self.full
         kept = index_set(kept, self.size)
         alive_sizes = np.bincount(self.group_of[kept], minlength=self.n_groups)
         if np.any((alive_sizes != self.full.sizes) & (alive_sizes > 0)):
@@ -370,13 +373,16 @@ def write_group_file(path, groups, weights=None):
 
 
 def read_group_file(path):
-    """Parse a group file into (groups, weights).
+    """Parse a group file into (groups, weights, lines).
 
     Each line is ``weight;i1,i2,...``; a missing weight (no semicolon, or an
-    empty weight field) defaults to ``sqrt(group size)``.
+    empty weight field) defaults to ``sqrt(group size)``. Blank lines and
+    lines starting with ``#`` are skipped, and `lines` holds the 1-based line
+    number of each group.
     """
     groups = []
     weights = []
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -405,4 +411,5 @@ def read_group_file(path):
                 w = float(np.sqrt(len(idx)))
             groups.append(np.asarray(idx, dtype=np.int64))
             weights.append(w)
-    return groups, np.asarray(weights, dtype=np.float64)
+            lines.append(lineno)
+    return groups, np.asarray(weights, dtype=np.float64), lines

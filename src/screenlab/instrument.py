@@ -1,4 +1,8 @@
-"""Analytic flop accounting and per-iteration run traces."""
+"""Analytic flop accounting and per-iteration run traces.
+
+The paper's normalized flop and time ratios are not computed here: they come
+from `screenlab bench` rows, aggregated by `cli.aggregate_report`.
+"""
 
 from __future__ import annotations
 
@@ -60,7 +64,7 @@ def flops_static_init(k, n):
 
 
 def problem_digest(problem):
-    """Cheap fingerprint used to confirm traces came from identical instances."""
+    """Cheap fingerprint of a problem instance, written into each trace's config line."""
     h = hashlib.blake2b(digest_size=12)
     d = problem.dictionary.data
     h.update(struct.pack("<QQd", d.shape[0], d.shape[1], problem.lam))
@@ -113,10 +117,6 @@ class SolveTrace:
     def total_flops(self):
         return self.flops_cum[-1] if self.flops_cum else self.init_flops
 
-    @property
-    def total_seconds(self):
-        return self.seconds[-1] if self.seconds else 0.0
-
     def recompute_flops(self):
         """Re-derive the cumulative flop column from the kept/sparsity columns."""
         per = flops_iteration(
@@ -148,42 +148,3 @@ class SolveTrace:
         finally:
             if close:
                 fh.close()
-
-
-@dataclass(frozen=True)
-class NormalizedMetrics:
-    """Flop and wall-time ratios of the screened strategies over the plain run."""
-
-    flops_static_ratio: float
-    flops_dynamic_ratio: float
-    time_static_ratio: float
-    time_dynamic_ratio: float
-
-
-def _check_same_instance(a, b):
-    keys = ("kind", "n_rows", "n_cols", "group_count", "lam", "digest")
-    for key in keys:
-        if getattr(a, key) != getattr(b, key):
-            raise ValueError(f"traces come from different instances ({key} differs)")
-
-
-def normalized_metrics(trace_none, trace_static, trace_dynamic):
-    """Normalized flops and times for a (plain, static, dynamic) trace triple.
-
-    All three traces must come from the same problem instance; the plain run
-    provides the denominators.
-    """
-    if trace_none.strategy != NONE or trace_static.strategy != STATIC or trace_dynamic.strategy != DYNAMIC:
-        raise ValueError("expected traces for the none, static, and dynamic strategies in order")
-    _check_same_instance(trace_none, trace_static)
-    _check_same_instance(trace_none, trace_dynamic)
-    base_flops = trace_none.total_flops
-    base_time = trace_none.total_seconds
-    if base_flops <= 0 or base_time <= 0:
-        raise ValueError("baseline run is degenerate (zero flops or time)")
-    return NormalizedMetrics(
-        flops_static_ratio=trace_static.total_flops / base_flops,
-        flops_dynamic_ratio=trace_dynamic.total_flops / base_flops,
-        time_static_ratio=trace_static.total_seconds / base_time,
-        time_dynamic_ratio=trace_dynamic.total_seconds / base_time,
-    )

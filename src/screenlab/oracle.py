@@ -102,7 +102,7 @@ def solve_reference(problem, gap_tol=1e-10, max_sweeps=200_000):
             return moved
 
         def support_ids():
-            return np.flatnonzero(part.group_norms(x) != 0.0)
+            return np.flatnonzero(part.full.norms(x) != 0.0)
 
     n_units = k if problem.kind == LASSO else problem.partition.n_groups
     all_ids = np.arange(n_units)

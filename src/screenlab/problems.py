@@ -88,7 +88,7 @@ def lambda_max(problem, corr=None):
         sign = 1.0 if corr[i] >= 0 else -1.0
         atom = sign * problem.dictionary.data[:, i]
         return LambdaMax(value=value, atom=atom, atom_index=i)
-    ratios = problem.partition.group_norms(corr) / problem.partition.weights
+    ratios = problem.partition.full.norms(corr) / problem.partition.weights
     g = int(np.argmax(ratios))
     return LambdaMax(value=float(ratios[g]), group=g)
 
@@ -107,7 +107,7 @@ def objective(problem, x):
     if x.shape != (problem.n_cols,):
         raise ValueError(f"expected coefficient vector of length {problem.n_cols}")
     resid = problem.dictionary.apply(x) - problem.y
-    layout = problem.partition.layout() if problem.kind == GROUP else None
+    layout = problem.partition.full if problem.kind == GROUP else None
     return 0.5 * float(resid @ resid) + problem.lam * penalty_value(x, layout)
 
 
@@ -117,18 +117,6 @@ def prox_l1(x, t):
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def prox_group(x, t, partition):
-    """Group soft-thresholding with per-group threshold ``t * weight``.
-
-    Groups with zero norm map to zero (the shrink factor has a removable
-    singularity there).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (partition.size,):
-        raise ValueError(f"expected coefficient vector of length {partition.size}")
-    return partition.layout().prox(x, t)
 
 
 def dual_feasible(problem, theta, tol=DUAL_FEAS_TOL):
@@ -142,7 +130,7 @@ def dual_feasible(problem, theta, tol=DUAL_FEAS_TOL):
     corr = problem.dictionary.correlate(theta)
     if problem.kind == LASSO:
         return bool(np.max(np.abs(corr), initial=0.0) <= 1.0 + tol)
-    norms = problem.partition.group_norms(corr)
+    norms = problem.partition.full.norms(corr)
     return bool(np.all(norms <= problem.partition.weights * (1.0 + tol)))
 
 

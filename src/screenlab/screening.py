@@ -205,7 +205,7 @@ def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
         raise ValueError("dual_scale_group needs a group problem")
     theta = np.asarray(theta, dtype=np.float64)
     if group_corr_norms is None:
-        group_corr_norms = problem.partition.group_norms(problem.dictionary.correlate(theta))
+        group_corr_norms = problem.partition.full.norms(problem.dictionary.correlate(theta))
     if group_weights is None:
         group_weights = problem.partition.weights
     norms = np.asarray(group_corr_norms, dtype=np.float64)
@@ -252,9 +252,14 @@ class ScreeningContext:
         self.problem = problem
         self.y_corr = problem.dictionary.correlate(problem.y)
         self.lmax = lambda_max(problem, self.y_corr)
+        self._tests = LASSO_TESTS if problem.kind == LASSO else GROUP_TESTS
         self._extremal = (None, None, 1.0, -1)
 
     # -- shared scalar machinery -------------------------------------------
+
+    def _check_test(self, kind):
+        if kind not in self._tests:
+            raise ValueError(f"test {kind!r} does not apply to {self.problem.kind} problems")
 
     def _shifted_radius(self, radius_sq, shift_sq):
         arg = radius_sq - shift_sq
@@ -291,7 +296,7 @@ class ScreeningContext:
         if self.problem.kind == LASSO:
             return Slack(1.0 - np.abs(center_corr))
         part = self.problem.partition
-        return Slack((part.weights - part.group_norms(center_corr)) / part.spectral_norms)
+        return Slack((part.weights - part.full.norms(center_corr)) / part.spectral_norms)
 
     @cached_property
     def safe_slack(self):
@@ -347,11 +352,11 @@ class ScreeningContext:
         extremal atom's half-space ``a* . theta <= 1`` (the extremal group's
         tangent half-space), and `base` keeps the plain sphere itself, so the
         test also eliminates what only the plain sphere certifies. DOME gives
-        the `DomeParams` of that intersection.
+        the `DomeParams` of that intersection. A test of the other penalty
+        (a group test on a Lasso problem, or the reverse) is rejected.
         """
         problem = self.problem
-        if kind not in ALL_TESTS:
-            raise ValueError(f"unknown screening test {kind!r}")
+        self._check_test(kind)
         if kind not in (SAFE, GSAFE) and problem.lam > self.lmax.value:
             raise ValueError(
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
@@ -360,7 +365,7 @@ class ScreeningContext:
             _, v = dual_scale_lasso(problem, theta, float(np.abs(corr).max(initial=0.0)))
         else:
             if layout is None:
-                layout = problem.partition.layout()
+                layout = problem.partition.full
             _, v = dual_scale_group(problem, theta, layout.norms(corr), layout.weights)
         diff = self.safe_center - v
         rsq = float(diff @ diff)
@@ -392,6 +397,7 @@ class ScreeningContext:
         building the region; the mask is the one the region would give.
         """
         problem = self.problem
+        self._check_test(kind)
         kept = np.asarray(kept, dtype=np.int64)
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
@@ -422,8 +428,8 @@ class ScreeningContext:
         all of it, so the bound stays below the radius the region computes.
         Sqrt and subtraction round monotonically, so a slack that does not
         clear the bounded radius does not clear the region's either. The
-        dome, an unknown kind and a kept set without j take the exact path,
-        and so does a shifted test the region would reject.
+        dome and a kept set without j take the exact path, and so does a
+        shifted test the region would reject.
         """
         key, cols, weight, j = self._extremal
         if kind not in (SAFE, GSAFE, DST3, GST3) or (key is not kept and kept.flags.writeable):

@@ -6,6 +6,7 @@ algorithms, with matching plain and screen-once runs plus certified reference
 solutions. Each test prints one pass/fail line.
 """
 
+import csv
 import time
 from dataclasses import dataclass, field
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import screenlab as sl
-from screenlab import screening
+from screenlab import cli, screening
 
 SUITE_N, SUITE_K, SUITE_GROUP_SIZE = 30, 80, 4
 SUITE_SEEDS = (1, 2)
@@ -215,34 +216,29 @@ class TestCriterion6Figure2Trend:
     RATIOS = (0.5, 0.6, 0.7, 0.75, 0.8, 0.9)
     SEEDS = tuple(range(10))
 
-    def test_desk_scale_flop_savings(self):
+    def test_desk_scale_flop_savings(self, tmp_path):
+        # the paper's figures come from a bench sweep and its report, which
+        # divides each screened run by the plain run on the same instance
         t0 = time.perf_counter()
-        med = {r: {} for r in self.RATIOS}
-        samples = {r: {"fs": [], "fd": [], "td": []} for r in self.RATIOS}
-        for seed in self.SEEDS:
-            spec = sl.GenSpec(kind="pnoise", n=200, k=1000, seed=seed)
-            dic = sl.gen_dictionary(spec)
-            y = sl.gen_observation(spec, dic).y
-            lmax = sl.lambda_max(sl.Problem(dic, y, 1.0)).value
-            for ratio in self.RATIOS:
-                problem = sl.Problem(dic, y, ratio * lmax)
-                traces = {}
-                for strategy in ("none", "static", "dynamic"):
-                    cfg = sl.SolverConfig(
-                        algorithm="fista",
-                        strategy=strategy,
-                        test=None if strategy == "none" else "dst3",
-                        max_iters=200,
-                        rel_tol=1e-7,
-                    )
-                    traces[strategy] = sl.run(problem, cfg).trace
-                m = sl.normalized_metrics(traces["none"], traces["static"], traces["dynamic"])
-                samples[ratio]["fs"].append(m.flops_static_ratio)
-                samples[ratio]["fd"].append(m.flops_dynamic_ratio)
-                samples[ratio]["td"].append(m.time_dynamic_ratio)
+        bench, report = tmp_path / "bench.csv", tmp_path / "report.csv"
+        assert cli.main([
+            "bench", "--problem", "lasso", "--dict-kind", "pnoise", "--n", "200", "--k", "1000",
+            "--algos", "fista", "--strategies", "none,static,dynamic", "--tests", "dst3",
+            "--ratios", ",".join(map(str, self.RATIOS)), "--seeds", ",".join(map(str, self.SEEDS)),
+            "--max-iters", "200", "--rel-tol", "1e-7", "--out", str(bench),
+        ]) == 0
+        assert cli.main(["report", "--input", str(bench), "--out", str(report)]) == 0
         elapsed = time.perf_counter() - t0
-        for ratio in self.RATIOS:
-            med[ratio] = {k: float(np.median(v)) for k, v in samples[ratio].items()}
+        med = {r: {} for r in self.RATIOS}
+        with open(report, encoding="utf-8") as fh:
+            for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+                assert int(row["n"]) == len(self.SEEDS)
+                cell = med[float(row["lambda_ratio"])]
+                if row["strategy"] == "static":
+                    cell["fs"] = float(row["flops_ratio_med"])
+                else:
+                    cell["fd"] = float(row["flops_ratio_med"])
+                    cell["td"] = float(row["time_ratio_med"])
         assert med[0.75]["fd"] <= 0.6, f"flops_D/flops_N at 0.75 is {med[0.75]['fd']:.3f}"
         for ratio in self.RATIOS:
             assert med[ratio]["fd"] < med[ratio]["fs"], (
@@ -384,7 +380,7 @@ class TestCriterion9NumericalKernels:
             a = rng.standard_normal(12) * 3
             b = rng.standard_normal(12) * 3
             t = float(rng.random() * 2)
-            d = np.linalg.norm(sl.prox_group(a, t, part) - sl.prox_group(b, t, part))
+            d = np.linalg.norm(part.full.prox(a, t) - part.full.prox(b, t))
             assert d <= np.linalg.norm(a - b) + 1e-12
             cases += 1
 

@@ -56,11 +56,19 @@ class TestGen:
         manifest = json.loads((tmp_path / "d.dsmx.manifest.json").read_text())
         assert manifest["seed"] == 42
 
+    def test_non_integer_env_seed_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCREENLAB_SEED", "abc")
+        out = tmp_path / "g.txt"
+        assert run_cli("gen", "--kind", "groups", "--k", "10", "--group-size", "2",
+                       "--out", str(out)) == 1
+        assert "SCREENLAB_SEED must be an integer, not 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_file_generation(self, tmp_path):
         out = tmp_path / "g.txt"
         assert run_cli("gen", "--kind", "groups", "--k", "12", "--group-size", "3",
                        "--seed", "1", "--out", str(out)) == 0
-        groups, weights = sl.read_group_file(out)
+        groups, weights, _ = sl.read_group_file(out)
         assert len(groups) == 4
         assert np.allclose(weights, np.sqrt(3.0))
         # the same grouping as the library's random partition for that seed
@@ -241,6 +249,26 @@ class TestSolve:
         assert message.format(path=groups) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line,message", [
+        (";8,9,10,130", "{path}:5: group 2: indices must lie in [0, 120), not 130"),
+        ("1.0;2,3", "{path}:5: groups must be disjoint; 2 is in groups 1, 2"),
+    ])
+    def test_group_file_errors_name_the_file_line(self, lasso_files, tmp_path, capsys,
+                                                  line, message):
+        # a comment and a blank line put group 2 on line 5; gen reads groups the same way
+        d, y = lasso_files
+        groups = tmp_path / "g.txt"
+        lines = ["# groups", ""] + [f"1.0;{2 * i},{2 * i + 1}" for i in range(60)]
+        lines[4] = line
+        groups.write_text("\n".join(lines) + "\n")
+        assert run_cli("solve", "--dict", str(d), "--obs", str(y), "--groups", str(groups),
+                       "--lambda-ratio", "0.7", "--algo", "fista") == 1
+        assert message.format(path=groups) in capsys.readouterr().err
+        assert run_cli("gen", "--kind", "bernoulli-gaussian-obs", "--dict", str(d),
+                       "--groups", str(groups), "--out", str(tmp_path / "o.dsmx")) == 1
+        assert message.format(path=groups) in capsys.readouterr().err
+
+
 class TestBench:
     def test_single_cell_row_count(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -374,6 +402,35 @@ class TestBench:
             want = f"seed=3 algo=ista ratio=0.5 needs positive flops and time_s, {bad}"
             with pytest.raises(SystemExit, match=want):
                 run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
+
+    def test_report_rejects_repeated_runs(self, tmp_path):
+        # two bench outputs concatenated hold every run twice; each screened
+        # run must be paired with the one plain run on its own instance
+        parts = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert run_cli("bench", "--problem", "lasso", "--dict-kind", "gaussian",
+                           "--n", "15", "--k", "30", "--algos", "ista",
+                           "--strategies", "none,dynamic", "--tests", "safe",
+                           "--ratios", "0.5", "--seeds", "1", "--out", str(out)) == 0
+            parts.append(out.read_text().splitlines(keepends=True))
+        bench = tmp_path / "both.csv"
+        bench.write_text("".join(parts[0] + parts[1][2:]))
+        want = "repeated run for seed=1 algo=ista strategy=dynamic test=safe ratio=0.5"
+        with pytest.raises(SystemExit, match=want):
+            run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
+        # the same with the plain runs at different costs, which used to pair
+        # both screened rows with the last baseline
+        bench.write_text(
+            "seed,algo,strategy,test,lambda_ratio,iters,flops,time_s,final_obj,screened_frac\n"
+            "1,ista,none,-,0.5,10,1000,2.0,0.4,0.0\n"
+            "1,ista,none,-,0.5,10,500,1.0,0.4,0.0\n"
+            "1,ista,dynamic,safe,0.5,10,400,1.0,0.4,0.5\n"
+            "1,ista,dynamic,safe,0.5,10,400,1.0,0.4,0.5\n"
+        )
+        want = "repeated run for seed=1 algo=ista strategy=none test=- ratio=0.5"
+        with pytest.raises(SystemExit, match=want):
+            run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
 
     def test_report_requires_baseline(self, tmp_path):
         bench = tmp_path / "b.csv"

@@ -96,7 +96,7 @@ class TestObservations:
         snr = 10.0 * np.log10(np.linalg.norm(obs.clean) ** 2 / np.linalg.norm(obs.noise) ** 2)
         assert snr == pytest.approx(20.0, abs=1e-9)
         # the planted coefficients are group-structured
-        norms = part.group_norms(obs.ground_truth)
+        norms = part.full.norms(obs.ground_truth)
         active = norms > 0
         assert active.any()
         for gid in np.flatnonzero(~active):

@@ -253,6 +253,13 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="not a boolean mask"):
             index_set(np.array([True, False, True]))
 
+    def test_rejects_more_than_one_dimension(self):
+        # a ravel would flatten a nested set without a word
+        with pytest.raises(ValueError, match=r"1-D array, not one of shape \(2, 2\)$"):
+            index_set([[0, 1], [2, 3]])
+        with pytest.raises(ValueError, match=r"not one of shape \(1, 3\)"):
+            sl.Dictionary(np.eye(4)).reduce(np.array([[0, 1, 3]]))
+
     def test_whole_floats_and_integer_dtypes_pass(self):
         assert index_set([0.0, 2.0, 3.0], size=5).tolist() == [0, 2, 3]
         assert index_set(np.array([1, 4], dtype=np.int32)).dtype == np.int64
@@ -312,20 +319,20 @@ class TestGroupFile:
     def test_round_trip_with_weights(self, tmp_path):
         path = tmp_path / "g.txt"
         write_group_file(path, [np.array([0, 2]), np.array([1, 3])], weights=[1.5, 2.0])
-        groups, weights = read_group_file(path)
+        groups, weights, _ = read_group_file(path)
         assert [g.tolist() for g in groups] == [[0, 2], [1, 3]]
         assert np.allclose(weights, [1.5, 2.0])
 
     def test_missing_weight_defaults_to_sqrt_size(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0,1,2,3\n;4,5\n")
-        groups, weights = read_group_file(path)
+        groups, weights, _ = read_group_file(path)
         assert np.allclose(weights, [2.0, np.sqrt(2.0)])
 
     def test_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# groups\n\n1.0;0,1\n")
-        groups, weights = read_group_file(path)
+        groups, weights, _ = read_group_file(path)
         assert len(groups) == 1
 
     def test_rejects_bad_lines(self, tmp_path):
@@ -416,6 +423,7 @@ class TestGroupPartition:
             ([np.arange(3), np.arange(4, 8)], "cover every column; 3 is in none"),
             ([[0.0, 1.9], [2, 3], np.arange(4, 8)], "group 0: indices must be integers, not 1.9"),
             ([np.arange(4), np.arange(8) >= 4], "group 1: indices must be integers, not a boolean"),
+            ([np.arange(4), [[4, 5], [6, 7]]], r"group 1: .*1-D array, not one of shape \(2, 2\)"),
         ]
         for groups, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -441,7 +449,7 @@ class TestGroupPartition:
         rng = np.random.default_rng(5)
         v = rng.standard_normal(8)
         want = [np.linalg.norm(v[g]) for g in part.groups]
-        assert np.allclose(part.group_norms(v), want, atol=1e-12)
+        assert np.allclose(part.full.norms(v), want, atol=1e-12)
 
     def test_layout_restrict(self):
         _, part = self.make()
@@ -451,7 +459,7 @@ class TestGroupPartition:
         v = np.arange(kept.size, dtype=float)
         full = np.zeros(8)
         full[kept] = v
-        want = part.group_norms(full)[[0, 2]]
+        want = part.full.norms(full)[[0, 2]]
         assert np.allclose(layout.norms(v), want, atol=1e-12)
 
     def test_layout_matches_group_by_group(self):
@@ -498,7 +506,7 @@ class TestGroupPartition:
             groups = [np.sort(g) for g in np.split(rng.permutation(k), cuts)]
             mat = rng.standard_normal((4, k))
             part = GroupPartition.build(sl.Dictionary(mat / np.linalg.norm(mat, axis=0)), groups)
-            kept, layout = np.arange(k), part.layout()
+            kept, layout = np.arange(k), part.full
             while kept.size:
                 flagged = rng.random(layout.n_groups) < 0.3
                 mask = np.isin(part.group_of[kept], layout.group_ids[flagged])
@@ -510,7 +518,6 @@ class TestGroupPartition:
 
     def test_full_layout_is_built_once(self):
         _, part = self.make()
-        assert part.layout() is part.layout() is part.full
         # the full layout places position p in group group_of[p]
         assert part.full.member is part.group_of
         for name, ref in layout_by_hand(part, np.arange(part.size)).items():
@@ -533,7 +540,7 @@ class TestGroupPartition:
             part = GroupPartition.build(sl.Dictionary(mat / np.linalg.norm(mat, axis=0)), groups)
             chosen = np.flatnonzero(rng.random(part.n_groups) < 0.6)
             kept = np.sort(np.concatenate([part.groups[g] for g in chosen] + [empty]))
-            cases = [(np.arange(k), part.layout()), (kept, part.layout(kept))]
+            cases = [(np.arange(k), part.full), (kept, part.layout(kept))]
             kept, layout = cases[0]
             while kept.size:
                 flagged = layout.group_ids[rng.random(layout.n_groups) < 0.3]

@@ -21,6 +21,14 @@ class TestFlopsIteration:
         assert sl.flops_iteration("group", "none", 10, 5, 10, 2, 3) == 105 + 9
         assert sl.flops_iteration("group", "static", 10, 5, 6, 2, 3) == (6 + 2) * 5 + 4 * 6 + 5 + 9
 
+    def test_dynamic_overhead_without_screening(self):
+        # a dynamic run that never screens pays the test overhead on top of
+        # the plain update, so its normalized flops legitimately exceed 1
+        k, n = 10, 5
+        none_cost = sl.flops_iteration("lasso", "none", k, n, k, 2)
+        dyn_cost = sl.flops_iteration("lasso", "dynamic", k, n, k, 2)
+        assert dyn_cost == none_cost + 2 * k + 4 * n
+
     def test_none_ignores_kept(self):
         assert sl.flops_iteration("lasso", "none", 10, 5, 3, 2) == sl.flops_iteration(
             "lasso", "none", 10, 5, 10, 2
@@ -93,70 +101,11 @@ class TestFlopParity:
         assert all(b > a for a, b in zip(fc, fc[1:]))
 
 
-def hand_trace(strategy, flops, seconds, digest="d", lam=0.5):
+def hand_trace(strategy, flops, seconds):
     tr = SolveTrace(kind="lasso", strategy=strategy, n_rows=5, n_cols=10,
-                    group_count=0, lam=lam, digest=digest)
+                    group_count=0, lam=0.5, digest="d")
     tr.append(1, 10, 2, 0.4, flops, seconds)
     return tr
-
-
-class TestNormalizedMetrics:
-    def test_identical_runs_give_unit_ratios(self):
-        m = sl.normalized_metrics(
-            hand_trace("none", 1000, 2.0),
-            hand_trace("static", 1000, 2.0),
-            hand_trace("dynamic", 1000, 2.0),
-        )
-        assert m.flops_static_ratio == 1.0
-        assert m.flops_dynamic_ratio == 1.0
-        assert m.time_static_ratio == 1.0
-        assert m.time_dynamic_ratio == 1.0
-
-    def test_ratio_values(self):
-        m = sl.normalized_metrics(
-            hand_trace("none", 1000, 2.0),
-            hand_trace("static", 500, 1.0),
-            hand_trace("dynamic", 250, 0.5),
-        )
-        assert m.flops_static_ratio == 0.5
-        assert m.flops_dynamic_ratio == 0.25
-        assert m.time_dynamic_ratio == 0.25
-
-    def test_rejects_mismatched_instances(self):
-        with pytest.raises(ValueError, match="different instances"):
-            sl.normalized_metrics(
-                hand_trace("none", 1000, 2.0, digest="a"),
-                hand_trace("static", 500, 1.0, digest="b"),
-                hand_trace("dynamic", 250, 0.5, digest="a"),
-            )
-        with pytest.raises(ValueError, match="different instances"):
-            sl.normalized_metrics(
-                hand_trace("none", 1000, 2.0, lam=0.5),
-                hand_trace("static", 500, 1.0, lam=0.6),
-                hand_trace("dynamic", 250, 0.5, lam=0.5),
-            )
-
-    def test_rejects_wrong_strategy_order(self):
-        with pytest.raises(ValueError, match="order"):
-            sl.normalized_metrics(
-                hand_trace("static", 1000, 2.0),
-                hand_trace("none", 500, 1.0),
-                hand_trace("dynamic", 250, 0.5),
-            )
-
-    def test_overhead_can_exceed_one(self):
-        # a dynamic run that never screens pays the test overhead on top of
-        # the plain update, so its normalized flops legitimately exceed 1
-        k, n = 10, 5
-        none_cost = sl.flops_iteration("lasso", "none", k, n, k, 2)
-        dyn_cost = sl.flops_iteration("lasso", "dynamic", k, n, k, 2)
-        assert dyn_cost == none_cost + 2 * k + 4 * n
-        m = sl.normalized_metrics(
-            hand_trace("none", none_cost, 2.0),
-            hand_trace("static", none_cost, 2.0),
-            hand_trace("dynamic", dyn_cost, 2.0),
-        )
-        assert m.flops_dynamic_ratio > 1.0
 
 
 class TestTraceCsv:

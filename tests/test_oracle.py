@@ -33,9 +33,9 @@ class TestSolveReference:
         p = make_group(31, k=30, ratio=0.5)
         ref = sl.solve_reference(p, 1e-13)
         theta = (p.y - p.dictionary.apply(ref.x_ref)) / p.lam
-        norms = p.partition.group_norms(p.dictionary.correlate(theta))
+        norms = p.partition.full.norms(p.dictionary.correlate(theta))
         assert np.all(norms <= p.partition.weights * (1.0 + 1e-8))
-        active = p.partition.group_norms(ref.x_ref) > 1e-9
+        active = p.partition.full.norms(ref.x_ref) > 1e-9
         assert np.allclose(norms[active], p.partition.weights[active], atol=1e-6)
 
     def test_matches_first_order_solver(self):

@@ -106,18 +106,18 @@ class TestProxGroup:
 
     def test_hand_value(self):
         part = self.make_partition()
-        out = sl.prox_group(np.array([3.0, 4.0, 0.0, 0.0]), 1.0, part)
+        out = part.full.prox(np.array([3.0, 4.0, 0.0, 0.0]), 1.0)
         assert np.allclose(out[:2], [1.8, 2.4], atol=1e-12)
 
     def test_zero_vector_and_zero_threshold(self):
         part = self.make_partition()
-        assert np.array_equal(sl.prox_group(np.zeros(4), 1.0, part), np.zeros(4))
+        assert np.array_equal(part.full.prox(np.zeros(4), 1.0), np.zeros(4))
         x = np.array([1.0, -2.0, 0.5, 0.0])
-        assert np.array_equal(sl.prox_group(x, 0.0, part), x)
+        assert np.array_equal(part.full.prox(x, 0.0), x)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            sl.prox_group(np.zeros(4), -0.1, self.make_partition())
+            self.make_partition().full.prox(np.zeros(4), -0.1)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(vals=st.lists(floats, min_size=8, max_size=8),
@@ -129,7 +129,7 @@ class TestProxGroup:
         part = sl.GroupPartition.build(dic, [np.arange(0, 3), np.arange(3, 5), np.arange(5, 8)])
         a = np.array(vals)
         b = a[::-1].copy()
-        lhs = np.linalg.norm(sl.prox_group(a, t, part) - sl.prox_group(b, t, part))
+        lhs = np.linalg.norm(part.full.prox(a, t) - part.full.prox(b, t))
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 

@@ -80,6 +80,29 @@ class TestDualScaleGroup:
             sl.dual_scale_group(p, p.y)
 
 
+class TestOtherPenaltyRejected:
+    def test_region_and_screen_name_the_test_and_problem_kind(self):
+        # each penalty's tests, run on the other penalty, used to act as their
+        # counterparts or fail on a vector length
+        for problem, valid, wrong in ((make_lasso(1), "dst3", ("gst3", "gsafe", "bogus")),
+                                      (make_group(1), "gst3", ("dst3", "safe", "dome"))):
+            ctx = sl.ScreeningContext(problem)
+            kept = sl.ScreenState.initial(problem.n_cols).kept
+            # at a dual point orthogonal to y the radius exceeds every slack, so
+            # the screen flags nothing and primes the radius bound on this kept set
+            theta = np.roll(problem.y, 1) - (np.roll(problem.y, 1) @ problem.y) * problem.y
+            corr = problem.dictionary.correlate(theta)
+            assert not ctx.screen(valid, theta, corr, kept).any()
+            for kind in wrong:
+                want = f"test '{kind}' does not apply to {problem.kind} problems"
+                with pytest.raises(ValueError, match=want):
+                    ctx.screen(kind, theta, corr, kept)
+                with pytest.raises(ValueError, match=want):
+                    ctx.region(kind, theta, corr)
+                with pytest.raises(ValueError, match=want):
+                    ctx.static_region(kind)
+
+
 class TestRegionSafe:
     def test_zero_radius_at_threshold(self):
         p = identity_problem(1.0)  # lam == lambda_max
@@ -117,7 +140,7 @@ class TestRegionSafe:
                             want = 1.0 - np.abs(corr)
                         else:
                             part = p.partition
-                            want = (part.weights - part.group_norms(corr)) / part.spectral_norms
+                            want = (part.weights - part.full.norms(corr)) / part.spectral_norms
                         assert np.allclose(sphere.slack.values, want, atol=1e-10)
 
     def test_threshold_radius_screens_by_correlation(self):
@@ -321,7 +344,7 @@ class TestGroupRegions:
                 corr = pg.dictionary.correlate(theta)
                 for kind in sl.GROUP_TESTS:
                     got = ctx.region(kind, theta, corr)
-                    want = ctx.region(kind, theta, corr, pg.partition.layout())
+                    want = ctx.region(kind, theta, corr, pg.partition.full)
                     for a, b in ((got, want), (got.base, want.base)):
                         if a is None:
                             assert b is None
@@ -425,7 +448,7 @@ class TestSphereGroupMask:
         gmask = np.zeros(part.n_groups, dtype=bool)
         gmask[[1, 4]] = True
         kept = np.arange(30)
-        mask = sl.group_mask_to_index_mask(part.layout(), gmask)
+        mask = sl.group_mask_to_index_mask(part.full, gmask)
         screened = set(kept[mask].tolist())
         want = set(part.groups[1].tolist()) | set(part.groups[4].tolist())
         assert screened == want
@@ -904,7 +927,7 @@ class TestReducedDualFeasibility:
                         group_weights=layout.weights,
                     )
                     corr_v = problem.dictionary.correlate(v)
-                    vnorms = problem.partition.group_norms(corr_v)[state.layout.group_ids]
+                    vnorms = problem.partition.full.norms(corr_v)[state.layout.group_ids]
                     w = problem.partition.weights[state.layout.group_ids]
                     assert np.all(vnorms <= w * (1.0 + 1e-9))
                 checked.append(t)
