@@ -54,10 +54,12 @@ class GenSpec:
 
 
 def _normalize_columns(mat):
+    """Divide the float64 array `mat`, which the caller owns, by its column norms in place."""
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero column")
-    return mat / norms
+    mat /= norms
+    return mat
 
 
 def _gaussian_atoms(rng, n, count):
@@ -68,9 +70,9 @@ def _pnoise_atoms(rng, n, count):
     # spike at the first coordinate plus a per-atom scaled Gaussian cloud
     kappa = rng.random(count)
     g = rng.standard_normal((n, count))
-    mat = _PNOISE_SCALE * kappa * g
-    mat[0, :] += 1.0
-    return _normalize_columns(mat)
+    g *= _PNOISE_SCALE * kappa
+    g[0, :] += 1.0
+    return _normalize_columns(g)
 
 
 def gen_dct_dictionary(n, k):
@@ -154,11 +156,15 @@ def _bernoulli_gaussian(rng, spec, dictionary, partition):
 
 
 def random_groups(k, group_size, seed):
-    """Random split of ``[0, k)`` into sorted groups of `group_size` indices each."""
+    """Random split of ``[0, k)`` into sorted groups of `group_size` indices each.
+
+    The groups are the rows of one ``(k // group_size, group_size)`` array,
+    returned as a list of row views.
+    """
     if group_size < 1 or k % group_size != 0:
         raise ValueError("group_size must divide the number of columns")
     perm = make_rng(seed, GROUP_STREAM).permutation(k)
-    return [np.sort(perm[i : i + group_size]) for i in range(0, k, group_size)]
+    return list(np.sort(perm.reshape(-1, group_size), axis=1))
 
 
 def random_partition(dictionary, group_size, seed):

@@ -175,10 +175,11 @@ class GroupPartition:
     """Partition of the column indices into weighted groups.
 
     `groups` are sorted original-index arrays, pairwise disjoint and covering
-    ``[0, K)``. `spectral_norms[g]` holds the largest singular value of the
-    sub-dictionary of group g, computed once at construction; screening never
-    splits a group, so these stay valid for every reduced problem. `full`,
-    also built once, places every group in the whole coefficient vector.
+    ``[0, K)``, held as read-only views of one concatenated array.
+    `spectral_norms[g]` holds the largest singular value of the sub-dictionary
+    of group g, computed once at construction; screening never splits a
+    group, so these stay valid for every reduced problem. `full`, also built
+    once, places every group in the whole coefficient vector.
     """
 
     groups: tuple
@@ -189,43 +190,77 @@ class GroupPartition:
 
     @classmethod
     def build(cls, dictionary, groups, weights=None):
+        """Check `groups` as a partition of the dictionary's columns and lay it out.
+
+        Each group is an index set as `index_set` accepts it; the groups must
+        be nonempty, disjoint and cover ``[0, K)``. `weights` defaults to the
+        square roots of the group sizes and must be finite and positive.
+        Every group is checked and placed by array operations over the
+        concatenated indices, and the partition's `groups` are read-only
+        views of that one array. An error names the first group at fault, in
+        the words of `index_set` on that group alone.
+        """
         k = dictionary.n_cols
-        checked = []
-        for gid, g in enumerate(groups):
+        arrays = [np.asarray(g) for g in groups]
+        for gid, arr in enumerate(arrays):
+            # anything but a 1-D integer array goes through index_set alone;
+            # the checks below stop short of the first group that fails it
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                try:
+                    arrays[gid] = index_set(arr)
+                except ValueError:
+                    del arrays[gid:]
+                    break
+        sizes = np.array([arr.size for arr in arrays], dtype=np.int64)
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        # the empty head lets a partition of no groups through to the cover check
+        flat = np.concatenate([np.empty(0, np.int64), *arrays], dtype=np.int64, casting="unsafe")
+        bad = (flat < 0) | (flat >= k)
+        bad[1:] |= (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        if bad.any() or len(arrays) < len(groups):
+            gid = int(owner[np.argmax(bad)]) if bad.any() else len(arrays)
             try:
-                checked.append(index_set(g, k))
+                index_set(groups[gid], k)
             except ValueError as exc:
                 raise GroupError(gid, f"group {gid}: {exc}") from None
-        groups = tuple(checked)
-        sizes = np.array([g.size for g in groups], dtype=np.int64)
         if not sizes.all():
             gid = int(np.argmin(sizes))
             raise GroupError(gid, f"groups must be nonempty; group {gid} is empty")
-        group_of = np.full(k, -1, dtype=np.int64)
-        for gid, g in enumerate(groups):
-            if np.any(group_of[g] != -1):
-                i = g[group_of[g] != -1][0]
-                raise GroupError(gid, f"groups must be disjoint; {i} is in groups {group_of[i]}, {gid}")
-            group_of[g] = gid
-        if np.any(group_of < 0):
-            raise ValueError(f"groups must cover every column; {np.argmin(group_of)} is in none")
+        counts = np.bincount(flat, minlength=k)
+        if counts.max() > 1:
+            # the first repeat in group order, where a group-by-group scan stops
+            repeat = np.ones(flat.size, dtype=bool)
+            repeat[np.unique(flat, return_index=True)[1]] = False
+            p = int(np.argmax(repeat))
+            i, gid = flat[p], int(owner[p])
+            first = owner[np.argmax(flat == i)]
+            raise GroupError(gid, f"groups must be disjoint; {i} is in groups {first}, {gid}")
+        if not counts.all():
+            raise ValueError(f"groups must cover every column; {np.argmin(counts)} is in none")
+        group_of = np.empty(k, dtype=np.int64)
+        group_of[flat] = owner
         if weights is None:
             weights = np.sqrt(sizes)
         weights = np.array(weights, dtype=np.float64)
-        if weights.shape != (len(groups),):
-            raise ValueError(f"need one weight per group, not {weights.size} for {len(groups)}")
-        for gid, w in enumerate(weights.tolist()):
-            if not 0 < w < np.inf:
-                raise GroupError(gid, f"group {gid}: weight {w!r} must be finite and positive")
-        norms = np.empty(len(groups))
+        if weights.shape != (sizes.size,):
+            raise ValueError(f"need one weight per group, not {weights.size} for {sizes.size}")
+        bad = ~((weights > 0) & (weights < np.inf))
+        if bad.any():
+            gid = int(np.argmax(bad))
+            raise GroupError(
+                gid, f"group {gid}: weight {weights[gid].item()!r} must be finite and positive"
+            )
+        # instances are shared across concurrent runs; freeze the buffers
+        flat.setflags(write=False)
+        ends = np.cumsum(sizes).tolist()
+        groups = tuple(flat[end - size : end] for end, size in zip(ends, sizes.tolist()))
+        norms = np.empty(sizes.size)
         for size in np.unique(sizes):
             gids = np.flatnonzero(sizes == size)
             cols = np.stack([groups[g] for g in gids])
             norms[gids] = _top_singular_values(dictionary.data[:, cols].transpose(1, 0, 2))
-        # instances are shared across concurrent runs; freeze the buffers
-        full = GroupLayout(np.arange(len(groups)), weights, group_of, sizes)
-        for arr in (norms, *groups):
-            arr.setflags(write=False)
+        norms.setflags(write=False)
+        full = GroupLayout(np.arange(sizes.size), weights, group_of, sizes)
         return cls(groups, weights, norms, group_of, full)
 
     @property
@@ -291,8 +326,13 @@ class GroupLayout:
         )
 
     def norms(self, vec):
-        """Per-group l2 norms; each group's squares are summed in position order."""
+        """Per-group l2 norms of a vector over the layout's positions.
+
+        Each group's squares are summed in position order.
+        """
         vec = np.asarray(vec, dtype=np.float64)
+        if vec.size != self.member.size:
+            raise ValueError(f"expected a vector of length {self.member.size}, not {vec.size}")
         # sqrt also makes the float64 result of an empty layout, where bincount gives int64
         return np.sqrt(np.bincount(self.member, vec * vec, minlength=self.n_groups))
 

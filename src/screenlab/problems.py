@@ -78,10 +78,13 @@ class LambdaMax:
 def lambda_max(problem, corr=None):
     """Compute the trivial-solution threshold and its extremal atom or group.
 
-    `corr`, when given, must be the observation correlations ``D.T @ y``.
+    `corr`, when given, must be the observation correlations ``D.T @ y``,
+    one per column.
     """
     if corr is None:
         corr = problem.dictionary.correlate(problem.y)
+    elif np.shape(corr) != (problem.n_cols,):
+        raise ValueError(f"expected {problem.n_cols} correlations, not shape {np.shape(corr)}")
     if problem.kind == LASSO:
         i = int(np.argmax(np.abs(corr)))
         value = float(abs(corr[i]))

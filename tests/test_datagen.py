@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,65 @@ class TestRngStability:
         rng2 = datagen.make_rng(0, 0)
         assert rng2.random() == first
         assert datagen.make_rng(0, 1).random() != first
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """The generators' output bytes, pinned so that a rewrite keeps every value.
+
+    Recorded with numpy 2 on x86-64. The spectral norms go through BLAS and
+    LAPACK, so their digest holds for OpenBLAS; the other digests depend on
+    numpy's own arithmetic alone.
+    """
+
+    N, K, SEED, GROUP_SIZE = 40, 200, 11, 5
+    DICTIONARIES = {
+        "gaussian": "3c31e143072a6277c39864623d04cb52d9ab0bb536aed0698be97cdf4c037eb3",
+        "pnoise": "caa7041e0ec3915353913fff54576a41c870ac717a2e7c787ab087285df5401b",
+        "dct": "8dc6903ab5f872a9e943b053cee6b2e4f246afebbbd96fb940c9ecdda5bed053",
+    }
+    # the gaussian and unit-sphere observations are the same draw
+    OBSERVATIONS = {
+        "gaussian": "cd3684582878f9b0a5fac720b1cd1cca73846505464a738e6a3770a510cad3f0",
+        "pnoise": "3a1b705077eb3d7368469b6d51263ed81e31b7ad8f61f2125b3ecb2b597a0d34",
+        "unit-sphere-obs": "cd3684582878f9b0a5fac720b1cd1cca73846505464a738e6a3770a510cad3f0",
+        "bernoulli-gaussian-obs": "d6941a3d1a191722d1e258dbcefe0eb33629ffef9e6ed82caa8ff91eb1876413",
+    }
+
+    def spec(self, kind):
+        return sl.GenSpec(kind=kind, n=self.N, k=self.K, seed=self.SEED)
+
+    def pnoise_partition(self):
+        dic = sl.gen_dictionary(self.spec("pnoise"))
+        return dic, sl.random_partition(dic, self.GROUP_SIZE, self.SEED)
+
+    @pytest.mark.parametrize("kind", sorted(DICTIONARIES))
+    def test_dictionary(self, kind):
+        assert _sha256(sl.gen_dictionary(self.spec(kind)).data) == self.DICTIONARIES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(OBSERVATIONS))
+    def test_observation(self, kind):
+        obs = sl.gen_observation(self.spec(kind), *self.pnoise_partition())
+        fields = (obs.y, obs.ground_truth, obs.clean, obs.noise)
+        assert _sha256(*(f for f in fields if f is not None)) == self.OBSERVATIONS[kind]
+
+    def test_random_groups(self):
+        groups = datagen.random_groups(self.K, self.GROUP_SIZE, self.SEED)
+        assert _sha256(*groups) == "83e5e357ddccaf50ce6bb41b2c22fb54e227989e3d4bce439bb3b29386216139"
+
+    def test_partition(self):
+        _, part = self.pnoise_partition()
+        digests = {f: _sha256(getattr(part, f)) for f in ("group_of", "weights", "spectral_norms")}
+        assert digests == {
+            "group_of": "8b48d0d748a6045ab03cb98229aabb1c2e4466d46f33b714004563663f02f1ba",
+            "weights": "980be6a8d6f3c6d3e3e29777f4e4ec5b0ed9816c6201daad07a17095dfd4bdbd",
+            "spectral_norms": "c608d1c8ae9c8f1c6aa5588ccd659cf0a60869bd0322f0ca65fd2960884518ce",
+        }

@@ -433,6 +433,46 @@ class TestGroupPartition:
         with pytest.raises(ValueError, match="one weight per group, not 3 for 2"):
             GroupPartition.build(dic, [np.arange(4), np.arange(4, 8)], weights=[1.0, 1.0, 1.0])
 
+    def test_errors_name_the_last_group(self):
+        # each fault of the test above, in the last of the groups
+        dic, _ = self.make()
+        cases = [
+            ([np.arange(2), np.arange(2, 4), np.array([5, 4, 6, 7])], 2,
+             "group 2: .*strictly increasing; 4 follows 5"),
+            ([np.arange(4), np.arange(4, 6), np.arange(6, 9)], 2,
+             r"group 2: indices must lie in \[0, 8\), not 8"),
+            ([np.arange(4), np.arange(4, 8), np.array([], dtype=int)], 2, "nonempty; group 2 is empty"),
+            ([np.arange(4, 8), np.arange(5)], 1, "disjoint; 4 is in groups 0, 1"),
+            ([np.arange(3), np.arange(5, 8), np.array([3, 4, 6])], 2, "disjoint; 6 is in groups 1, 2"),
+            ([np.arange(4, 8), np.arange(3)], None, "cover every column; 3 is in none"),
+            ([np.arange(2, 8), [0.0, 1.9]], 1, "group 1: indices must be integers, not 1.9"),
+            ([np.arange(2), np.arange(2, 4), np.arange(8) >= 4], 2,
+             "group 2: indices must be integers, not a boolean"),
+            ([np.arange(2), np.arange(2, 4), [[4, 5], [6, 7]]], 2,
+             r"group 2: .*1-D array, not one of shape \(2, 2\)"),
+        ]
+        for groups, gid, message in cases:
+            with pytest.raises(ValueError, match=message) as err:
+                GroupPartition.build(dic, groups)
+            assert getattr(err.value, "group", None) == gid
+        with pytest.raises(ValueError, match="group 2: weight -2.0 must be finite and positive"):
+            GroupPartition.build(dic, [np.arange(2), np.arange(2, 4), np.arange(4, 8)],
+                                 weights=[1.0, 1.0, -2.0])
+
+    def test_first_fault_in_group_order_is_named(self):
+        # a fault found over the concatenated groups and one found converting
+        # a single group: the earlier group is named, whichever kind it is
+        dic, _ = self.make()
+        cases = [
+            ([np.arange(4, 9), [0.5]], "group 0: indices must lie"),
+            ([[0.5], np.arange(4, 9)], "group 0: indices must be integers"),
+            ([np.arange(4), [4.0, 5.0], np.array([7, 6])], "group 2: .*6 follows 7"),
+            ([np.arange(4), np.array([], dtype=int), np.arange(4, 9)], "group 2: indices must lie"),
+        ]
+        for groups, message in cases:
+            with pytest.raises(ValueError, match=message):
+                GroupPartition.build(dic, groups)
+
     def test_rejects_nonpositive_weights(self):
         dic, _ = self.make()
         with pytest.raises(ValueError, match="positive"):
@@ -443,6 +483,52 @@ class TestGroupPartition:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 GroupPartition.build(dic, [np.arange(4), np.arange(4, 8)], weights=[1.0, bad])
+
+    @staticmethod
+    def reference_build(dic, groups, weights=None):
+        """The partition's fields as a group-by-group loop computes them."""
+        checked = [index_set(g, dic.n_cols) for g in groups]
+        group_of = np.full(dic.n_cols, -1, dtype=np.int64)
+        for gid, g in enumerate(checked):
+            assert np.all(group_of[g] == -1)
+            group_of[g] = gid
+        assert np.all(group_of >= 0)
+        sizes = np.array([g.size for g in checked], dtype=np.int64)
+        weights = np.sqrt(sizes) if weights is None else np.array(weights, dtype=np.float64)
+        norms = np.array([sl.dictionary.spectral_norm(dic, g) for g in checked])
+        return checked, group_of, sizes, weights, norms
+
+    def test_build_matches_group_by_group_reference(self):
+        rng = np.random.default_rng(47)
+        mat = rng.standard_normal((9, 60))
+        dic = sl.Dictionary(mat / np.linalg.norm(mat, axis=0))
+        for trial in range(30):
+            sizes = []
+            while sum(sizes) < 60:
+                sizes.append(min(int(rng.integers(1, 8)), 60 - sum(sizes)))
+            perm = rng.permutation(60)
+            # group order is not the order of the first indices
+            groups = [np.sort(g) for g in np.split(perm, np.cumsum(sizes)[:-1])]
+            if trial % 3 == 1:
+                groups = [g.tolist() for g in groups]
+            elif trial % 3 == 2:
+                groups = [g.astype(np.float64) for g in groups]
+            weights = rng.uniform(0.5, 3.0, len(groups)) if trial % 2 else None
+            part = GroupPartition.build(dic, groups, weights)
+            checked, group_of, sizes, weights, norms = self.reference_build(dic, groups, weights)
+            assert len(part.groups) == len(checked)
+            for got, want in zip(part.groups, checked):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert not got.flags.writeable
+            assert np.array_equal(part.group_of, group_of)
+            assert part.weights.tobytes() == weights.tobytes()
+            # one batched solve per size against one solve per group
+            np.testing.assert_allclose(part.spectral_norms, norms, rtol=1e-13)
+            full = part.full
+            assert np.array_equal(full.group_ids, np.arange(len(checked)))
+            assert np.array_equal(full.member, group_of)
+            assert np.array_equal(full.sizes, sizes)
+            assert full.weights.tobytes() == weights.tobytes()
 
     def test_group_norms_match_loop(self):
         _, part = self.make()

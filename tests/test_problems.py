@@ -119,6 +119,17 @@ class TestProxGroup:
         with pytest.raises(ValueError):
             self.make_partition().full.prox(np.zeros(4), -0.1)
 
+    def test_rejects_vectors_of_another_length(self):
+        layout = make_group(1).partition.full
+        for vec in (np.ones(5), np.ones(31)):
+            with pytest.raises(ValueError, match="expected a vector of length 30"):
+                layout.prox(vec, 0.1)
+            with pytest.raises(ValueError, match="expected a vector of length 30"):
+                layout.norms(vec)
+        reduced = layout.without(make_group(1).partition.group_of < 2)
+        with pytest.raises(ValueError, match="expected a vector of length 24, not 30"):
+            reduced.prox(np.ones(30), 0.1)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(vals=st.lists(floats, min_size=8, max_size=8),
            t=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
@@ -161,6 +172,15 @@ class TestLambdaMax:
         dic = sl.Dictionary(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         p = sl.Problem(dic, np.array([1.0, 0.0]), 0.5)
         assert sl.lambda_max(p).atom_index == 0
+
+    @pytest.mark.parametrize("make", [make_lasso, make_group])
+    def test_rejects_correlations_of_another_length(self, make):
+        p = make(1)
+        corr = p.dictionary.correlate(p.y)
+        assert sl.lambda_max(p, corr).value == sl.lambda_max(p).value
+        for bad in (corr[:-3], np.append(corr, 0.0), corr[None, :]):
+            with pytest.raises(ValueError, match="expected 30 correlations"):
+                sl.lambda_max(p, bad)
 
 
 class TestDuality:

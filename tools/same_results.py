@@ -22,9 +22,17 @@ over the runs whose counts differ, so it shows where the stopping rule landed.
 The line ends with how many final objectives fell and how many rose, and the
 largest relative rise, so a deliberate change to one solver shows whether its
 differences are improvements. The last line names the (penalty, algorithm)
-pairs whose runs are all bit-identical. Exits nonzero on any difference.
+pairs whose runs are all bit-identical.
+
+Each tree also builds the set-up of those problems and of the first two
+passes of the benchmark's `desk`, `group` and `algos` workloads (built by
+this checkout's `perfbench/workloads.py` with the tree's screenlab), and the
+dictionary bytes, `y`, `lam`, and the partition's `group_of`, `weights` and
+`spectral_norms` of every problem are compared exactly. Problems whose
+set-up differs are named with their fields. Exits nonzero on any difference.
 """
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -33,6 +41,9 @@ import tempfile
 
 import numpy as np
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+SETUP_WORKLOADS, SETUP_SEED, SETUP_PASSES = ("desk", "group", "algos"), 1, 2
+SETUP_FIELDS = ("dictionary", "y", "lam", "group_of", "weights", "spectral_norms")
 FAMILIES = ("gaussian", "pnoise")
 SEEDS = (1, 2, 3)
 RATIOS = (0.3, 0.6, 0.9, 1.1)
@@ -56,11 +67,32 @@ def _problems(sl):
                 yield (kind, family, seed, ratio), sl.Problem(dic, y, ratio * lmax, part)
 
 
+def _setup(problem):
+    """Digests of what set-up made of `problem`, one per `SETUP_FIELDS` entry."""
+    part = problem.partition
+    arrays = (problem.dictionary.data, problem.y, np.float64(problem.lam))
+    if part is not None:
+        arrays += (part.group_of, part.weights, part.spectral_norms)
+    return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
+
+
+def _benchmark_problems():
+    sys.path.insert(0, PERFBENCH)
+    import workloads
+
+    for name in SETUP_WORKLOADS:
+        for pass_index in range(SETUP_PASSES):
+            for inst in workloads.build(workloads.WORKLOADS[name], SETUP_SEED, pass_index):
+                yield (name, pass_index, inst.ratio), inst.problem
+
+
 def dump(out_path):
     import screenlab as sl
 
+    setup = {key: _setup(problem) for key, problem in _benchmark_problems()}
     results = {}
     for key, problem in _problems(sl):
+        setup[key] = _setup(problem)
         tests = sl.LASSO_TESTS if problem.kind == sl.LASSO else sl.GROUP_TESTS
         runs = [("none", None)] + [(s, t) for s in ("static", "dynamic") for t in tests]
         for algo in sl.ALGORITHMS:
@@ -78,7 +110,22 @@ def dump(out_path):
                     [float(f).hex() for f in res.trace.objective],
                 )
     with open(out_path, "wb") as fh:
-        pickle.dump(results, fh)
+        pickle.dump((setup, results), fh)
+
+
+def compare_setup(old, new):
+    """Print the problems whose set-up differs, then the count; return that count."""
+    if old.keys() != new.keys():
+        print("the two trees built different problems")
+        return len(old.keys() ^ new.keys())
+    differ = 0
+    for key in old:
+        fields = [f for f, a, b in zip(SETUP_FIELDS, old[key], new[key]) if a != b]
+        if fields:
+            differ += 1
+            print(f"set-up of {key} differs in {', '.join(fields)}")
+    print(f"{len(old)} problems compared, {differ} differ")
+    return differ
 
 
 def main(old_src, new_src):
@@ -90,7 +137,8 @@ def main(old_src, new_src):
             subprocess.run([sys.executable, __file__, "--dump", out], env=env, check=True)
             with open(out, "rb") as fh:
                 results.append(pickle.load(fh))
-    old, new = results
+    (old_setup, old), (new_setup, new) = results
+    setup_differ = compare_setup(old_setup, new_setup)
     if old.keys() != new.keys():
         print("the two trees ran different grids")
         return 1
@@ -134,7 +182,7 @@ def main(old_src, new_src):
     print(f"{len(old)} runs compared, {sum(e['runs'] for e in summary.values())} differ")
     same = sorted({(key[0], key[4]) for key in old} - summary.keys())
     print("bit-identical:", ", ".join(f"{penalty} {algo}" for penalty, algo in same) or "none")
-    return 1 if summary else 0
+    return 1 if summary or setup_differ else 0
 
 
 if __name__ == "__main__":
