@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +15,10 @@ _DSMX_VERSION = 1
 _DSMX_HEADER = struct.Struct("<4sIQQ")
 
 _ALIGN_BYTES = 64
+# the most that set-up holds beside a full-size array: the generators draw
+# this many bytes of rows at a time, and GroupPartition.build gathers this
+# many bytes of group columns at a time
+_BLOCK_BYTES = 1 << 18
 
 
 def index_set(values, size=None):
@@ -43,28 +48,47 @@ def index_set(values, size=None):
     return arr
 
 
-def _aligned_copy(src, cols=None):
-    """Read-only Fortran-ordered float64 copy of the 2-D `src`, or of its columns `cols`.
+def _aligned_empty(n, k):
+    """Writable, uninitialized Fortran-ordered float64 ``(n, k)`` array on a 64-byte boundary.
 
-    The copy starts on a 64-byte boundary. Where the buffer starts moves the
-    time of the dictionary products: plain solves on the 200x1000 and
-    300x2000 benchmark shapes ran 3-21% slower at offsets 16, 32 and 48 mod
-    64 than at 0 (medians of 6 on a 2-core Xeon VM, OpenBLAS on one
-    thread). `cols`, when given, must be valid column positions of a
-    Fortran-ordered `src`.
+    Where the buffer starts moves the time of the dictionary products: plain
+    solves on the 200x1000 and 300x2000 benchmark shapes ran 3-21% slower at
+    offsets 16, 32 and 48 mod 64 than at 0 (medians of 6 on a 2-core Xeon
+    VM, OpenBLAS on one thread).
     """
-    n = src.shape[0]
-    k = src.shape[1] if cols is None else cols.size
     raw = np.empty(n * k + _ALIGN_BYTES // 8)
     start = -raw.ctypes.data % _ALIGN_BYTES // 8
-    out = raw[start : start + n * k].reshape((n, k), order="F")
+    return raw[start : start + n * k].reshape((n, k), order="F")
+
+
+def _aligned_copy(src, cols=None):
+    """Aligned Fortran-ordered copy of the 2-D `src`, or of its columns `cols`.
+
+    `cols`, when given, must be valid column positions of a Fortran-ordered
+    `src`.
+    """
+    n = src.shape[0]
+    out = _aligned_empty(n, src.shape[1] if cols is None else cols.size)
     if cols is None:
         out[...] = src
     else:
         # both transposed views are C-ordered, so take copies whole rows
         np.take(src.T, cols, axis=0, out=out.T, mode="clip")
-    out.setflags(write=False)
     return out
+
+
+def _check_columns(arr):
+    """Reject a float64 matrix that is not 2-D and nonempty with unit-norm columns."""
+    if arr.ndim != 2:
+        raise ValueError("dictionary data must be a 2-D matrix")
+    n, k = arr.shape
+    if n < 1 or k < 1:
+        raise ValueError("dictionary must have at least one row and one column")
+    # einsum sums each column's squares without a full-size temporary
+    worst = float(np.max(np.abs(np.sqrt(np.einsum("ij,ij->j", arr, arr)) - 1.0)))
+    # written so that a NaN deviation fails too
+    if not worst <= UNIT_NORM_TOL:
+        raise ValueError(f"columns must have unit l2 norm (worst deviation {worst:.3e})")
 
 
 class Dictionary:
@@ -74,8 +98,12 @@ class Dictionary:
     slack ``1 - |a_i . center|`` certifies an atom only when ``||a_i|| <= 1``.
     Columns are stored Fortran-ordered so that the column selections
     performed by screening stay contiguous, in a buffer aligned to 64 bytes.
-    Instances are immutable (`data` is marked read-only); `reduce` copies
-    columns into a new Dictionary.
+    Instances are immutable (`data` is marked read-only).
+
+    The constructor copies its input into such a buffer, and `reduce` copies
+    the kept columns into a new one. The generators in `datagen` fill a
+    buffer from `_aligned_empty` themselves, and `_adopt` takes it over
+    without a copy, after the same unit-norm check.
     `_opnorm` caches the operator norm once `operator_norm` has computed it.
     """
 
@@ -83,17 +111,21 @@ class Dictionary:
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("dictionary data must be a 2-D matrix")
-        n, k = arr.shape
-        if n < 1 or k < 1:
-            raise ValueError("dictionary must have at least one row and one column")
-        worst = float(np.max(np.abs(np.linalg.norm(arr, axis=0) - 1.0)))
-        # written so that a NaN deviation fails too
-        if not worst <= UNIT_NORM_TOL:
-            raise ValueError(f"columns must have unit l2 norm (worst deviation {worst:.3e})")
-        self.data = _aligned_copy(arr)
+        _check_columns(arr)
+        self._own(_aligned_copy(arr))
+
+    def _own(self, buf):
+        buf.setflags(write=False)
+        self.data = buf
         self._opnorm = None
+
+    @classmethod
+    def _adopt(cls, buf):
+        """Dictionary over the buffer `buf` from `_aligned_empty`, which it takes over uncopied."""
+        _check_columns(buf)
+        out = cls.__new__(cls)
+        out._own(buf)
+        return out
 
     @property
     def n_rows(self):
@@ -127,8 +159,7 @@ class Dictionary:
         if cols.size == self.n_cols:
             return self
         out = Dictionary.__new__(Dictionary)
-        out.data = _aligned_copy(self.data, cols)
-        out._opnorm = None
+        out._own(_aligned_copy(self.data, cols))
         return out
 
 
@@ -199,6 +230,12 @@ class GroupPartition:
         concatenated indices, and the partition's `groups` are read-only
         views of that one array. An error names the first group at fault, in
         the words of `index_set` on that group alone.
+
+        The spectral norms are computed for the groups of each size in
+        chunks: each chunk gathers at most `_BLOCK_BYTES` of group columns
+        (at least one group) and solves their Gram matrices together, so the
+        build holds no full-size copy of the dictionary. Each group's norm
+        does not depend on the chunk it falls in.
         """
         k = dictionary.n_cols
         arrays = [np.asarray(g) for g in groups]
@@ -258,7 +295,10 @@ class GroupPartition:
         for size in np.unique(sizes):
             gids = np.flatnonzero(sizes == size)
             cols = np.stack([groups[g] for g in gids])
-            norms[gids] = _top_singular_values(dictionary.data[:, cols].transpose(1, 0, 2))
+            step = max(1, _BLOCK_BYTES // (8 * size * dictionary.n_rows))
+            for lo in range(0, gids.size, step):
+                blocks = dictionary.data[:, cols[lo : lo + step]].transpose(1, 0, 2)
+                norms[gids[lo : lo + step]] = _top_singular_values(blocks)
         norms.setflags(write=False)
         full = GroupLayout(np.arange(sizes.size), weights, group_of, sizes)
         return cls(groups, weights, norms, group_of, full)
@@ -355,7 +395,8 @@ def write_dsmx(path, matrix):
     """Write a dense float64 matrix in the DSMX container format.
 
     Layout: magic ``DSMX``, u32 version, u64 rows, u64 cols, then row-major
-    IEEE-754 little-endian float64 payload.
+    IEEE-754 little-endian float64 payload. The payload is written from the
+    buffer of a C-ordered array, which is `matrix` itself when it is one.
     """
     arr = np.ascontiguousarray(matrix, dtype="<f8")
     if arr.ndim == 1:
@@ -364,11 +405,14 @@ def write_dsmx(path, matrix):
         raise ValueError("DSMX stores 2-D matrices")
     with open(path, "wb") as fh:
         fh.write(_DSMX_HEADER.pack(_DSMX_MAGIC, _DSMX_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def read_dsmx(path):
-    """Read a DSMX file back into an (rows, cols) float64 array."""
+    """Read a DSMX file back into an (rows, cols) float64 array.
+
+    The payload is read straight into the returned array.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_DSMX_HEADER.size)
         if len(header) != _DSMX_HEADER.size:
@@ -378,11 +422,12 @@ def read_dsmx(path):
             raise ValueError(f"{path}: not a DSMX file")
         if version != _DSMX_VERSION:
             raise ValueError(f"{path}: unsupported DSMX version {version}")
-        payload = fh.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        expected = rows * cols * 8
+        got = os.fstat(fh.fileno()).st_size - _DSMX_HEADER.size
+        if got != expected:
+            raise ValueError(f"{path}: expected {expected} payload bytes, got {got}")
+        arr = np.fromfile(fh, dtype="<f8", count=rows * cols)
+    return arr.astype(np.float64, copy=False).reshape(rows, cols)
 
 
 def read_matrix(path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 import screenlab as sl
@@ -41,3 +43,13 @@ def identity_problem(lam=0.8, kind="lasso", weights=None):
         dic, [np.array([0]), np.array([1])], weights=weights if weights is not None else np.ones(2)
     )
     return sl.Problem(dic, y, lam, part)
+
+
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while `fn` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -64,6 +64,40 @@ class TestGen:
         assert "SCREENLAB_SEED must be an integer, not 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr_db", ["nan", "-inf", "inf", "1e308"])
+    def test_snr_without_a_finite_positive_noise_scale_rejected(self, tmp_path, capsys, snr_db):
+        d, g, y = tmp_path / "d.dsmx", tmp_path / "g.txt", tmp_path / "y.dsmx"
+        assert run_cli("gen", "--kind", "gaussian", "--n", "10", "--k", "12", "--seed", "1",
+                       "--out", str(d)) == 0
+        assert run_cli("gen", "--kind", "groups", "--k", "12", "--group-size", "3",
+                       "--seed", "1", "--out", str(g)) == 0
+        capsys.readouterr()
+        assert run_cli("gen", "--kind", "bernoulli-gaussian-obs", "--dict", str(d),
+                       "--groups", str(g), f"--snr-db={snr_db}", "--out", str(y)) == 1
+        err = capsys.readouterr().err
+        assert "snr_db must give a finite, positive noise scale" in err
+        assert f"not {float(snr_db)!r}" in err
+        assert not y.exists()
+
+    @pytest.mark.parametrize("kind", [("gaussian", "--n", "10"), ("groups", "--group-size", "2")])
+    def test_negative_seed_named(self, tmp_path, capsys, kind):
+        out = tmp_path / "d.dsmx"
+        assert run_cli("gen", "--kind", *kind, "--k", "12", "--seed=-1", "--out", str(out)) == 1
+        assert "seed must be nonnegative, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--k", "--seed"])
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_size_or_seed_rejected(self, tmp_path, capsys, flag, value):
+        args = {"--n": "10", "--k": "12", "--seed": "1", flag: value}
+        out = tmp_path / "d.dsmx"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--kind", "gaussian", *(t for kv in args.items() for t in kv),
+                    "--out", str(out))
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_file_generation(self, tmp_path):
         out = tmp_path / "g.txt"
         assert run_cli("gen", "--kind", "groups", "--k", "12", "--group-size", "3",

@@ -1,10 +1,14 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
 
 import screenlab as sl
 from screenlab import datagen
+from screenlab.dictionary import _BLOCK_BYTES, GroupPartition
+from conftest import traced_peak
 
 
 class TestDeterminism:
@@ -55,6 +59,40 @@ class TestDictionaries:
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
             sl.GenSpec(kind="gaussian", n=0, k=5, seed=0)
+
+
+class TestGenSpec:
+    @pytest.mark.parametrize("field", ["n", "k", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_rejected(self, field, value):
+        fields = {**dict(n=3, k=4, seed=1), field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
+            sl.GenSpec(kind="gaussian", **fields)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+            sl.gen_dictionary(sl.GenSpec(kind="gaussian", n=3, k=4, seed=-1))
+        with pytest.raises(ValueError, match="^seed must be nonnegative, not -1$"):
+            datagen.random_groups(4, 2, -1)
+
+    def test_numpy_integers_pass(self):
+        spec = sl.GenSpec(kind="gaussian", n=np.int64(3), k=np.int32(4), seed=np.uint8(1))
+        assert sl.gen_dictionary(spec).data.shape == (3, 4)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, math.inf, 1e308, -1e308, -7000.0])
+    def test_snr_without_a_finite_positive_noise_scale_rejected(self, snr_db):
+        message = f"snr_db must give a finite, positive noise scale 10 ** (snr_db / 20), not {snr_db!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sl.GenSpec(kind="bernoulli-gaussian-obs", n=3, k=4, seed=1, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-300.0, 0.0, 300.0])
+    def test_extreme_finite_snr_gives_a_finite_observation(self, snr_db):
+        dic = sl.gen_dictionary(sl.GenSpec(kind="gaussian", n=10, k=12, seed=1))
+        part = sl.random_partition(dic, 3, seed=1)
+        spec = sl.GenSpec(kind="bernoulli-gaussian-obs", n=10, k=12, seed=1, bernoulli_p=0.5,
+                          snr_db=snr_db)
+        obs = sl.gen_observation(spec, dic, part)
+        assert np.all(np.isfinite(obs.y)) and np.linalg.norm(obs.y) == pytest.approx(1.0)
 
 
 class TestDct:
@@ -209,6 +247,35 @@ class TestPinnedBytes:
         groups = datagen.random_groups(self.K, self.GROUP_SIZE, self.SEED)
         assert _sha256(*groups) == "83e5e357ddccaf50ce6bb41b2c22fb54e227989e3d4bce439bb3b29386216139"
 
+    # shapes that span several blocks of rows, or chunks of groups; the
+    # dictionaries and the 100x3000 partition end on a partial one
+    MULTI_BLOCK_N, MULTI_BLOCK_K = 301, 2000
+    MULTI_BLOCK_DICTIONARIES = {
+        "gaussian": "1ecd2bb9420dd66277323d3c81e6342b426fd493a5fd42ac711430b9f062a941",
+        "pnoise": "1cbfcade9b3784309a3fd3b5daa67dd7d519bfe0d48123ad841d72ade5a79a06",
+        "dct": "b0f3d065710fd702f5203fa622b60190a2b5e7af45f98a39d44c7e7f4f25a1bc",
+    }
+    MULTI_CHUNK_NORMS = {
+        (200, 20000, 5): "b290244974696e9f9aeca8780e8f93e6a59abb417f6d9187b90c728282018489",
+        (100, 3000, 3): "13e42889d486bccedb30575ae3eef0ea0064769c9e10d99f2c6473936777a691",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MULTI_BLOCK_DICTIONARIES))
+    def test_dictionary_over_several_blocks(self, kind):
+        n, k = self.MULTI_BLOCK_N, self.MULTI_BLOCK_K
+        rows = _BLOCK_BYTES // (8 * k)
+        assert n > rows and n % rows
+        spec = sl.GenSpec(kind=kind, n=n, k=k, seed=self.SEED)
+        assert _sha256(sl.gen_dictionary(spec).data) == self.MULTI_BLOCK_DICTIONARIES[kind]
+
+    @pytest.mark.parametrize("shape", sorted(MULTI_CHUNK_NORMS))
+    def test_spectral_norms_over_several_chunks(self, shape):
+        n, k, size = shape
+        assert k // size > _BLOCK_BYTES // (8 * n * size)
+        dic = sl.gen_dictionary(sl.GenSpec(kind="pnoise", n=n, k=k, seed=self.SEED))
+        part = sl.random_partition(dic, size, self.SEED)
+        assert _sha256(part.spectral_norms) == self.MULTI_CHUNK_NORMS[shape]
+
     def test_partition(self):
         _, part = self.pnoise_partition()
         digests = {f: _sha256(getattr(part, f)) for f in ("group_of", "weights", "spectral_norms")}
@@ -217,3 +284,18 @@ class TestPinnedBytes:
             "weights": "980be6a8d6f3c6d3e3e29777f4e4ec5b0ed9816c6201daad07a17095dfd4bdbd",
             "spectral_norms": "c608d1c8ae9c8f1c6aa5588ccd659cf0a60869bd0322f0ca65fd2960884518ce",
         }
+
+
+class TestSetupMemory:
+    """Set-up holds one full-size array: the matrix, and bounded blocks beside it."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "pnoise", "dct"])
+    def test_gen_dictionary_peak(self, kind):
+        spec = sl.GenSpec(kind=kind, n=300, k=2000, seed=3)
+        sl.gen_dictionary(spec)
+        assert traced_peak(lambda: sl.gen_dictionary(spec)) <= 1.5 * 8 * spec.n * spec.k
+
+    def test_partition_build_peak(self):
+        dic = sl.gen_dictionary(sl.GenSpec(kind="pnoise", n=200, k=20000, seed=3))
+        groups = datagen.random_groups(dic.n_cols, 5, 3)
+        assert traced_peak(lambda: GroupPartition.build(dic, groups)) <= 8e6

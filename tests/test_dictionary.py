@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import screenlab as sl
+import screenlab.dictionary as dictionary_module
 from screenlab.dictionary import (
     GroupPartition,
     index_set,
@@ -13,6 +15,7 @@ from screenlab.dictionary import (
     write_dsmx,
     write_group_file,
 )
+from conftest import traced_peak
 
 
 def random_dictionary(seed, n, k):
@@ -101,6 +104,21 @@ class TestConstruction:
             assert np.array_equal(dic.data, mat) and dic.data is not src
             out = dic.reduce(np.array([0, 3, 4]))
             assert out.data.ctypes.data % 64 == 0 and out.data.flags.f_contiguous
+
+    def test_adopt_takes_the_buffer_over(self):
+        mat = random_dictionary(4, 5, 7).data
+        buf = dictionary_module._aligned_empty(5, 7)
+        buf[...] = mat
+        assert buf.ctypes.data % 64 == 0 and buf.flags.f_contiguous and buf.flags.writeable
+        dic = sl.Dictionary._adopt(buf)
+        assert dic.data is buf and not buf.flags.writeable
+        assert np.array_equal(dic.data, mat) and dic._opnorm is None
+
+    def test_adopt_checks_unit_norms(self):
+        buf = dictionary_module._aligned_empty(2, 2)
+        buf[...] = [[1.0, 0.0], [0.0, 2.0]]
+        with pytest.raises(ValueError, match="unit l2 norm"):
+            sl.Dictionary._adopt(buf)
 
 
 class TestReduce:
@@ -203,8 +221,6 @@ class TestSpectralNorm:
                 assert nrm >= np.linalg.norm(dic.data[:, g], 2) * floor
 
     def test_operator_norm_is_cached_per_instance(self, monkeypatch):
-        import screenlab.dictionary as dictionary_module
-
         solves = []
         exact = dictionary_module._top_singular_values
 
@@ -301,6 +317,32 @@ class TestDsmx(object):
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="payload"):
             read_dsmx(path)
+
+    def test_rejects_oversized_payload(self, tmp_path):
+        path = tmp_path / "long.dsmx"
+        write_dsmx(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="expected 32 payload bytes, got 40"):
+            read_dsmx(path)
+
+    def test_written_bytes_pinned(self, tmp_path):
+        # recorded before writes went through the array's own buffer
+        path = tmp_path / "m.dsmx"
+        write_dsmx(path, sl.gen_dictionary(sl.GenSpec(kind="pnoise", n=30, k=70, seed=11)).data)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "34da68c4688f718793e846b561a7021ca1b419aca371f8d9f45793b7ec722700"
+        write_dsmx(path, np.arange(12.0).reshape(3, 4) / 7)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "1ed8795950eb29579ceec6b2e2faa61d6f9806bed0bdda48d80d0c29e4cb2a1b"
+
+    def test_one_copy_of_the_matrix(self, tmp_path):
+        # a Fortran-ordered dictionary is copied once into row order to be
+        # written, and a file is read straight into the returned array
+        mat = sl.gen_dictionary(sl.GenSpec(kind="gaussian", n=300, k=2000, seed=3)).data
+        path = tmp_path / "m.dsmx"
+        assert traced_peak(lambda: write_dsmx(path, mat)) <= 1.5 * mat.nbytes
+        assert traced_peak(lambda: read_dsmx(path)) <= 1.5 * mat.nbytes
+        assert np.array_equal(read_dsmx(path), mat)
 
     def test_csv_import(self, tmp_path):
         path = tmp_path / "m.csv"

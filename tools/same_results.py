@@ -24,12 +24,16 @@ largest relative rise, so a deliberate change to one solver shows whether its
 differences are improvements. The last line names the (penalty, algorithm)
 pairs whose runs are all bit-identical.
 
-Each tree also builds the set-up of those problems and of the first two
+Each tree also builds the set-up of those problems, of the first two
 passes of the benchmark's `desk`, `group` and `algos` workloads (built by
-this checkout's `perfbench/workloads.py` with the tree's screenlab), and the
-dictionary bytes, `y`, `lam`, and the partition's `group_of`, `weights` and
-`spectral_norms` of every problem are compared exactly. Problems whose
-set-up differs are named with their fields. Exits nonzero on any difference.
+this checkout's `perfbench/workloads.py` with the tree's screenlab), and of
+problems at the edges of set-up's blocks: gaussian, pnoise and DCT
+dictionaries of 301 rows, which the generators make in several blocks of
+rows ending on a partial one, and a 200x20,000 pnoise partition in groups
+of 5, whose spectral norms take several chunks. The dictionary bytes, `y`,
+`lam`, and the partition's `group_of`, `weights` and `spectral_norms` of
+every problem are compared exactly. Problems whose set-up differs are named
+with their fields. Exits nonzero on any difference.
 """
 
 import hashlib
@@ -67,6 +71,21 @@ def _problems(sl):
                 yield (kind, family, seed, ratio), sl.Problem(dic, y, ratio * lmax, part)
 
 
+def _boundary_problems(sl):
+    for family, obs_family in (("gaussian", "gaussian"), ("pnoise", "pnoise"),
+                               ("dct", "unit-sphere-obs")):
+        dic = sl.gen_dictionary(sl.GenSpec(kind=family, n=301, k=2000, seed=SETUP_SEED))
+        y = sl.gen_observation(sl.GenSpec(kind=obs_family, n=301, k=2000, seed=SETUP_SEED), dic).y
+        lam = 0.5 * sl.lambda_max(sl.Problem(dic, y, 1.0)).value
+        yield ("blocks", family, 301, 2000), sl.Problem(dic, y, lam)
+    dic = sl.gen_dictionary(sl.GenSpec(kind="pnoise", n=200, k=20000, seed=SETUP_SEED))
+    part = sl.random_partition(dic, 5, SETUP_SEED)
+    obs = sl.GenSpec(kind="bernoulli-gaussian-obs", n=200, k=20000, seed=SETUP_SEED)
+    y = sl.gen_observation(obs, dic, part).y
+    lam = 0.5 * sl.lambda_max(sl.Problem(dic, y, 1.0, part)).value
+    yield ("chunks", "pnoise", 200, 20000), sl.Problem(dic, y, lam, part)
+
+
 def _setup(problem):
     """Digests of what set-up made of `problem`, one per `SETUP_FIELDS` entry."""
     part = problem.partition
@@ -90,6 +109,7 @@ def dump(out_path):
     import screenlab as sl
 
     setup = {key: _setup(problem) for key, problem in _benchmark_problems()}
+    setup.update((key, _setup(problem)) for key, problem in _boundary_problems(sl))
     results = {}
     for key, problem in _problems(sl):
         setup[key] = _setup(problem)
