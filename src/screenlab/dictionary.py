@@ -353,16 +353,18 @@ class GroupLayout:
         """Layout over the positions that `mask` leaves, where `mask` flags whole groups.
 
         `mask` is aligned with the reduced vector this layout places. The
-        surviving groups keep their order and positions, renumbered past the
-        flagged ones. Every reduced layout is made here,
-        ``partition.layout(kept)`` included.
+        groups of the flagged positions go, so a dynamic elimination, which
+        flags a few groups, reads only those positions' groups; the others
+        keep their order and positions, renumbered past the flagged ones.
+        Every reduced layout is made here, ``partition.layout(kept)``
+        included.
         """
-        member = self.member[~mask]
-        alive = np.zeros(self.n_groups, dtype=bool)
-        alive[member] = True
+        alive = np.ones(self.n_groups, dtype=bool)
+        alive[self.member[mask]] = False
         renumber = np.cumsum(alive) - 1
         return GroupLayout(
-            self.group_ids[alive], self.weights[alive], renumber[member], self.sizes[alive]
+            self.group_ids[alive], self.weights[alive], renumber[self.member[~mask]],
+            self.sizes[alive],
         )
 
     def norms(self, vec):
@@ -378,7 +380,7 @@ class GroupLayout:
 
     def penalty(self, vec):
         """Weighted sum of group norms (the group-sparsity regularizer value)."""
-        return float(self.weights @ self.norms(vec))
+        return float(self.weights.dot(self.norms(vec)))
 
     def prox(self, vec, t):
         """Group soft-thresholding with threshold ``t * weight`` per group."""

@@ -39,7 +39,8 @@ class Problem:
         if not abs(nrm - 1.0) <= OBS_NORM_TOL:
             raise ValueError(f"observation must have unit l2 norm (got {nrm!r})")
         if not self.lam > 0:
-            raise ValueError("lam must be strictly positive")
+            # NaN fails this comparison too, and is named like any other value
+            raise ValueError(f"lam must be strictly positive (got {self.lam!r})")
         if not np.isfinite(self.lam):
             raise ValueError(f"lam must be finite (got {self.lam!r})")
         if self.partition is not None and self.partition.size != self.dictionary.n_cols:
@@ -98,10 +99,9 @@ def lambda_max(problem, corr=None):
 
 def penalty_value(x, layout=None):
     """Regularizer value: l1 norm, or weighted group norms when a group layout is given."""
-    x = np.asarray(x, dtype=np.float64)
-    if layout is None:
-        return float(np.abs(x).sum())
-    return layout.penalty(x)
+    if layout is not None:
+        return layout.penalty(x)
+    return float(np.abs(np.asarray(x, dtype=np.float64)).sum())
 
 
 def objective(problem, x):

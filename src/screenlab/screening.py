@@ -155,9 +155,11 @@ def screen_update(state, mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (state.kept.size,):
         raise ValueError("mask must align with the kept index set")
-    if not mask.any():
+    dropped = state.kept[mask]
+    if not dropped.size:
         return state
-    eliminated = np.sort(np.concatenate((state.eliminated, state.kept[mask])), kind="stable")
+    eliminated = np.concatenate((state.eliminated, dropped))
+    eliminated.sort(kind="stable")
     return ScreenState(eliminated=eliminated, kept=_frozen(state.kept[~mask]))
 
 
@@ -169,10 +171,10 @@ def _frozen(arr):
 
 def _clip_ratio(problem, theta, bound):
     """Scaling of theta closest to ``y / lam`` within [-bound, bound]; 0 for theta = 0."""
-    sq = float(theta @ theta)
+    sq = float(theta.dot(theta))
     if sq == 0.0:
         return 0.0
-    return min(max(float(theta @ problem.y) / (problem.lam * sq), -bound), bound)
+    return min(max(float(theta.dot(problem.y)) / (problem.lam * sq), -bound), bound)
 
 
 def dual_scale_lasso(problem, theta, corr_inf=None):
@@ -236,16 +238,23 @@ class ScreeningContext:
     segment ``[-s_j, s_j]`` that j allows alone, so the squared radius
     ``||y / lam - mu theta||^2``, a parabola in mu, is at least its value
     at the point of that segment closest to the parabola's minimum. That
-    lower bound costs two dot products of the observation's length and a
-    gather of j's correlations; when no sphere's largest kept slack clears
-    the radius it bounds, the exact test would flag nothing either.
-    `_extremal` holds the extremal atom (group) of the last exact screen
-    that flagged nothing, keyed on its read-only kept set: the columns of j
-    among the kept ones, j's weight and its original index (group id). An
-    elimination that leaves j kept moves the memo to the new kept set at
-    its first screen, which finds j there by that index. A context reused
-    across runs or kept sets can only make that j a looser choice, never an
-    unsafe one.
+    lower bound costs one dot product of the observation's length (two
+    when the caller does not pass ``theta @ theta``) and j's correlations,
+    one scalar for an atom; when no sphere's largest kept slack clears the
+    radius it bounds, the exact test would flag nothing either, and the
+    screen returns the kept set's shared all-False mask.
+
+    The per-kept-set memos are keyed on a read-only kept set, which cannot
+    change behind them. `_extremal` holds the extremal atom (group) j of the
+    last exact screen that flagged nothing: j's position among the kept
+    atoms (its group's positions), its weight and its original index (group
+    id). The exact path takes j from the correlation sizes its dual scaling
+    computed (`_scaled`), so group norms are computed once per exact
+    screen. An elimination that leaves j kept moves the memo to the new kept
+    set at its first screen, which finds j there by that index. A context
+    reused across runs or kept sets can only make that j a looser choice,
+    never an unsafe one. `_tops` holds the largest kept slack of each
+    sphere, and `_nothing` the shared all-False mask.
     """
 
     def __init__(self, problem):
@@ -254,6 +263,9 @@ class ScreeningContext:
         self.lmax = lambda_max(problem, self.y_corr)
         self._tests = LASSO_TESTS if problem.kind == LASSO else GROUP_TESTS
         self._extremal = (None, None, 1.0, -1)
+        self._nothing = (None, None)
+        self._tops = (None, 0.0, None)
+        self._scaled = (None, None)
 
     # -- shared scalar machinery -------------------------------------------
 
@@ -362,13 +374,17 @@ class ScreeningContext:
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
             )
         if problem.kind == LASSO:
-            _, v = dual_scale_lasso(problem, theta, float(np.abs(corr).max(initial=0.0)))
+            sizes = np.abs(corr)
+            _, v = dual_scale_lasso(problem, theta, float(sizes.max(initial=0.0)))
         else:
             if layout is None:
                 layout = problem.partition.full
-            _, v = dual_scale_group(problem, theta, layout.norms(corr), layout.weights)
+            sizes = layout.norms(corr)
+            _, v = dual_scale_group(problem, theta, sizes, layout.weights)
+        # `screen` finds the extremal atom (group) of a screen that flags nothing here
+        self._scaled = (corr, sizes)
         diff = self.safe_center - v
-        rsq = float(diff @ diff)
+        rsq = float(diff.dot(diff))
         safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
         if kind in (SAFE, GSAFE):
             return safe
@@ -383,18 +399,25 @@ class ScreeningContext:
         """Region for the screen-once strategy, built from the observation itself."""
         return self.region(kind, self.problem.y, self.y_corr)
 
-    def screen(self, kind, theta, corr, kept, layout=None):
+    def screen(self, kind, theta, corr, kept, layout=None, theta_sq=None):
         """Elimination mask over `kept` from test `kind` at the dual candidate `theta`.
 
-        `kept` holds the original indices of the columns still in play and
-        `corr` their correlations with theta, in the same order; for group
-        problems `layout` is the group layout over `kept` (built from it when
-        omitted). The screen-once strategy is this call at ``theta = y`` on
-        the whole dictionary, the dynamic strategy the same call at each
-        iteration's dual point. Group tests flag whole groups, and the mask
-        flags each of their columns. A sphere test whose radius lower bound
-        already certifies nothing returns the all-False mask without
-        building the region; the mask is the one the region would give.
+        `theta` is a float64 array, `kept` holds the original indices of the
+        columns still in play and `corr` their correlations with theta, in
+        the same order; for group problems `layout` is the group layout over
+        `kept` (built from it when omitted). `theta_sq` is ``theta @ theta``
+        when the caller already has it, and is computed otherwise. The
+        screen-once strategy is this call at ``theta = y`` on the whole
+        dictionary, the dynamic strategy the same call at each iteration's
+        dual point. Group tests flag whole groups, and the mask flags each of
+        their columns. A sphere test whose radius lower bound already
+        certifies nothing returns the all-False mask without building the
+        region; the mask is the one the region would give.
+
+        The mask is a boolean array aligned with `kept`. A mask that flags
+        nothing over a read-only kept set is one read-only array shared by
+        every such screen of that set; every other mask is a fresh writable
+        array, so a read-only mask always flags nothing.
         """
         problem = self.problem
         self._check_test(kind)
@@ -402,8 +425,8 @@ class ScreeningContext:
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
-        if self._certifies_nothing(kind, theta, corr, kept, idx, layout):
-            return np.zeros(kept.size, dtype=bool)
+        if self._certifies_nothing(kind, theta, theta_sq, corr, kept, idx, layout):
+            return self._unflagged(kept)
         region = self.region(kind, theta, corr, layout)
         if kind == DOME:
             return test_dome(region, kept)
@@ -412,11 +435,35 @@ class ScreeningContext:
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
         if kept.size and not kept.flags.writeable:
             # remember the extremal atom (group) for the bound on this kept set
-            ratios = np.abs(corr) if layout is None else layout.norms(corr) / layout.weights
-            self._extremal = _memo(kept, layout, int(np.argmax(ratios)))
-        return np.zeros(kept.size, dtype=bool)
+            scaled_corr, sizes = self._scaled
+            if scaled_corr is corr:
+                ratios = sizes if layout is None else sizes / layout.weights
+                self._extremal = self._memo(kept, layout, int(np.argmax(ratios)))
+        return self._unflagged(kept)
 
-    def _certifies_nothing(self, kind, theta, corr, kept, idx, layout):
+    def _unflagged(self, kept):
+        """The all-False mask over `kept`: shared and read-only when `kept` is."""
+        if kept.flags.writeable:
+            return np.zeros(kept.size, dtype=bool)
+        key, mask = self._nothing
+        if key is not kept:
+            mask = _frozen(np.zeros(kept.size, dtype=bool))
+            self._nothing = (kept, mask)
+        return mask
+
+    def _memo(self, kept, layout, i):
+        """`_extremal` for the i-th atom (group) in play: its positions, weight and index.
+
+        An atom's position is the integer i itself; a group's are found by
+        its original columns, which a layout over `kept` holds whole.
+        """
+        if layout is None:
+            return kept, i, 1.0, int(kept[i])
+        g = int(layout.group_ids[i])
+        cols = np.searchsorted(kept, self.problem.partition.groups[g])
+        return kept, cols, float(layout.weights[i]), g
+
+    def _certifies_nothing(self, kind, theta, theta_sq, corr, kept, idx, layout):
         """Whether a lower bound on the radius shows that sphere test `kind` flags nothing.
 
         The bound scales theta onto the feasible segment of the remembered
@@ -432,50 +479,52 @@ class ScreeningContext:
         shifted test the region would reject.
         """
         key, cols, weight, j = self._extremal
-        if kind not in (SAFE, GSAFE, DST3, GST3) or (key is not kept and kept.flags.writeable):
+        if kind == DOME or (key is not kept and kept.flags.writeable):
             return False
         if key is not kept:
             # j stays in a read-only kept set, sorted, unless it was eliminated
             i = int(np.searchsorted(idx, j))
             if i == idx.size or idx[i] != j:
                 return False
-            _, cols, weight, _ = self._extremal = _memo(kept, layout, i)
+            _, cols, weight, _ = self._extremal = self._memo(kept, layout, i)
         problem = self.problem
         lam = problem.lam
         shifted = kind in (DST3, GST3)
         if shifted and lam > self.lmax.value:
             return False
-        theta = np.asarray(theta, dtype=np.float64)
-        sq = float(theta @ theta)
-        ty = float(theta @ problem.y)
+        ty = float(theta.dot(problem.y))
+        sq = float(theta.dot(theta)) if theta_sq is None else theta_sq
         mu = 0.0
         if sq != 0.0:
-            cj = np.asarray(corr, dtype=np.float64)[cols]
-            corr_j = math.sqrt(float(cj @ cj)) / weight
-            bound = np.inf if corr_j == 0.0 else 1.0 / corr_j
-            mu = min(max(ty / (lam * sq), -bound), bound)
+            if layout is None:
+                corr_j = abs(float(corr[cols]))
+            else:
+                cj = corr[cols]
+                corr_j = math.sqrt(float(cj.dot(cj))) / weight
+            mu = ty / (lam * sq)
+            # clipped to the segment [-1 / corr_j, 1 / corr_j] that j allows
+            if corr_j != 0.0 and abs(mu) > 1.0 / corr_j:
+                mu = math.copysign(1.0 / corr_j, mu)
         a, b, c = self._y_sq / (lam * lam), 2.0 * mu * ty / lam, mu * mu * sq
-        allowance = 4.0 * (theta.size + cols.size + 8) * _EPS * (a + abs(b) + c)
+        cols_size = 1 if layout is None else cols.size
+        allowance = 4.0 * (theta.size + cols_size + 8) * _EPS * (a + abs(b) + c)
         rsq = a - b + c - allowance
-        spheres = [(self.safe_slack, rsq)]
+        key, safe_top, shifted_top = self._tops
+        if key is not kept or (shifted and shifted_top is None):
+            # the largest kept slacks are fixed for a read-only kept set
+            safe_top = self.safe_slack.over(idx)[1]
+            shifted_top = self._shifted[1].over(idx)[1] if shifted else None
+            if not kept.flags.writeable:
+                self._tops = (kept, safe_top, shifted_top)
+        if safe_top - math.sqrt(max(rsq, 0.0)) > SCREEN_MARGIN:
+            return False
         if shifted:
-            _, slack, shift_sq = self._shifted
+            shift_sq = self._shifted[2]
             if rsq - shift_sq < -RADIUS_GUARD:
                 return False
-            spheres.append((slack, rsq - shift_sq))
-        for slack, radius_sq in spheres:
-            _, top = slack.over(idx)
-            if top - math.sqrt(max(radius_sq, 0.0)) > SCREEN_MARGIN:
+            if shifted_top - math.sqrt(max(rsq - shift_sq, 0.0)) > SCREEN_MARGIN:
                 return False
         return True
-
-
-def _memo(kept, layout, i):
-    """`_extremal` for the i-th atom (group) in play: its positions, weight and index."""
-    if layout is None:
-        return kept, np.array([i]), 1.0, int(kept[i])
-    cols = np.flatnonzero(layout.member == i)
-    return kept, cols, float(layout.weights[i]), int(layout.group_ids[i])
 
 
 # -- tests --------------------------------------------------------------------

@@ -86,7 +86,10 @@ class SolverState:
     """Mutable per-run state: primal block, screened positions, dual point, step scalars.
 
     `u` is the extrapolated point of FISTA and Chambolle-Pock. `resid` and
-    `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None.
+    `u_resid` are ``D @ x - y`` and ``D @ u - y`` when known, else None;
+    `resid_sq` and `theta_sq` are ``resid @ resid`` and ``theta @ theta``
+    when known, else None, so that the objective and the screen reuse the
+    step's own sums.
     `L` is the backtracked curvature of ISTA, FISTA and SpaRSA, which SpaRSA
     restarts at the Barzilai-Borwein curvature of each step it takes; `step`
     is the fixed step of TwIST and Chambolle-Pock.
@@ -104,6 +107,8 @@ class SolverState:
     corr: np.ndarray | None = None
     resid: np.ndarray | None = None
     u_resid: np.ndarray | None = None
+    resid_sq: float | None = None
+    theta_sq: float | None = None
     L: float = 1.0
     l_acc: float = 1.0
     step: float | None = None
@@ -141,16 +146,22 @@ def _resid_at(dic, v, y):
 
 
 def _residual(state, dic, y):
-    if state.resid is not None:
-        return state.resid
-    return dic.apply(state.x) - y
+    """x's residual ``D @ x - y`` and its squared norm, each taken from the state if it has it."""
+    resid = state.resid
+    if resid is None:
+        resid = dic.apply(state.x) - y
+    elif state.resid_sq is not None:
+        return resid, state.resid_sq
+    return resid, float(resid.dot(resid))
 
 
-def _accept(state, theta, corr, cand, resid_cand, weight=None):
+def _accept(state, theta, corr, cand, resid_cand, weight=None, theta_sq=None, resid_sq=None):
     """Move to `cand`, recording the step's dual point `theta` and its `corr`.
 
     `resid_cand` is ``D @ cand - y``, or None when the step did not compute
-    it. With a `weight`, also sets ``u = cand + weight * (cand - x)``; its
+    it, and `theta_sq` and `resid_sq` are the squared norms of `theta` and
+    `resid_cand` where the step summed them. With a `weight`, also sets
+    ``u = cand + weight * (cand - x)``; its
     residual is the same combination of the residuals of `cand` and of the
     current x, so it costs no product while x's residual is known. FISTA's
     first weight is 0 and its x is +0 there, so u is `cand` to the bit.
@@ -163,8 +174,8 @@ def _accept(state, theta, corr, cand, resid_cand, weight=None):
             state.u_resid = None
         else:
             state.u_resid = resid_cand + weight * (resid_cand - state.resid)
-    state.x_prev, state.x, state.resid = state.x, cand, resid_cand
-    state.theta, state.corr = theta, corr
+    state.x_prev, state.x, state.resid, state.resid_sq = state.x, cand, resid_cand, resid_sq
+    state.theta, state.corr, state.theta_sq = theta, corr, theta_sq
 
 
 def _extrapolated_resid(state, dic, y):
@@ -176,49 +187,49 @@ def _extrapolated_resid(state, dic, y):
     return state.u_resid
 
 
-def _backtrack(point, theta, corr, dic, y, lam, L, prox):
-    """Backtracking prox step from `point`; returns (x_new, resid_new, L).
+def _backtrack(state, point, theta, theta_sq, dic, problem, prox, weight=None):
+    """Backtracking prox step from `point`, accepted into `state` by `_accept`.
 
-    `theta` and `corr` are the residual and gradient at `point`, and `prox`
-    is the penalty's, from `_prox`. L grows by
-    the backtrack factor until the quadratic majorization
-    ``f(x_new) <= f(point) + <grad, dx> + L/2 ||dx||^2`` holds; the accepted
-    trial's residual is returned so callers can reuse it.
+    `theta` is the residual at `point` and `theta_sq` its squared norm, and
+    `prox` is the penalty's, from `_prox`. L grows from ``state.L`` by the
+    backtrack factor until the quadratic majorization
+    ``f(x_new) <= f(point) + <grad, dx> + L/2 ||dx||^2`` holds, and the
+    state keeps it. The accepted trial's residual and its squared norm go
+    to `_accept` with it, and so does `weight`. Vector products use
+    ``.dot``, the same BLAS call as ``@`` without the ufunc dispatch.
     """
-    f0 = 0.5 * float(theta @ theta)
+    y, lam, L = problem.y, problem.lam, state.L
+    corr = dic.correlate(theta)
+    f0 = 0.5 * theta_sq
     while True:
         cand = prox(point - corr / L, lam / L)
         resid_cand = dic.apply(cand) - y
-        f_cand = 0.5 * float(resid_cand @ resid_cand)
+        resid_sq = float(resid_cand.dot(resid_cand))
         step = cand - point
-        bound = f0 + float(corr @ step) + 0.5 * L * float(step @ step)
-        if f_cand <= bound + _MAJORIZATION_SLACK * max(1.0, f0):
-            return cand, resid_cand, L
+        bound = f0 + float(corr.dot(step)) + 0.5 * L * float(step.dot(step))
+        if 0.5 * resid_sq <= bound + _MAJORIZATION_SLACK * max(1.0, f0):
+            break
         L *= _BACKTRACK_FACTOR
         if not L <= _L_CEILING:
             raise FloatingPointError("backtracking failed to find a valid step")
+    state.L = L
+    _accept(state, theta, corr, cand, resid_cand, weight, theta_sq, resid_sq)
 
 
 def update_ista(state, dic, problem):
     """One proximal gradient step with backtracked step size."""
-    prox = _prox(state, problem)
-    y, lam = problem.y, problem.lam
-    theta = _residual(state, dic, y)
-    corr = dic.correlate(theta)
-    cand, resid_cand, state.L = _backtrack(state.x, theta, corr, dic, y, lam, state.L, prox)
-    _accept(state, theta, corr, cand, resid_cand)
+    theta, theta_sq = _residual(state, dic, problem.y)
+    _backtrack(state, state.x, theta, theta_sq, dic, problem, _prox(state, problem))
     return state
 
 
 def update_fista(state, dic, problem):
     """One accelerated proximal gradient step (momentum on an auxiliary point)."""
     prox = _prox(state, problem)
-    y, lam = problem.y, problem.lam
-    theta = _extrapolated_resid(state, dic, y)
-    corr = dic.correlate(theta)
-    cand, resid_cand, state.L = _backtrack(state.u, theta, corr, dic, y, lam, state.L, prox)
+    theta = _extrapolated_resid(state, dic, problem.y)
     l_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.l_acc**2))
-    _accept(state, theta, corr, cand, resid_cand, (state.l_acc - 1.0) / l_new)
+    weight = (state.l_acc - 1.0) / l_new
+    _backtrack(state, state.u, theta, float(theta.dot(theta)), dic, problem, prox, weight)
     state.l_acc = l_new
     return state
 
@@ -235,7 +246,7 @@ def update_twist(state, dic, problem):
     if state.step is None:
         raise ValueError("update_twist requires state.step")
     s = state.step
-    theta = _residual(state, dic, y)
+    theta, theta_sq = _residual(state, dic, y)
     corr = dic.correlate(theta)
     z = prox(state.x - s * corr, lam * s)
     if state.x_prev is None:
@@ -243,7 +254,7 @@ def update_twist(state, dic, problem):
     else:
         a, b = _TWIST_ALPHA, _TWIST_BETA
         cand = (1.0 - a) * state.x_prev + (a - b) * state.x + b * z
-    _accept(state, theta, corr, cand, None)
+    _accept(state, theta, corr, cand, None, theta_sq=theta_sq)
     return state
 
 
@@ -257,10 +268,10 @@ def update_sparsa(state, dic, problem):
     """
     update_ista(state, dic, problem)
     s = state.x - state.x_prev
-    ss = float(s @ s)
+    ss = float(s.dot(s))
     if ss > 0.0:
         ds = state.resid - state.theta
-        state.L = max(float(ds @ ds) / ss, _BB_L_MIN)
+        state.L = max(float(ds.dot(ds)) / ss, _BB_L_MIN)
     return state
 
 
@@ -322,13 +333,13 @@ def _reduce_state(state, mask):
     The dictionary is the caller's to reduce.
     """
     keep = ~mask
-    if state.x[mask].any():
-        state.resid = None
+    if np.count_nonzero(state.x[mask]):
+        state.resid = state.resid_sq = None
     state.x = state.x[keep]
     if state.x_prev is not None:
         state.x_prev = state.x_prev[keep]
     if state.u is not None:
-        if state.u[mask].any():
+        if np.count_nonzero(state.u[mask]):
             state.u_resid = None
         state.u = state.u[keep]
     if state.layout is not None:
@@ -351,14 +362,17 @@ def run(problem, cfg, iteration_hook=None):
     the state with `_reduce_state` and reduces the dictionary on its own.
     The screening context serves every strategy: a plain run takes
     ``D.T y`` and `lambda_max` from it too. Every iteration, the first
-    included, correlates its own dual point.
+    included, correlates its own dual point, and its objective takes the
+    squared residual norm the step summed where it did.
 
     `iteration_hook(t, state, mask)` is called after each update and its
-    screen, before the mask is dropped: `mask` is the dynamic elimination
-    aligned with the positions of ``state.x`` (None for the other
-    strategies). The hook reads the live `SolverState` and must not modify
-    it. The loop replaces the arrays it holds and never writes into them,
-    so an array a hook keeps still holds the values it had at the call.
+    screen, before the mask is dropped: `mask` is the dynamic elimination, a
+    boolean array aligned with the positions of ``state.x`` (None for the
+    other strategies). A mask that flags nothing may be one read-only array
+    shared by the screens of a kept set (see `ScreeningContext.screen`). The
+    hook reads the live `SolverState` and must not modify it. The loop
+    replaces the arrays it holds and never writes into them, so an array a
+    hook keeps still holds the values it had at the call.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -377,42 +391,47 @@ def run(problem, cfg, iteration_hook=None):
 
     state = init_state(problem, cfg)
     dic = problem.dictionary
-    if problem.lam > ctx.lmax.value:
+    y, lam = problem.y, problem.lam
+    if lam > ctx.lmax.value:
         # the zero solution: every column goes, and the loop below stops at once
         _reduce_state(state, np.ones(k, dtype=bool))
     elif cfg.strategy == STATIC:
-        mask = ctx.screen(cfg.test, problem.y, ctx.y_corr, state.screen_state.kept, state.layout)
+        mask = ctx.screen(cfg.test, y, ctx.y_corr, state.screen_state.kept, state.layout)
         _reduce_state(state, mask)
         dic = dic.reduce(state.screen_state.kept)
         trace.init_flops = flops_static_init(k, n)
 
     update = _UPDATES[cfg.algorithm]
+    test = cfg.test if cfg.strategy == DYNAMIC else None
 
     f_prev = None
     iterations = 0
     moved = False
+    mask = None
     for t in range(1, cfg.max_iters + 1):
         if state.screen_state.kept.size == 0:
             break
         update(state, dic, problem)
         iterations = t
 
-        mask = None
-        if cfg.strategy == DYNAMIC:
-            kept = state.screen_state.kept
-            mask = ctx.screen(cfg.test, state.theta, state.corr, kept, state.layout)
+        if test is not None:
+            mask = ctx.screen(test, state.theta, state.corr, state.screen_state.kept,
+                              state.layout, state.theta_sq)
 
         if iteration_hook is not None:
             iteration_hook(t, state, mask)
 
-        if mask is not None and mask.any():
-            dic = _reduce_dic(dic, np.flatnonzero(~mask))
+        # a read-only mask is the shared one that flags nothing
+        if mask is not None and mask.flags.writeable and mask.any():
+            dic = _reduce_dic(dic, (~mask).nonzero()[0])
             _reduce_state(state, mask)
 
-        if state.resid is None:
-            state.resid = _resid_at(dic, state.x, problem.y)
-        f_t = 0.5 * float(state.resid @ state.resid)
-        f_t += problem.lam * penalty_value(state.x, state.layout)
+        if state.resid_sq is None:
+            if state.resid is None:
+                state.resid = _resid_at(dic, state.x, y)
+            state.resid_sq = float(state.resid.dot(state.resid))
+        f_t = 0.5 * state.resid_sq
+        f_t += lam * penalty_value(state.x, state.layout)
         nnz = int(np.count_nonzero(state.x))
         # the flop column is filled in once, from the kept and sparsity columns
         trace.append(t, state.screen_state.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)
@@ -427,7 +446,7 @@ def run(problem, cfg, iteration_hook=None):
 
     trace.flops_cum = trace.recompute_flops()
     x_star = expand(state.x, state.screen_state.kept, k)
-    final_objective = trace.objective[-1] if trace.objective else 0.5 * float(problem.y @ problem.y)
+    final_objective = trace.objective[-1] if trace.objective else 0.5 * float(y @ y)
     return SolveResult(
         x_star=x_star,
         iterations=iterations,
@@ -442,7 +461,9 @@ class _LiveColumns:
 
     Offers the `Dictionary` products over the live columns only: coefficient
     vectors and correlations are indexed by live position, and the screened
-    columns take part in the products with a zero coefficient.
+    columns take part in the products with a zero coefficient. The products
+    are the packed dictionary's BLAS calls made on its data directly, without
+    the argument checks, which the solver's own vectors do not need.
     """
 
     __slots__ = ("packed", "live")
@@ -458,10 +479,10 @@ class _LiveColumns:
     def apply(self, x):
         full = np.zeros(self.packed.n_cols)
         full[self.live] = x
-        return self.packed.data @ full
+        return self.packed.data.dot(full)
 
     def correlate(self, v):
-        return self.packed.correlate(v)[self.live]
+        return self.packed.data.T.dot(v)[self.live]
 
 
 def _reduce_dic(dic, keep_pos):

@@ -173,6 +173,13 @@ class TestSolve:
             run_cli("solve", "--dict", str(d), "--obs", str(y), "--algo", "ista")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda-ratio", "--lam"])
+    def test_nan_lam_named(self, lasso_files, capsys, flag):
+        d, y = lasso_files
+        assert run_cli("solve", "--dict", str(d), "--obs", str(y), flag, "nan",
+                       "--algo", "ista") == 1
+        assert "lam must be strictly positive (got nan)" in capsys.readouterr().err
+
     def test_lam_and_ratio_exclusive(self, lasso_files, capsys):
         d, y = lasso_files
         with pytest.raises(SystemExit) as exc:

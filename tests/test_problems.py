@@ -19,6 +19,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="positive"):
             sl.Problem(dic, np.array([1.0, 0.0]), 0.0)
 
+    def test_rejects_nan_lam_by_value(self):
+        dic = sl.Dictionary(np.eye(2))
+        for lam, shown in ((float("nan"), "nan"), (-0.5, "-0.5")):
+            with pytest.raises(ValueError, match=rf"lam must be strictly positive \(got {shown}\)"):
+                sl.Problem(dic, np.array([1.0, 0.0]), lam)
+
     def test_rejects_nan_observation(self):
         dic = sl.Dictionary(np.eye(2))
         with pytest.raises(ValueError, match="observation"):

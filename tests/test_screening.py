@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import screenlab as sl
 from screenlab import screening
@@ -776,7 +779,8 @@ class TestRadiusBound:
                     corr = p.dictionary.correlate(theta)
                     for j in range(p.n_cols if layout is None else layout.n_groups):
                         if layout is None:
-                            ctx._extremal = (kept, np.array([j]), 1.0, j)
+                            # an atom is remembered by its position in play
+                            ctx._extremal = (kept, j, 1.0, j)
                         else:
                             cols = np.flatnonzero(layout.member == j)
                             ctx._extremal = (kept, cols, float(layout.weights[j]), j)
@@ -890,7 +894,7 @@ class TestRadiusBound:
             _, cols, weight, j = ctx._extremal
             # drop the first atom (group) that is not j
             drop = np.zeros(kept.size, dtype=bool)
-            first = 1 if cols[0] == 0 else 0
+            first = 1 if np.min(cols) == 0 else 0
             drop[first if p.kind == sl.LASSO else p.partition.groups[first]] = True
             state = sl.screen_update(screening.ScreenState(np.empty(0, np.int64), kept), drop)
             corr = p.dictionary.data[:, state.kept].T @ theta
@@ -903,6 +907,67 @@ class TestRadiusBound:
             key, moved, _, _ = ctx._extremal
             assert key is state.kept and ctx._extremal[2:] == (weight, j)
             assert np.array_equal(state.kept[moved], kept[cols])
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_problem(penalty, family, seed, ratio):
+    """A small problem and the residual of a plain solve of it, near the dual optimum."""
+    make = make_lasso if penalty == sl.LASSO else make_group
+    p = make(seed, n=14, k=36, ratio=ratio, family=family)
+    res = sl.run(p, sl.SolverConfig(algorithm="fista", max_iters=200, rel_tol=1e-12))
+    return p, p.dictionary.apply(res.x_star) - p.y
+
+
+class TestScreenEqualsExactPath:
+    # Whatever the radius bound skips, `screen` must return exactly the mask
+    # of the region and the sphere test (expanded to columns for groups), on
+    # read-only kept sets as a run holds them: the first, and each one right
+    # after an elimination, where the remembered extremal atom (group) moves
+    # to the new set or is found gone. Dual points run from the near-optimal
+    # residual, where the tests certify most, out to far ones, where the
+    # bound skips.
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(penalty=st.sampled_from([sl.LASSO, sl.GROUP]),
+           family=st.sampled_from(["gaussian", "pnoise"]),
+           seed=st.integers(0, 40),
+           ratio=st.sampled_from([0.35, 0.6, 0.8, 0.95]),
+           scales=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 0.5, 2.0]),
+                           min_size=2, max_size=12),
+           noise_seed=st.integers(0, 2**16),
+           zero_theta=st.booleans())
+    def test_screen_equals_region_then_sphere_test(self, penalty, family, seed, ratio, scales,
+                                                   noise_seed, zero_theta):
+        p, near = _drawn_problem(penalty, family, seed, ratio)
+        rng = np.random.default_rng(noise_seed)
+        kinds = [sl.SAFE, sl.DST3] if penalty == sl.LASSO else [sl.GSAFE, sl.GST3]
+        ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
+        state = screening.ScreenState.initial(p.n_cols)
+        layout = p.partition.full if penalty == sl.GROUP else None
+        thetas = [near + s * rng.standard_normal(p.n_rows) / np.sqrt(p.n_rows) for s in scales]
+        if zero_theta:
+            thetas.insert(len(thetas) // 2, np.zeros(p.n_rows))
+        for theta in thetas:
+            kept = state.kept
+            corr = p.dictionary.data[:, kept].T @ theta
+            masks = []
+            for kind in kinds:
+                region = ref.region(kind, theta, corr, layout)
+                if layout is None:
+                    want = sl.test_sphere_lasso(region, kept)
+                else:
+                    want = sl.group_mask_to_index_mask(
+                        layout, sl.test_sphere_group(region, layout.group_ids))
+                got = ctx.screen(kind, theta, corr, kept, layout)
+                assert got.dtype == bool and np.array_equal(got, want), kind
+                masks.append(want)
+            drop = masks[0] | masks[1]
+            if drop.any():
+                state = sl.screen_update(state, drop)
+                if layout is not None:
+                    layout = layout.without(drop)
+            if state.kept.size == 0:
+                break
 
 
 class TestReducedDualFeasibility:

@@ -6,6 +6,7 @@ import pytest
 
 import screenlab as sl
 from screenlab import solvers
+from screenlab.problems import penalty_value
 from screenlab.solvers import (
     CP,
     SolverConfig,
@@ -109,6 +110,60 @@ class TestIterationHook:
         for arrays in held:
             for a, before in arrays:
                 assert a.tobytes() == before
+
+
+# (family, seed, ratio) of a problem on which a dynamic run of each algorithm
+# eliminates a coefficient its iterate still holds nonzero, for each penalty
+_CLEARING = {
+    ("lasso", "ista"): ("pnoise", 0, 0.5), ("lasso", "fista"): ("pnoise", 0, 0.5),
+    ("lasso", "sparsa"): ("pnoise", 0, 0.5), ("lasso", "twist"): ("gaussian", 0, 0.9),
+    ("lasso", "cp"): ("pnoise", 0, 0.9),
+    ("group", "ista"): ("gaussian", 2, 0.5), ("group", "fista"): ("gaussian", 2, 0.5),
+    ("group", "sparsa"): ("gaussian", 2, 0.5), ("group", "twist"): ("gaussian", 0, 0.7),
+    ("group", "cp"): ("gaussian", 32, 0.5),
+}
+
+
+class TestObjectiveReuse:
+    # The objective each iteration records takes the squared residual norm
+    # the step already summed. At the moment it is recorded, recomputing it
+    # from the live state, ``0.5 * resid @ resid + lam * penalty``, must give
+    # the same float, also right after a dynamic elimination that dropped a
+    # nonzero coefficient and so cleared the residual.
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("kind,test", [("lasso", "dst3"), ("group", "gst3")])
+    def test_recorded_objective_is_recomputed_bit_for_bit(self, algo, kind, test, monkeypatch):
+        family, seed, ratio = _CLEARING[kind, algo]
+        make = make_lasso if kind == "lasso" else make_group
+        p = make(seed, ratio=ratio, family=family)
+        live, recorded, recomputed = [], [], []
+        cleared = 0
+        append = sl.SolveTrace.append
+
+        def hook(t, state, mask):
+            nonlocal cleared
+            live[:] = [state]
+            cleared += int(mask is not None and bool(state.x[mask].any()))
+
+        def recording(trace, t, kept, sparsity, objective, flops_cum, seconds):
+            state = live[0]
+            resid = state.resid
+            recomputed.append(0.5 * float(resid @ resid)
+                              + p.lam * penalty_value(state.x, state.layout))
+            recorded.append(objective)
+            append(trace, t, kept, sparsity, objective, flops_cum, seconds)
+
+        monkeypatch.setattr(sl.SolveTrace, "append", recording)
+        for strategy in ("none", "static", "dynamic"):
+            recorded.clear(), recomputed.clear()
+            res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy,
+                                         test=None if strategy == "none" else test,
+                                         max_iters=300, rel_tol=1e-10), iteration_hook=hook)
+            assert len(recorded) == res.iterations > 5
+            assert [o.hex() for o in recorded] == [o.hex() for o in recomputed], strategy
+            assert [o.hex() for o in res.trace.objective] == [o.hex() for o in recorded]
+        assert cleared > 0
 
 
 class TestUpdateIsta:
