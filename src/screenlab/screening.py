@@ -158,8 +158,7 @@ def screen_update(state, mask):
     dropped = state.kept[mask]
     if not dropped.size:
         return state
-    eliminated = np.concatenate((state.eliminated, dropped))
-    eliminated.sort(kind="stable")
+    eliminated = np.sort(np.concatenate((state.eliminated, dropped)), kind="stable")
     return ScreenState(eliminated=eliminated, kept=_frozen(state.kept[~mask]))
 
 
@@ -248,13 +247,10 @@ class ScreeningContext:
     change behind them. `_extremal` holds the extremal atom (group) j of the
     last exact screen that flagged nothing: j's position among the kept
     atoms (its group's positions), its weight and its original index (group
-    id). The exact path takes j from the correlation sizes its dual scaling
-    computed (`_scaled`), so group norms are computed once per exact
-    screen. An elimination that leaves j kept moves the memo to the new kept
+    id). An elimination that leaves j kept moves the memo to the new kept
     set at its first screen, which finds j there by that index. A context
     reused across runs or kept sets can only make that j a looser choice,
-    never an unsafe one. `_tops` holds the largest kept slack of each
-    sphere, and `_nothing` the shared all-False mask.
+    never an unsafe one. `_nothing` holds the shared all-False mask.
     """
 
     def __init__(self, problem):
@@ -264,8 +260,6 @@ class ScreeningContext:
         self._tests = LASSO_TESTS if problem.kind == LASSO else GROUP_TESTS
         self._extremal = (None, None, 1.0, -1)
         self._nothing = (None, None)
-        self._tops = (None, 0.0, None)
-        self._scaled = (None, None)
 
     # -- shared scalar machinery -------------------------------------------
 
@@ -374,15 +368,11 @@ class ScreeningContext:
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
             )
         if problem.kind == LASSO:
-            sizes = np.abs(corr)
-            _, v = dual_scale_lasso(problem, theta, float(sizes.max(initial=0.0)))
+            _, v = dual_scale_lasso(problem, theta, float(np.abs(corr).max(initial=0.0)))
         else:
             if layout is None:
                 layout = problem.partition.full
-            sizes = layout.norms(corr)
-            _, v = dual_scale_group(problem, theta, sizes, layout.weights)
-        # `screen` finds the extremal atom (group) of a screen that flags nothing here
-        self._scaled = (corr, sizes)
+            _, v = dual_scale_group(problem, theta, layout.norms(corr), layout.weights)
         diff = self.safe_center - v
         rsq = float(diff.dot(diff))
         safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
@@ -435,10 +425,8 @@ class ScreeningContext:
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
         if kept.size and not kept.flags.writeable:
             # remember the extremal atom (group) for the bound on this kept set
-            scaled_corr, sizes = self._scaled
-            if scaled_corr is corr:
-                ratios = sizes if layout is None else sizes / layout.weights
-                self._extremal = self._memo(kept, layout, int(np.argmax(ratios)))
+            ratios = np.abs(corr) if layout is None else layout.norms(corr) / layout.weights
+            self._extremal = self._memo(kept, layout, int(np.argmax(ratios)))
         return self._unflagged(kept)
 
     def _unflagged(self, kept):
@@ -501,28 +489,19 @@ class ScreeningContext:
             else:
                 cj = corr[cols]
                 corr_j = math.sqrt(float(cj.dot(cj))) / weight
-            mu = ty / (lam * sq)
-            # clipped to the segment [-1 / corr_j, 1 / corr_j] that j allows
-            if corr_j != 0.0 and abs(mu) > 1.0 / corr_j:
-                mu = math.copysign(1.0 / corr_j, mu)
+            bound = math.inf if corr_j == 0.0 else 1.0 / corr_j
+            mu = min(max(ty / (lam * sq), -bound), bound)
         a, b, c = self._y_sq / (lam * lam), 2.0 * mu * ty / lam, mu * mu * sq
-        cols_size = 1 if layout is None else cols.size
-        allowance = 4.0 * (theta.size + cols_size + 8) * _EPS * (a + abs(b) + c)
+        n_cols = 1 if layout is None else cols.size
+        allowance = 4.0 * (theta.size + n_cols + 8) * _EPS * (a + abs(b) + c)
         rsq = a - b + c - allowance
-        key, safe_top, shifted_top = self._tops
-        if key is not kept or (shifted and shifted_top is None):
-            # the largest kept slacks are fixed for a read-only kept set
-            safe_top = self.safe_slack.over(idx)[1]
-            shifted_top = self._shifted[1].over(idx)[1] if shifted else None
-            if not kept.flags.writeable:
-                self._tops = (kept, safe_top, shifted_top)
-        if safe_top - math.sqrt(max(rsq, 0.0)) > SCREEN_MARGIN:
+        if self.safe_slack.over(idx)[1] - math.sqrt(max(rsq, 0.0)) > SCREEN_MARGIN:
             return False
         if shifted:
-            shift_sq = self._shifted[2]
+            _, slack, shift_sq = self._shifted
             if rsq - shift_sq < -RADIUS_GUARD:
                 return False
-            if shifted_top - math.sqrt(max(rsq - shift_sq, 0.0)) > SCREEN_MARGIN:
+            if slack.over(idx)[1] - math.sqrt(max(rsq - shift_sq, 0.0)) > SCREEN_MARGIN:
                 return False
         return True
 

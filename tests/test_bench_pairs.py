@@ -1,6 +1,7 @@
 """`tools/bench_pairs.py` aggregates alternating benchmark runs; here on canned results."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -85,3 +86,25 @@ def test_main_alternates_order_and_exits_on_a_fault(bench_pairs, monkeypatch, ca
     canned["c", 8] = result(0.1, failed=1)
     assert bench_pairs.main(argv) == 1
     assert "FAULT change seed 8: 1 of 15 solves failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stdout", ["", "  \n", "progress\nnot json\n"])
+def test_run_without_a_result_line_is_a_fault(bench_pairs, monkeypatch, stdout):
+    def fake_subprocess_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    got = bench_pairs.run_once(Path("tree"), "desk", 1, 5.0)
+    assert set(got) == {"error"} and got["error"].startswith("exit 0 without a result line")
+    assert bench_pairs.faults([("parent seed 1", got)]) == [f"parent seed 1: {got['error']}"]
+
+
+def test_run_with_a_result_line_returns_it(bench_pairs, monkeypatch):
+    line = '{"correct": true, "attempted": 15, "failed": 0, "metrics": {}}'
+
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd[1:3] == ["perfbench/run.py", "--workload"] and kwargs["cwd"] == Path("tree")
+        return subprocess.CompletedProcess(cmd, 0, stdout="progress\n" + line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_once(Path("tree"), "desk", 1, 5.0)["attempted"] == 15

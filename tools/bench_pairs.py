@@ -15,7 +15,8 @@ the change was lower (each pair's values go to standard error as it ends):
     solve_s.dynamic  0.1830 [0.1745, 0.1869] -> 0.1550 (-15.3%, lower in 10 of 10)
 
 Every metric of the benchmark is better lower. The exit status is nonzero
-if any run failed a solve or gave an incorrect result.
+if any run exited nonzero, printed no result line, failed a solve or gave an
+incorrect result.
 """
 
 import argparse
@@ -35,7 +36,10 @@ def run_once(tree, workload, seed, seconds):
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"error": f"exit 0 without a result line: {proc.stdout.strip()[-500:]!r}"}
 
 
 def quartiles(values):
