@@ -25,8 +25,9 @@ def index_set(values, size=None):
     """Validate and return a strictly increasing int64 index array.
 
     `size`, when given, bounds the indices to ``[0, size)``. Values of a
-    non-integer dtype must be whole numbers; a boolean mask and an array of
-    more than one dimension are rejected.
+    non-integer dtype must be whole numbers, and every value must fit in
+    int64; a boolean mask and an array of more than one dimension are
+    rejected.
     """
     arr = np.asarray(values)
     if arr.ndim > 1:
@@ -38,9 +39,16 @@ def index_set(values, size=None):
         bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
         if bad.any():
             raise ValueError(f"indices must be integers, not {arr.flat[np.argmax(bad)]}")
+    if arr.dtype.kind != "i":
+        # whole floats and unsigned values past int64 would wrap on the cast
+        wide = (arr < -(2**63)) | (arr >= 2**63)
+        if wide.any():
+            raise ValueError(f"indices must fit in int64, not {arr.flat[np.argmax(wide)]}")
     arr = arr.astype(np.int64, copy=False).ravel()
-    if arr.size and np.any(np.diff(arr) <= 0):
-        i = int(np.argmax(np.diff(arr) <= 0))
+    # neighbours are compared, not differenced: a difference can overflow int64
+    down = arr[1:] <= arr[:-1]
+    if down.any():
+        i = int(np.argmax(down))
         raise ValueError(f"index set must be strictly increasing; {arr[i + 1]} follows {arr[i]}")
     if size is not None and arr.size and (arr[0] < 0 or arr[-1] >= size):
         bad = arr[0] if arr[0] < 0 else arr[-1]
@@ -253,7 +261,7 @@ class GroupPartition:
         # the empty head lets a partition of no groups through to the cover check
         flat = np.concatenate([np.empty(0, np.int64), *arrays], dtype=np.int64, casting="unsafe")
         bad = (flat < 0) | (flat >= k)
-        bad[1:] |= (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        bad[1:] |= (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
         if bad.any() or len(arrays) < len(groups):
             gid = int(owner[np.argmax(bad)]) if bad.any() else len(arrays)
             try:
@@ -300,7 +308,7 @@ class GroupPartition:
                 blocks = dictionary.data[:, cols[lo : lo + step]].transpose(1, 0, 2)
                 norms[gids[lo : lo + step]] = _top_singular_values(blocks)
         norms.setflags(write=False)
-        full = GroupLayout(np.arange(sizes.size), weights, group_of, sizes)
+        full = GroupLayout(np.arange(sizes.size), weights, group_of)
         return cls(groups, weights, norms, group_of, full)
 
     @property
@@ -320,7 +328,7 @@ class GroupPartition:
         """
         kept = index_set(kept, self.size)
         alive_sizes = np.bincount(self.group_of[kept], minlength=self.n_groups)
-        if np.any((alive_sizes != self.full.sizes) & (alive_sizes > 0)):
+        if np.any((alive_sizes != np.bincount(self.group_of)) & (alive_sizes > 0)):
             raise ValueError("kept indices must cover whole groups")
         alive = np.zeros(self.size, dtype=bool)
         alive[kept] = True
@@ -331,18 +339,17 @@ class GroupPartition:
 class GroupLayout:
     """Positions of surviving groups inside a reduced coefficient vector.
 
-    `member[p]` indexes, in `group_ids`, `weights` and `sizes`, the group of
-    position p. The fields are read-only, so screening can key per-layout
-    work on `group_ids`.
+    `member[p]` indexes, in `group_ids` and `weights`, the group of position
+    p. The fields are read-only, so screening can key per-layout work on
+    `group_ids`.
     """
 
     group_ids: np.ndarray
     weights: np.ndarray
     member: np.ndarray
-    sizes: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.group_ids, self.weights, self.member, self.sizes):
+        for arr in (self.group_ids, self.weights, self.member):
             arr.setflags(write=False)
 
     @property
@@ -362,10 +369,7 @@ class GroupLayout:
         alive = np.ones(self.n_groups, dtype=bool)
         alive[self.member[mask]] = False
         renumber = np.cumsum(alive) - 1
-        return GroupLayout(
-            self.group_ids[alive], self.weights[alive], renumber[self.member[~mask]],
-            self.sizes[alive],
-        )
+        return GroupLayout(self.group_ids[alive], self.weights[alive], renumber[self.member[~mask]])
 
     def norms(self, vec):
         """Per-group l2 norms of a vector over the layout's positions.
@@ -487,6 +491,10 @@ def read_group_file(path):
                 raise ValueError(f"{path}:{lineno}: empty group")
             if len(set(idx)) < len(idx):
                 raise ValueError(f"{path}:{lineno}: index {max(idx, key=idx.count)} repeated")
+            # idx is sorted, so its ends are the values furthest outside int64
+            wide = [i for i in (idx[0], idx[-1]) if not -(2**63) <= i < 2**63]
+            if wide:
+                raise ValueError(f"{path}:{lineno}: index {wide[0]} out of range")
             if head.strip():
                 try:
                     w = float(head)

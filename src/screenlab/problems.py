@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class Problem:
         # written so that a NaN norm fails too
         if not abs(nrm - 1.0) <= OBS_NORM_TOL:
             raise ValueError(f"observation must have unit l2 norm (got {nrm!r})")
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise ValueError(f"lam must be a real number (got {self.lam!r})")
         if not self.lam > 0:
             # NaN fails this comparison too, and is named like any other value
             raise ValueError(f"lam must be strictly positive (got {self.lam!r})")

@@ -168,54 +168,52 @@ def _frozen(arr):
     return arr
 
 
-def _clip_ratio(problem, theta, bound):
-    """Scaling of theta closest to ``y / lam`` within [-bound, bound]; 0 for theta = 0."""
-    sq = float(theta.dot(theta))
+def _clip_ratio(ty, sq, lam, bound):
+    """Scaling of theta closest to ``y / lam`` within [-bound, bound]; 0 for theta = 0.
+
+    `ty` is ``theta . y`` and `sq` is ``theta . theta``.
+    """
     if sq == 0.0:
         return 0.0
-    return min(max(float(theta.dot(problem.y)) / (problem.lam * sq), -bound), bound)
+    return min(max(ty / (lam * sq), -bound), bound)
 
 
-def dual_scale_lasso(problem, theta, corr_inf=None):
+def dual_scale_lasso(problem, theta, corr=None):
     """Best feasible scaling of a dual candidate for the l1 constraints.
 
     Returns ``(mu, mu * theta)`` where mu is the scaling of theta closest to
-    ``y / lam`` among those with all atom correlations in [-1, 1]. `corr_inf`
-    is ``max_i |a_i . theta|`` over the atoms still in play; by default it is
-    computed on the full dictionary.
+    ``y / lam`` among those with all atom correlations in [-1, 1]. `corr`
+    holds the correlations of theta with the atoms still in play; by default
+    it is computed on the full dictionary.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if corr_inf is None:
-        corr_inf = float(np.max(np.abs(problem.dictionary.correlate(theta)), initial=0.0))
-    if corr_inf < 0:
-        raise ValueError("corr_inf must be nonnegative")
+    if corr is None:
+        corr = problem.dictionary.correlate(theta)
+    corr_inf = float(np.abs(corr).max(initial=0.0))
     bound = np.inf if corr_inf == 0.0 else 1.0 / corr_inf
-    mu = _clip_ratio(problem, theta, bound)
+    mu = _clip_ratio(float(theta.dot(problem.y)), float(theta.dot(theta)), problem.lam, bound)
     return mu, mu * theta
 
 
-def dual_scale_group(problem, theta, group_corr_norms=None, group_weights=None):
+def dual_scale_group(problem, theta, corr=None, layout=None):
     """Best feasible scaling of a dual candidate for the group constraints.
 
-    `group_corr_norms` holds ``||D_g.T theta||`` for the groups still in play
-    (matched by `group_weights`); by default both come from the problem's full
-    partition. The feasible segment is ``[-s, s]`` with
-    ``s = min_g w_g / ||D_g.T theta||``.
+    `corr` holds the correlations of theta with the columns that `layout`
+    places in the groups still in play; by default they are computed on the
+    full dictionary, and `layout` is the problem's full partition. The
+    feasible segment is ``[-s, s]`` with ``s = min_g w_g / ||D_g.T theta||``.
     """
     if problem.kind != GROUP:
         raise ValueError("dual_scale_group needs a group problem")
     theta = np.asarray(theta, dtype=np.float64)
-    if group_corr_norms is None:
-        group_corr_norms = problem.partition.full.norms(problem.dictionary.correlate(theta))
-    if group_weights is None:
-        group_weights = problem.partition.weights
-    norms = np.asarray(group_corr_norms, dtype=np.float64)
-    weights = np.asarray(group_weights, dtype=np.float64)
-    if norms.shape != weights.shape:
-        raise ValueError("group_corr_norms and group_weights must align")
+    if corr is None:
+        corr = problem.dictionary.correlate(theta)
+    if layout is None:
+        layout = problem.partition.full
+    norms = layout.norms(corr)
     active = norms > 0.0
-    bound = float((weights[active] / norms[active]).min(initial=np.inf))
-    mu = _clip_ratio(problem, theta, bound)
+    bound = float((layout.weights[active] / norms[active]).min(initial=np.inf))
+    mu = _clip_ratio(float(theta.dot(problem.y)), float(theta.dot(theta)), problem.lam, bound)
     return mu, mu * theta
 
 
@@ -241,7 +239,7 @@ class ScreeningContext:
     when the caller does not pass ``theta @ theta``) and j's correlations,
     one scalar for an atom; when no sphere's largest kept slack clears the
     radius it bounds, the exact test would flag nothing either, and the
-    screen returns the kept set's shared all-False mask.
+    screen returns None.
 
     The per-kept-set memos are keyed on a read-only kept set, which cannot
     change behind them. `_extremal` holds the extremal atom (group) j of the
@@ -250,7 +248,7 @@ class ScreeningContext:
     id). An elimination that leaves j kept moves the memo to the new kept
     set at its first screen, which finds j there by that index. A context
     reused across runs or kept sets can only make that j a looser choice,
-    never an unsafe one. `_nothing` holds the shared all-False mask.
+    never an unsafe one.
     """
 
     def __init__(self, problem):
@@ -259,7 +257,6 @@ class ScreeningContext:
         self.lmax = lambda_max(problem, self.y_corr)
         self._tests = LASSO_TESTS if problem.kind == LASSO else GROUP_TESTS
         self._extremal = (None, None, 1.0, -1)
-        self._nothing = (None, None)
 
     # -- shared scalar machinery -------------------------------------------
 
@@ -368,11 +365,9 @@ class ScreeningContext:
                 "penalty exceeds the trivial-solution threshold; screen everything instead"
             )
         if problem.kind == LASSO:
-            _, v = dual_scale_lasso(problem, theta, float(np.abs(corr).max(initial=0.0)))
+            _, v = dual_scale_lasso(problem, theta, corr)
         else:
-            if layout is None:
-                layout = problem.partition.full
-            _, v = dual_scale_group(problem, theta, layout.norms(corr), layout.weights)
+            _, v = dual_scale_group(problem, theta, corr, layout)
         diff = self.safe_center - v
         rsq = float(diff.dot(diff))
         safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
@@ -390,7 +385,7 @@ class ScreeningContext:
         return self.region(kind, self.problem.y, self.y_corr)
 
     def screen(self, kind, theta, corr, kept, layout=None, theta_sq=None):
-        """Elimination mask over `kept` from test `kind` at the dual candidate `theta`.
+        """Elimination mask over `kept` from test `kind` at `theta`, or None if it flags nothing.
 
         `theta` is a float64 array, `kept` holds the original indices of the
         columns still in play and `corr` their correlations with theta, in
@@ -401,13 +396,9 @@ class ScreeningContext:
         dictionary, the dynamic strategy the same call at each iteration's
         dual point. Group tests flag whole groups, and the mask flags each of
         their columns. A sphere test whose radius lower bound already
-        certifies nothing returns the all-False mask without building the
-        region; the mask is the one the region would give.
-
-        The mask is a boolean array aligned with `kept`. A mask that flags
-        nothing over a read-only kept set is one read-only array shared by
-        every such screen of that set; every other mask is a fresh writable
-        array, so a read-only mask always flags nothing.
+        certifies nothing returns None without building the region, as the
+        region's test would. A mask is a fresh boolean array aligned with
+        `kept` that flags at least one column.
         """
         problem = self.problem
         self._check_test(kind)
@@ -416,28 +407,16 @@ class ScreeningContext:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
         if self._certifies_nothing(kind, theta, theta_sq, corr, kept, idx, layout):
-            return self._unflagged(kept)
+            return None
         region = self.region(kind, theta, corr, layout)
-        if kind == DOME:
-            return test_dome(region, kept)
-        mask = test_sphere_lasso(region, idx)
+        mask = test_dome(region, kept) if kind == DOME else test_sphere_lasso(region, idx)
         if mask.any():
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
-        if kept.size and not kept.flags.writeable:
+        if kind != DOME and kept.size and not kept.flags.writeable:
             # remember the extremal atom (group) for the bound on this kept set
             ratios = np.abs(corr) if layout is None else layout.norms(corr) / layout.weights
             self._extremal = self._memo(kept, layout, int(np.argmax(ratios)))
-        return self._unflagged(kept)
-
-    def _unflagged(self, kept):
-        """The all-False mask over `kept`: shared and read-only when `kept` is."""
-        if kept.flags.writeable:
-            return np.zeros(kept.size, dtype=bool)
-        key, mask = self._nothing
-        if key is not kept:
-            mask = _frozen(np.zeros(kept.size, dtype=bool))
-            self._nothing = (kept, mask)
-        return mask
+        return None
 
     def _memo(self, kept, layout, i):
         """`_extremal` for the i-th atom (group) in play: its positions, weight and index.
@@ -482,15 +461,12 @@ class ScreeningContext:
             return False
         ty = float(theta.dot(problem.y))
         sq = float(theta.dot(theta)) if theta_sq is None else theta_sq
-        mu = 0.0
-        if sq != 0.0:
-            if layout is None:
-                corr_j = abs(float(corr[cols]))
-            else:
-                cj = corr[cols]
-                corr_j = math.sqrt(float(cj.dot(cj))) / weight
-            bound = math.inf if corr_j == 0.0 else 1.0 / corr_j
-            mu = min(max(ty / (lam * sq), -bound), bound)
+        if layout is None:
+            corr_j = abs(float(corr[cols]))
+        else:
+            cj = corr[cols]
+            corr_j = math.sqrt(float(cj.dot(cj))) / weight
+        mu = _clip_ratio(ty, sq, lam, math.inf if corr_j == 0.0 else 1.0 / corr_j)
         a, b, c = self._y_sq / (lam * lam), 2.0 * mu * ty / lam, mu * mu * sq
         n_cols = 1 if layout is None else cols.size
         allowance = 4.0 * (theta.size + n_cols + 8) * _EPS * (a + abs(b) + c)

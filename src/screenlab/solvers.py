@@ -14,6 +14,7 @@ the region.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -72,8 +73,9 @@ class SolverConfig:
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError(f"max_iters must be an int of at least 1, not {iters!r}")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be positive and finite, not {self.rel_tol!r}")
+        tol = self.rel_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"rel_tol must be a positive and finite number, not {tol!r}")
         if self.strategy != NONE and self.test is None:
             raise ValueError("screening strategies require a test kind")
         allowed = screening.LASSO_TESTS if kind == LASSO else screening.GROUP_TESTS
@@ -367,12 +369,12 @@ def run(problem, cfg, iteration_hook=None):
 
     `iteration_hook(t, state, mask)` is called after each update and its
     screen, before the mask is dropped: `mask` is the dynamic elimination, a
-    boolean array aligned with the positions of ``state.x`` (None for the
-    other strategies). A mask that flags nothing may be one read-only array
-    shared by the screens of a kept set (see `ScreeningContext.screen`). The
-    hook reads the live `SolverState` and must not modify it. The loop
-    replaces the arrays it holds and never writes into them, so an array a
-    hook keeps still holds the values it had at the call.
+    boolean array aligned with the positions of ``state.x`` that flags at
+    least one of them, or None when the iteration eliminates nothing or the
+    strategy is not dynamic. The hook reads the live `SolverState` and must
+    not modify it. The loop replaces the arrays it holds and never writes
+    into them, so an array a hook keeps still holds the values it had at the
+    call.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -397,8 +399,9 @@ def run(problem, cfg, iteration_hook=None):
         _reduce_state(state, np.ones(k, dtype=bool))
     elif cfg.strategy == STATIC:
         mask = ctx.screen(cfg.test, y, ctx.y_corr, state.screen_state.kept, state.layout)
-        _reduce_state(state, mask)
-        dic = dic.reduce(state.screen_state.kept)
+        if mask is not None:
+            _reduce_state(state, mask)
+            dic = dic.reduce(state.screen_state.kept)
         trace.init_flops = flops_static_init(k, n)
 
     update = _UPDATES[cfg.algorithm]
@@ -421,8 +424,7 @@ def run(problem, cfg, iteration_hook=None):
         if iteration_hook is not None:
             iteration_hook(t, state, mask)
 
-        # a read-only mask is the shared one that flags nothing
-        if mask is not None and mask.flags.writeable and mask.any():
+        if mask is not None:
             dic = _reduce_dic(dic, (~mask).nonzero()[0])
             _reduce_state(state, mask)
 

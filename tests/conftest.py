@@ -5,6 +5,11 @@ import numpy as np
 import screenlab as sl
 
 
+def as_mask(got, size):
+    """A screen's result as a boolean array over `size` columns: None flags nothing."""
+    return np.zeros(size, dtype=bool) if got is None else got
+
+
 def make_dictionary(seed, n=12, k=30, family="gaussian"):
     spec = sl.GenSpec(kind=family, n=n, k=k, seed=seed)
     return sl.gen_dictionary(spec)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import screenlab as sl
+from conftest import as_mask
 from screenlab import cli, screening
 
 SUITE_N, SUITE_K, SUITE_GROUP_SIZE = 30, 80, 4
@@ -79,7 +80,8 @@ def _nesting_hook(problem, ctx, sink):
     def hook(t, state, mask):
         sink["checks"] += 1
         kept = state.screen_state.kept
-        masks = {tk: ctx.screen(tk, state.theta, state.corr, kept) for tk in tests}
+        masks = {tk: as_mask(ctx.screen(tk, state.theta, state.corr, kept), kept.size)
+                 for tk in tests}
         for weaker, stronger in pairs:
             extra = int(np.sum(masks[weaker] & ~masks[stronger]))
             if extra:
@@ -174,7 +176,8 @@ class TestCriterion3FirstIterationEquivalence:
 
             def hook(t, state, mask):
                 if t == 1:
-                    captured["set"] = np.sort(state.screen_state.kept[mask])
+                    kept = state.screen_state.kept
+                    captured["set"] = np.sort(kept[as_mask(mask, kept.size)])
 
             sl.run(problem, sl.SolverConfig(algorithm="ista", strategy="dynamic",
                                             test="safe", max_iters=1), iteration_hook=hook)

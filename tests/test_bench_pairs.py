@@ -16,9 +16,12 @@ def bench_pairs():
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
+    # as a script, the tool finds its sibling src_lines.py on its own directory
+    sys.path.insert(0, str(TOOL.parent))
     try:
         spec.loader.exec_module(module)
     finally:
+        sys.path.remove(str(TOOL.parent))
         sys.dont_write_bytecode = dont_write
     return module
 
@@ -108,3 +111,32 @@ def test_run_with_a_result_line_returns_it(bench_pairs, monkeypatch):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     assert bench_pairs.run_once(Path("tree"), "desk", 1, 5.0)["attempted"] == 15
+
+
+def test_table_ends_with_both_trees_src_totals(bench_pairs, tmp_path, monkeypatch, capsys):
+    # each tree's src/ holds two files; a docstring, a comment and a blank
+    # line count as lines but not as code lines
+    texts = {
+        "parent": ['"""Doc."""\n\nx = 1\n', "# note\ny = [\n    2,\n]\n"],
+        "change": ['"""Doc."""\nx = 1\n', "y = [2]\n"],
+    }
+    for side, files in texts.items():
+        pkg = tmp_path / side / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        for i, text in enumerate(files):
+            (pkg / f"m{i}.py").write_text(text)
+        (tmp_path / side / "tools.py").write_text("outside = src\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert bench_pairs.src_totals(parent) == [7, 4]
+    assert bench_pairs.src_totals(change) == [3, 2]
+    assert bench_pairs.src_rows(parent, change) == [
+        "src/ lines       7 -> 3 (-4)",
+        "src/ code lines  4 -> 2 (-2)",
+    ]
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *args: result(0.2))
+    argv = [str(parent), str(change), "--workload", "desk", "--pairs", "1", "--seconds", "5",
+            "--seed-start", "1"]
+    assert bench_pairs.main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[-2:] == ["src/ lines       7 -> 3 (-4)", "src/ code lines  4 -> 2 (-2)"]

@@ -293,6 +293,9 @@ class TestSolve:
     @pytest.mark.parametrize("line,message", [
         (";8,9,10,130", "{path}:5: group 2: indices must lie in [0, 120), not 130"),
         ("1.0;2,3", "{path}:5: groups must be disjoint; 2 is in groups 1, 2"),
+        # past int64, where the conversion raised a bare OverflowError
+        ("4,99999999999999999999", "{path}:5: index 99999999999999999999 out of range"),
+        ("-99999999999999999999,4", "{path}:5: index -99999999999999999999 out of range"),
     ])
     def test_group_file_errors_name_the_file_line(self, lasso_files, tmp_path, capsys,
                                                   line, message):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,27 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="not a boolean mask"):
             index_set(np.array([True, False, True]))
 
+    def test_rejects_values_past_int64(self):
+        # a whole float or an unsigned value past int64 used to wrap on the
+        # cast, and a difference of neighbours to overflow, so that a negative
+        # index passed as the largest
+        big = np.array([5, 2**64 - 1], dtype=np.uint64)
+        for values, shown in (([5.0, 1e20], "1e+20"), ([-1e19, 5.0], "-1e+19"),
+                              (big, "18446744073709551615")):
+            for size in (None, 10):
+                want = f"indices must fit in int64, not {re.escape(shown)}$"
+                with pytest.raises(ValueError, match=want):
+                    index_set(values, size)
+        for values in (np.array([5, -2**63]), [5, -2**63]):
+            with pytest.raises(ValueError, match=f"increasing; {-2**63} follows 5$"):
+                index_set(values, 10)
+        dic = sl.Dictionary(np.eye(10))
+        with pytest.raises(ValueError, match="indices must fit in int64, not 1e\\+20"):
+            dic.reduce([5.0, 1e20])
+        with pytest.raises(ValueError, match=f"increasing; {-2**63} follows 5"):
+            dic.reduce(np.array([5, -2**63]))
+        assert index_set([-(2.0**63), 0.0]).tolist() == [-2**63, 0]
+
     def test_rejects_more_than_one_dimension(self):
         # a ravel would flatten a nested set without a word
         with pytest.raises(ValueError, match=r"1-D array, not one of shape \(2, 2\)$"):
@@ -392,6 +414,14 @@ class TestGroupFile:
         with pytest.raises(ValueError, match=rf"{path}:3: index 3 repeated"):
             read_group_file(path)
 
+    def test_index_past_int64_names_file_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        for line, shown in (("0,99999999999999999999", "99999999999999999999"),
+                            ("-9223372036854775809,0", "-9223372036854775809")):
+            path.write_text(f"2,3\n{line}\n")
+            with pytest.raises(ValueError, match=rf"{path}:2: index {shown} out of range$"):
+                read_group_file(path)
+
     def test_rejects_bad_weights(self, tmp_path):
         path = tmp_path / "g.txt"
         for weight in ("x", "nan", "inf", "-inf"):
@@ -410,7 +440,6 @@ def layout_by_hand(part, kept):
         "group_ids": np.array(chosen, dtype=np.int64),
         "weights": part.weights[chosen],
         "member": member,
-        "sizes": np.array([part.groups[g].size for g in chosen], dtype=np.int64),
     }
 
 
@@ -466,6 +495,11 @@ class TestGroupPartition:
             ([[0.0, 1.9], [2, 3], np.arange(4, 8)], "group 0: indices must be integers, not 1.9"),
             ([np.arange(4), np.arange(8) >= 4], "group 1: indices must be integers, not a boolean"),
             ([np.arange(4), [[4, 5], [6, 7]]], r"group 1: .*1-D array, not one of shape \(2, 2\)"),
+            # these two reached numpy's bincount with a negative index
+            ([np.arange(5), [5.0, 1e20], [6, 7]],
+             r"group 1: indices must fit in int64, not 1e\+20"),
+            ([np.arange(5), np.array([5, -2**63]), [6, 7]],
+             f"group 1: index set must be strictly increasing; {-2**63} follows 5"),
         ]
         for groups, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -569,7 +603,7 @@ class TestGroupPartition:
             full = part.full
             assert np.array_equal(full.group_ids, np.arange(len(checked)))
             assert np.array_equal(full.member, group_of)
-            assert np.array_equal(full.sizes, sizes)
+            assert np.array_equal(np.bincount(full.member), sizes)
             assert full.weights.tobytes() == weights.tobytes()
 
     def test_group_norms_match_loop(self):
@@ -610,7 +644,7 @@ class TestGroupPartition:
                 assert np.array_equal(want["group_ids"], chosen)
                 for name, ref in want.items():
                     assert np.array_equal(getattr(layout, name), ref), name
-                for arr in (layout.group_ids, layout.member, layout.sizes):
+                for arr in (layout.group_ids, layout.member):
                     assert arr.dtype == np.int64 and not arr.flags.writeable
                 # the prox, one group at a time with the same arithmetic
                 v = rng.standard_normal(kept.size)

@@ -30,6 +30,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="observation"):
             sl.Problem(dic, np.array([1.0, np.nan]), 0.5)
 
+    @pytest.mark.parametrize("bad", ["0.5", None, True, np.array([0.5])])
+    def test_rejects_lam_that_is_not_a_real_number(self, bad):
+        # a string or None raised a bare TypeError, and True passed as 1
+        dic = sl.Dictionary(np.eye(2))
+        with pytest.raises(ValueError, match=r"lam must be a real number \(got "):
+            sl.Problem(dic, np.array([1.0, 0.0]), bad)
+
+    @pytest.mark.parametrize("good", [0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(1)])
+    def test_real_lam_accepted(self, good):
+        p = sl.Problem(sl.Dictionary(np.eye(2)), np.array([1.0, 0.0]), good)
+        assert type(p.lam) is float and p.lam == float(good)
+
     def test_rejects_infinite_lam(self):
         dic = sl.Dictionary(np.eye(2))
         with pytest.raises(ValueError, match="lam must be finite"):

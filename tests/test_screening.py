@@ -6,29 +6,36 @@ from hypothesis import given, settings, strategies as st
 
 import screenlab as sl
 from screenlab import screening
-from conftest import identity_problem, make_group, make_lasso
+from conftest import as_mask, identity_problem, make_group, make_lasso
 
 
 def kept_all(p):
     return np.arange(p.n_cols, dtype=np.int64)
 
 
+def same(got, want):
+    """Whether `screen` returned `want` as its contract says: None when it flags nothing."""
+    if not want.any():
+        return got is None
+    return got is not None and got.dtype == bool and np.array_equal(got, want)
+
+
 class TestDualScaleLasso:
     def test_identity_theta_y(self):
         p = identity_problem(0.8)
-        mu, v = sl.dual_scale_lasso(p, p.y, corr_inf=1.0)
+        mu, v = sl.dual_scale_lasso(p, p.y, corr=np.array([1.0, 0.0]))
         assert mu == pytest.approx(1.0)
         assert np.allclose(v, p.y)
 
     def test_negative_residual_start(self):
         p = identity_problem(0.8)
-        mu, v = sl.dual_scale_lasso(p, -p.y, corr_inf=1.0)
+        mu, v = sl.dual_scale_lasso(p, -p.y, corr=np.array([-1.0, 0.0]))
         assert mu == pytest.approx(-1.0)
         assert np.allclose(v, p.y)
 
     def test_zero_corr_inf_means_no_clip(self):
         p = identity_problem(0.8)
-        mu, _ = sl.dual_scale_lasso(p, p.y, corr_inf=0.0)
+        mu, _ = sl.dual_scale_lasso(p, p.y, corr=np.zeros(2))
         assert mu == pytest.approx(1.0 / 0.8)
 
     def test_zero_theta(self):
@@ -66,7 +73,7 @@ class TestDualScaleGroup:
 
     def test_zero_norms_unclipped(self):
         pg = identity_problem(0.8, kind="group")
-        mu, _ = sl.dual_scale_group(pg, pg.y, group_corr_norms=np.zeros(2), group_weights=np.ones(2))
+        mu, _ = sl.dual_scale_group(pg, pg.y, corr=np.zeros(2))
         assert mu == pytest.approx(1.0 / 0.8)
 
     def test_scaled_point_always_feasible(self):
@@ -95,7 +102,7 @@ class TestOtherPenaltyRejected:
             # the screen flags nothing and primes the radius bound on this kept set
             theta = np.roll(problem.y, 1) - (np.roll(problem.y, 1) @ problem.y) * problem.y
             corr = problem.dictionary.correlate(theta)
-            assert not ctx.screen(valid, theta, corr, kept).any()
+            assert ctx.screen(valid, theta, corr, kept) is None
             for kind in wrong:
                 want = f"test '{kind}' does not apply to {problem.kind} problems"
                 with pytest.raises(ValueError, match=want):
@@ -480,7 +487,8 @@ class TestSphereGroupMask:
             # the scatter of per-group decisions over each group's positions
             order = np.concatenate([np.searchsorted(kept, part.groups[g]) for g in layout.group_ids])
             scatter = np.empty(kept.size, dtype=bool)
-            scatter[order] = np.repeat(group_mask, layout.sizes)
+            sizes = np.bincount(layout.member, minlength=layout.n_groups)
+            scatter[order] = np.repeat(group_mask, sizes)
             assert np.array_equal(got, scatter)
 
 
@@ -500,7 +508,7 @@ class TestScreen:
                 for kind in sl.LASSO_TESTS:
                     reg = ctx.region(kind, theta, corr)
                     test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
-                    assert np.array_equal(ctx.screen(kind, theta, corr, kept), test(reg, kept))
+                    assert same(ctx.screen(kind, theta, corr, kept), test(reg, kept))
 
     def test_static_call_matches_static_region(self):
         for seed in range(10):
@@ -517,7 +525,7 @@ class TestScreen:
                         all_groups = np.arange(p.partition.n_groups)
                         groups = sl.test_sphere_group(reg, all_groups)
                         want = groups[p.partition.group_of]
-                    assert np.array_equal(ctx.screen(kind, p.y, ctx.y_corr, kept), want)
+                    assert same(ctx.screen(kind, p.y, ctx.y_corr, kept), want)
 
     def test_group_mask_covers_whole_kept_groups(self):
         rng = np.random.default_rng(13)
@@ -529,14 +537,14 @@ class TestScreen:
             # the static survivors keep the extremal group, so every scaled
             # point below satisfies its constraint
             kept = kept_all(p)
-            kept = kept[~ctx.screen(sl.GSAFE, p.y, ctx.y_corr, kept)]
+            kept = kept[~as_mask(ctx.screen(sl.GSAFE, p.y, ctx.y_corr, kept), kept.size)]
             layout = part.layout(kept)
             for theta in (-p.y, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)):
                 corr = p.dictionary.data[:, kept].T @ theta
                 for kind in sl.GROUP_TESTS:
-                    mask = ctx.screen(kind, theta, corr, kept, layout)
+                    mask = as_mask(ctx.screen(kind, theta, corr, kept, layout), kept.size)
                     assert mask.dtype == bool and mask.shape == kept.shape
-                    assert np.array_equal(mask, ctx.screen(kind, theta, corr, kept))
+                    assert same(ctx.screen(kind, theta, corr, kept), mask)
                     reg = ctx.region(kind, theta, corr, layout)
                     groups = sl.test_sphere_group(reg, layout.group_ids)
                     assert set(kept[mask]) == set(np.concatenate(
@@ -557,12 +565,10 @@ def reference_screen(ctx, kind, theta, corr, kept, layout=None):
     """
     p = ctx.problem
     if p.kind == sl.LASSO:
-        _, v = sl.dual_scale_lasso(p, theta, corr_inf=float(np.max(np.abs(corr), initial=0.0)))
+        _, v = sl.dual_scale_lasso(p, theta, corr=corr)
         idx = kept
     else:
-        _, v = sl.dual_scale_group(
-            p, theta, group_corr_norms=layout.norms(corr), group_weights=layout.weights
-        )
+        _, v = sl.dual_scale_group(p, theta, corr=corr, layout=layout)
         idx = layout.group_ids
     diff = ctx.safe_center - v
     rsq = float(diff @ diff)
@@ -627,7 +633,7 @@ class TestLeanScreen:
                             want, shifted = reference_screen(ctx, kind, theta, corr, kept, layout)
                             for _ in range(2):
                                 got = ctx.screen(kind, theta, corr, kept, layout)
-                                assert got.dtype == bool and np.array_equal(got, want)
+                                assert same(got, want)
                             exits += int(not want.any())
                             flagged += int(want.any())
                             if shifted is not None and not shifted.any():
@@ -666,7 +672,7 @@ class TestLeanScreen:
             kept = state.screen_state.kept
             layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
             want, _ = reference_screen(ctx, kind, state.theta, state.corr, kept, layout)
-            assert np.array_equal(mask, want), t
+            assert same(mask, want), t
             kept_sizes.append(kept.size)
 
         cfg = sl.SolverConfig(algorithm="fista", strategy="dynamic", test=kind,
@@ -680,10 +686,11 @@ _REGION = screening.ScreeningContext.region
 
 
 def exact_screen(ctx, kind, theta, corr, kept):
-    """`screen`'s mask the long way: region, sphere test and group expansion."""
+    """`screen`'s mask the long way: region, its test and the group expansion."""
     p = ctx.problem
     if p.kind == sl.LASSO:
-        return sl.test_sphere_lasso(_REGION(ctx, kind, theta, corr), kept)
+        test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
+        return test(_REGION(ctx, kind, theta, corr), kept)
     layout = p.partition.layout(kept)
     groups = sl.test_sphere_group(_REGION(ctx, kind, theta, corr, layout), layout.group_ids)
     return sl.group_mask_to_index_mask(layout, groups)
@@ -724,7 +731,7 @@ class TestRadiusBound:
             def hook(t, state, mask):
                 nonlocal screens, flagged
                 want = exact_screen(ref, kind, state.theta, state.corr, state.screen_state.kept)
-                assert np.array_equal(mask, want), t
+                assert same(mask, want), t
                 screens += 1
                 flagged += int(want.any())
 
@@ -744,8 +751,8 @@ class TestRadiusBound:
                 nonlocal screens
                 for kind in kinds:
                     got = ctx.screen(kind, state.theta, state.corr, state.screen_state.kept)
-                    assert np.array_equal(got, exact_screen(ref, kind, state.theta, state.corr,
-                                                            state.screen_state.kept))
+                    assert same(got, exact_screen(ref, kind, state.theta, state.corr,
+                                                  state.screen_state.kept))
                     screens += 1
 
             for algo in ("ista", "fista", "cp"):
@@ -787,7 +794,7 @@ class TestRadiusBound:
                         for kind in kinds:
                             want = exact_screen(ctx, kind, theta, corr, kept)
                             got = ctx.screen(kind, theta, corr, kept, layout)
-                            assert np.array_equal(got, want), (kind, seed, j)
+                            assert same(got, want), (kind, seed, j)
                             flagged += int(want.any())
         assert flagged
 
@@ -821,7 +828,7 @@ class TestRadiusBound:
                 for s in (hi, lo, hi, lo):
                     theta = near + s * (far - near)
                     corr = p.dictionary.correlate(theta)
-                    assert np.array_equal(ctx.screen(kind, theta, corr, kept), flags(s))
+                    assert same(ctx.screen(kind, theta, corr, kept), flags(s))
                 assert ctx._extremal[0] is kept
         assert flips >= 4
 
@@ -847,7 +854,7 @@ class TestRadiusBound:
                 theta = near + s * (far - near)
                 corr = p.dictionary.correlate(theta)
                 want = exact_screen(plain, kinds[0], theta, corr, kept)
-                assert np.array_equal(ctx.screen(kinds[1], theta, corr, kept), want), s
+                assert same(ctx.screen(kinds[1], theta, corr, kept), want), s
                 flagged += int(want.any())
         assert flagged
 
@@ -861,7 +868,7 @@ class TestRadiusBound:
             kept = screening.ScreenState.initial(p.n_cols).kept
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
-            assert not ctx.screen(kinds[0], theta, corr, kept).any()
+            assert ctx.screen(kinds[0], theta, corr, kept) is None
             key, cols, _, _ = ctx._extremal
             assert key is kept
             # the remembered columns are one atom, or all of one group
@@ -874,7 +881,7 @@ class TestRadiusBound:
                 corr = p.dictionary.data[:, state.kept].T @ theta
                 for kind in kinds:
                     want = exact_screen(ctx, kind, theta, corr, state.kept)
-                    assert np.array_equal(ctx.screen(kind, theta, corr, state.kept), want)
+                    assert same(ctx.screen(kind, theta, corr, state.kept), want)
             assert len(region_calls) > built
             assert ctx._extremal[0] is state.kept
 
@@ -890,7 +897,7 @@ class TestRadiusBound:
             kept = screening.ScreenState.initial(p.n_cols).kept
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
-            assert not ctx.screen(kinds[0], theta, corr, kept).any()
+            assert ctx.screen(kinds[0], theta, corr, kept) is None
             _, cols, weight, j = ctx._extremal
             # drop the first atom (group) that is not j
             drop = np.zeros(kept.size, dtype=bool)
@@ -902,11 +909,77 @@ class TestRadiusBound:
                 built = len(region_calls)
                 want = exact_screen(ctx, kind, theta, corr, state.kept)
                 got = ctx.screen(kind, theta, corr, state.kept)
-                assert not want.any() and np.array_equal(got, want), kind
+                assert not want.any() and same(got, want), kind
                 assert len(region_calls) == built, kind
             key, moved, _, _ = ctx._extremal
             assert key is state.kept and ctx._extremal[2:] == (weight, j)
             assert np.array_equal(state.kept[moved], kept[cols])
+
+
+class TestScreenResult:
+    # `screen` returns None exactly when the region and its test flag
+    # nothing, and otherwise a fresh mask equal to theirs, which flags at
+    # least one column; a run's hook gets None on every iteration that
+    # eliminates nothing.
+
+    @pytest.mark.parametrize("kind", sl.ALL_TESTS)
+    def test_none_exactly_when_the_test_flags_nothing(self, kind):
+        rng = np.random.default_rng(39)
+        make = make_lasso if kind in sl.LASSO_TESTS else make_group
+        nothing = flagged = 0
+        for seed in range(4):
+            p = make(seed, ratio=0.5 + 0.15 * seed)
+            ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
+            frozen = screening.ScreenState.initial(p.n_cols).kept
+            near = next(TestRadiusBound._near_optimal_thetas(p, rng))
+            thetas = [p.y, near, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)]
+            thetas += [near + s * rng.standard_normal(p.n_rows) for s in (1e-3, 1e-2, 0.1)]
+            for theta in thetas:
+                corr = p.dictionary.correlate(theta)
+                want = exact_screen(ref, kind, theta, corr, frozen)
+                # a run's read-only kept set, whose screens the radius bound
+                # may skip, and a writable one, whose screens it never skips
+                for kept in (frozen, frozen.copy()):
+                    got = ctx.screen(kind, theta, corr, kept)
+                    if not want.any():
+                        assert got is None, (seed, kind)
+                        nothing += 1
+                        continue
+                    assert got.dtype == bool and np.array_equal(got, want), (seed, kind)
+                    again = ctx.screen(kind, theta, corr, kept)
+                    assert got.flags.writeable and not np.shares_memory(got, again)
+                    flagged += 1
+        assert nothing and flagged
+
+    @pytest.mark.parametrize("kind", sl.ALL_TESTS)
+    def test_hook_gets_none_when_nothing_is_eliminated(self, kind):
+        p = make_lasso(14, ratio=0.8) if kind in sl.LASSO_TESTS else make_group(15, ratio=0.7)
+        seen = []
+
+        def hook(t, state, mask):
+            seen.append((state.screen_state.kept.size, mask))
+
+        sl.run(p, sl.SolverConfig(algorithm="fista", strategy="dynamic", test=kind,
+                                  max_iters=300, rel_tol=1e-10), iteration_hook=hook)
+        for (size, mask), (next_size, _) in zip(seen, seen[1:]):
+            dropped = 0 if mask is None else int(mask.sum())
+            assert (mask is None or dropped > 0) and next_size == size - dropped
+        masks = [mask for _, mask in seen]
+        assert any(m is None for m in masks) and any(m is not None for m in masks)
+
+    @pytest.mark.parametrize("kind", sl.ALL_TESTS)
+    def test_static_screen_that_flags_nothing_runs_as_plain(self, kind):
+        # far below the trivial threshold the screen-once region certifies
+        # nothing, and the static run is the plain one to the bit
+        p = make_lasso(6, ratio=0.05) if kind in sl.LASSO_TESTS else make_group(6, ratio=0.05)
+        ctx = screening.ScreeningContext(p)
+        assert ctx.screen(kind, p.y, ctx.y_corr, kept_all(p)) is None
+        runs = [sl.run(p, sl.SolverConfig(algorithm="fista", strategy=strategy, test=kind,
+                                          max_iters=50, rel_tol=1e-10))
+                for strategy in ("none", "static")]
+        assert runs[1].screen_state.eliminated.size == 0
+        assert runs[0].x_star.tobytes() == runs[1].x_star.tobytes()
+        assert runs[0].trace.objective == runs[1].trace.objective
 
 
 @functools.lru_cache(maxsize=None)
@@ -959,7 +1032,7 @@ class TestScreenEqualsExactPath:
                     want = sl.group_mask_to_index_mask(
                         layout, sl.test_sphere_group(region, layout.group_ids))
                 got = ctx.screen(kind, theta, corr, kept, layout)
-                assert got.dtype == bool and np.array_equal(got, want), kind
+                assert same(got, want), kind
                 masks.append(want)
             drop = masks[0] | masks[1]
             if drop.any():
@@ -980,17 +1053,13 @@ class TestReducedDualFeasibility:
         def make_hook(problem):
             def hook(t, state, mask):
                 if problem.kind == sl.LASSO:
-                    ci = float(np.max(np.abs(state.corr), initial=0.0))
-                    mu, v = sl.dual_scale_lasso(problem, state.theta, corr_inf=ci)
+                    mu, v = sl.dual_scale_lasso(problem, state.theta, corr=state.corr)
                     corr_v = problem.dictionary.data[:, state.screen_state.kept].T @ v
                     assert np.max(np.abs(corr_v), initial=0.0) <= 1.0 + 1e-9
                 else:
                     layout = problem.partition.layout(state.screen_state.kept)
-                    norms = layout.norms(state.corr)
-                    mu, v = sl.dual_scale_group(
-                        problem, state.theta, group_corr_norms=norms,
-                        group_weights=layout.weights,
-                    )
+                    mu, v = sl.dual_scale_group(problem, state.theta, corr=state.corr,
+                                                layout=layout)
                     corr_v = problem.dictionary.correlate(v)
                     vnorms = problem.partition.full.norms(corr_v)[state.layout.group_ids]
                     w = problem.partition.weights[state.layout.group_ids]

@@ -106,7 +106,7 @@ class TestIterationHook:
         res = sl.run(p, SolverConfig(algorithm=algo, strategy="dynamic", test=test,
                                      max_iters=300, rel_tol=1e-10), iteration_hook=hook)
         assert len(held) == res.iterations
-        assert any(m.any() for m in masks)
+        assert any(m is not None and m.any() for m in masks)
         for arrays in held:
             for a, before in arrays:
                 assert a.tobytes() == before
@@ -456,6 +456,16 @@ class TestConfigValidation:
     def test_rel_tol_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="rel_tol"):
             SolverConfig(rel_tol=bad).validate("lasso")
+
+    @pytest.mark.parametrize("bad", ["x", None, True, "1e-7", np.array([1e-7])])
+    def test_rel_tol_must_be_a_real_number(self, bad):
+        # a string or None raised a bare TypeError, and True passed as 1
+        with pytest.raises(ValueError, match="rel_tol must be a positive and finite number"):
+            SolverConfig(rel_tol=bad).validate("lasso")
+
+    @pytest.mark.parametrize("good", [1e-7, np.float64(1e-7), np.float32(1e-3), 1, np.int64(1)])
+    def test_real_rel_tol_accepted(self, good):
+        SolverConfig(rel_tol=good).validate("lasso")
 
 
 class TestRun:

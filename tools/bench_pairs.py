@@ -14,6 +14,12 @@ the change was lower (each pair's values go to standard error as it ends):
 
     solve_s.dynamic  0.1830 [0.1745, 0.1869] -> 0.1550 (-15.3%, lower in 10 of 10)
 
+The table ends with the line totals of both trees' ``src/``, all lines and
+code lines as `tools/src_lines.py` counts them:
+
+    src/ lines       2980 -> 2961 (-19)
+    src/ code lines  1946 -> 1930 (-16)
+
 Every metric of the benchmark is better lower. The exit status is nonzero
 if any run exited nonzero, printed no result line, failed a solve or gave an
 incorrect result.
@@ -25,6 +31,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from src_lines import count
 
 
 def run_once(tree, workload, seed, seconds):
@@ -67,6 +75,22 @@ def summarize(pairs):
             f"({rel:+.1%}, lower in {lower} of {len(pairs)})"
         )
     return lines
+
+
+def src_totals(tree):
+    """(all lines, code lines) of the Python files under ``src/`` of `tree`."""
+    total = [0, 0]
+    for path in sorted(Path(tree, "src").rglob("*.py")):
+        lines, code = count(path.read_text(encoding="utf-8"))
+        total[0] += lines
+        total[1] += code
+    return total
+
+
+def src_rows(parent, change):
+    """The table's last rows: the ``src/`` totals of both trees and their change."""
+    rows = zip(("lines", "code lines"), src_totals(parent), src_totals(change))
+    return [f"src/ {name:10s}  {old} -> {new} ({new - old:+d})" for name, old, new in rows]
 
 
 def faults(results):
@@ -113,7 +137,7 @@ def main(argv=None):
     if pairs:
         print(f"{args.workload}: {len(pairs)} pairs at {args.seconds:g} s, seeds "
               f"{args.seed_start}-{args.seed_start + args.pairs - 1}")
-        print("\n".join(summarize(pairs)))
+        print("\n".join(summarize(pairs) + src_rows(args.parent, args.change)))
     bad = faults(labelled)
     for line in bad:
         print(f"FAULT {line}")
