@@ -190,7 +190,8 @@ def _bernoulli_gaussian(rng, spec, dictionary, partition):
         for gid in np.flatnonzero(active):
             idx = partition.groups[gid]
             x[idx] = rng.standard_normal(idx.size)
-        clean = dictionary.apply(x)
+        # the full product, which the pinned set-up digests were taken with
+        clean = dictionary.data @ x
         nrm_clean = float(np.linalg.norm(clean))
         if nrm_clean == 0.0:
             continue

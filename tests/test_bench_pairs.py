@@ -1,6 +1,7 @@
 """`tools/bench_pairs.py` aggregates alternating benchmark runs; here on canned results."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -140,3 +141,68 @@ def test_table_ends_with_both_trees_src_totals(bench_pairs, tmp_path, monkeypatc
     assert bench_pairs.main(argv) == 0
     table = capsys.readouterr().out.splitlines()
     assert table[-2:] == ["src/ lines       7 -> 3 (-4)", "src/ code lines  4 -> 2 (-2)"]
+
+
+RATIOS_OUT = """algos seed=5: 3 passes, 36 solves, 0 failed; per ratio and configuration, medians over passes
+ratio algorithm/strategy/test          ms  time ratio  flop ratio
+ 0.75 twist/none/-                  80.00       1.000       1.000
+ 0.75 twist/dynamic/dst3            20.50       0.256       0.127
+"""
+
+
+def test_ratio_rows_are_parsed_from_the_report(bench_pairs, monkeypatch):
+    def fake_subprocess_run(cmd, **kwargs):
+        assert cmd[1:4] == ["perfbench/report.py", "ratios", "--workload"]
+        return subprocess.CompletedProcess(cmd, 0, stdout=RATIOS_OUT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_ratios(Path("tree"), "algos", 5, 5.0) == [
+        {"ratio": 0.75, "config": "twist/none/-", "ms": 80.0, "time_ratio": 1.0, "flop_ratio": 1.0},
+        {"ratio": 0.75, "config": "twist/dynamic/dst3", "ms": 20.5, "time_ratio": 0.256,
+         "flop_ratio": 0.127},
+    ]
+
+
+def test_json_record_has_a_fixed_schema_and_key_order(bench_pairs, tmp_path, monkeypatch):
+    rows = [{"ratio": 0.75, "config": "twist/none/-", "ms": 80.0, "time_ratio": 1.0,
+             "flop_ratio": 1.0}]
+    runs = {("p", 5): result(0.4, rss=50.0), ("c", 5): result(0.3, rss=51.0),
+            ("p", 6): result(0.2, rss=50.0), ("c", 6): result(0.1, rss=49.0)}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, w, seed, s: runs[str(tree), seed])
+    monkeypatch.setattr(bench_pairs, "run_ratios", lambda tree, w, seed, s: rows)
+    monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: [10, 7] if str(tree) == "p" else [12, 8])
+    monkeypatch.setattr(bench_pairs, "git_head", lambda tree: f"{tree}-head")
+    monkeypatch.setattr(bench_pairs, "machine", lambda: {"cpu": "x", "cores": 2})
+    out = tmp_path / "BENCH.json"
+    # a workload recorded earlier stays, and the workloads are sorted by name
+    out.write_text(json.dumps({"workloads": {"group": {"pairs": 1}}}))
+    argv = ["p", "c", "--workload", "desk", "--pairs", "2", "--seconds", "5", "--seed-start", "5",
+            "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    text = out.read_text()
+    bench = json.loads(text)
+    assert list(bench) == ["schema", "heads", "src", "machine", "workloads"]
+    assert bench["heads"] == {"parent": "p-head", "change": "c-head"}
+    assert bench["src"] == {"parent": {"lines": 10, "code_lines": 7},
+                            "change": {"lines": 12, "code_lines": 8}}
+    assert list(bench["workloads"]) == ["desk", "group"]
+    desk = bench["workloads"]["desk"]
+    assert list(desk) == ["pairs", "seconds", "seeds", "metrics", "ratios"]
+    assert (desk["pairs"], desk["seconds"], desk["seeds"]) == (2, 5.0, [5, 6])
+    assert list(desk["metrics"]) == ["solve_s.dynamic", "peak_rss_mb"]
+    # quartiles of 0.2 and 0.4 with two values: 0.15, 0.3, 0.45
+    dynamic = desk["metrics"]["solve_s.dynamic"]
+    assert list(dynamic) == ["unit", "parent_median", "parent_q1", "parent_q3", "change_median",
+                             "change_lower_in"]
+    assert dynamic["unit"] == "s" and dynamic["change_lower_in"] == 2
+    assert dynamic["parent_median"] == pytest.approx(0.3)
+    assert dynamic["change_median"] == pytest.approx(0.2)
+    assert desk["metrics"]["peak_rss_mb"]["change_lower_in"] == 1
+    assert desk["ratios"] == {"parent": rows, "change": rows}
+    # one metric and one ratio row per line, so that two files diff line by line
+    lines = text.splitlines()
+    assert sum('"solve_s.dynamic": {"unit": "s"' in line for line in lines) == 1
+    assert sum(line.strip().startswith('{"ratio": 0.75') for line in lines) == 2
+    # writing the same record again gives the same bytes
+    assert bench_pairs.main(argv) == 0
+    assert out.read_text() == text

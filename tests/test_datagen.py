@@ -243,6 +243,13 @@ class TestPinnedBytes:
         fields = (obs.y, obs.ground_truth, obs.clean, obs.noise)
         assert _sha256(*(f for f in fields if f is not None)) == self.OBSERVATIONS[kind]
 
+    def test_clean_is_the_full_product(self):
+        # the support product of Dictionary.apply may round differently, and
+        # the pinned observation bytes were taken with the full one
+        dic, part = self.pnoise_partition()
+        obs = sl.gen_observation(self.spec("bernoulli-gaussian-obs"), dic, part)
+        assert obs.clean.tobytes() == (dic.data @ obs.ground_truth).tobytes()
+
     def test_random_groups(self):
         groups = datagen.random_groups(self.K, self.GROUP_SIZE, self.SEED)
         assert _sha256(*groups) == "83e5e357ddccaf50ce6bb41b2c22fb54e227989e3d4bce439bb3b29386216139"

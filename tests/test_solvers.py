@@ -781,27 +781,62 @@ class TestResidualReuse:
         assert np.allclose(st.u_resid, dic.apply(st.u) - p.y, rtol=0.0, atol=1e-12)
 
 
+class TestSupportProduct:
+    # 12 coefficients: the product gathers the nonzero columns while fewer
+    # than 12 / _GATHER_COST = 3 are nonzero
+    @pytest.mark.parametrize("nonzeros", [0, 1, 2, 3, 12])
+    @pytest.mark.parametrize("through", ["Dictionary", "_LiveColumns"])
+    def test_matches_direct_selection(self, nonzeros, through):
+        assert sl.dictionary._GATHER_COST == 4
+        rng = np.random.default_rng(nonzeros)
+        dic = make_lasso(2, n=10, k=30).dictionary
+        if through == "Dictionary":
+            cols, view = np.arange(12, 24), dic.reduce(np.arange(12, 24))
+        else:
+            cols = np.sort(rng.choice(30, 12, replace=False))
+            view = _reduce_dic(dic, cols)
+        x = np.zeros(12)
+        x[rng.choice(12, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
+        got = view.apply(x)
+        assert got.shape == (10,)
+        assert np.allclose(got, dic.data[:, cols] @ x, rtol=0, atol=1e-12)
+        if nonzeros == 0:
+            assert np.array_equal(got, np.zeros(10))
+
+
 class TestColumnReduction:
     def test_repeated_drops_match_direct_selection(self):
-        # screened columns either stay behind a live-position view or are
-        # repacked; both must multiply exactly the surviving columns, and a
-        # view never spans more than twice its live columns
-        rng = np.random.default_rng(5)
+        # random drops, each followed by a few correlations: each correlation
+        # charges the view with its dead columns, the view copies its
+        # survivors exactly when they fill at most half the packed width and
+        # the charge since the last copy has reached _COPY_COST times their
+        # count, and every product multiplies exactly the surviving columns
         dic = make_lasso(5, n=12, k=60).dictionary
+        for seed in range(5):
+            self.drop_at_random(dic, np.random.default_rng(seed))
+
+    @staticmethod
+    def drop_at_random(dic, rng):
         kept = np.arange(60)
         cur = dic
-        kinds = set()
+        copies = 0
         while kept.size > 1:
             keep_pos = np.flatnonzero(rng.random(kept.size) < 0.8)
             kept = kept[keep_pos]
             cur = _reduce_dic(cur, keep_pos)
-            kinds.add(type(cur))
-            if isinstance(cur, _LiveColumns):
-                assert cur.packed.n_cols < 2 * cur.n_cols
-            direct = dic.data[:, kept]
-            x = rng.standard_normal(kept.size)
-            v = rng.standard_normal(12)
             assert cur.n_cols == kept.size
-            assert np.allclose(cur.apply(x), direct @ x, rtol=0, atol=1e-12)
-            assert np.allclose(cur.correlate(v), direct.T @ v, rtol=0, atol=1e-12)
-        assert kinds == {sl.Dictionary, _LiveColumns}
+            direct = dic.data[:, kept]
+            for _ in range(rng.integers(1, 6)):
+                packed, charge = cur.packed, cur.charge + cur.packed.n_cols - kept.size
+                due = 2 * kept.size <= packed.n_cols and charge >= solvers._COPY_COST * kept.size
+                v = rng.standard_normal(12)
+                assert np.allclose(cur.correlate(v), direct.T @ v, rtol=0, atol=1e-12)
+                copied = cur.packed is not packed
+                assert copied == due
+                copies += copied
+                assert cur.charge == (0 if copied else charge)
+                assert np.array_equal(cur.packed.data[:, cur.live], direct)
+                assert cur.n_cols == kept.size
+                x = rng.standard_normal(kept.size) * (rng.random(kept.size) < 0.3)
+                assert np.allclose(cur.apply(x), direct @ x, rtol=0, atol=1e-12)
+        assert copies > 0

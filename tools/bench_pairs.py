@@ -23,10 +23,22 @@ code lines as `tools/src_lines.py` counts them:
 Every metric of the benchmark is better lower. The exit status is nonzero
 if any run exited nonzero, printed no result line, failed a solve or gave an
 incorrect result.
+
+With ``--json PATH`` the tool also runs ``perfbench/report.py ratios`` once
+in each tree (seed ``seed_start``, the same seconds), and writes the
+workload's record into the BENCH file at PATH, keeping the other workloads
+already there. The record holds each metric's parent median and quartiles,
+change median and wins, and each tree's time and flop ratios to the plain
+solve; the file also holds both trees' ``src/`` totals and git HEADs and
+the machine: CPU model, core count, Python, numpy and BLAS versions and the
+BLAS thread settings. Keys are written in a fixed order, and each metric or
+ratio row on one line, so that two BENCH files diff line by line.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -58,17 +70,23 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(pairs):
-    """One line per end-to-end metric of `pairs`, a list of (parent, change) results."""
-    names = list(pairs[0][0]["metrics"])
-    width = max(len(name) for name in names)
-    lines = []
-    for name in names:
+def aggregate(pairs):
+    """{metric: (unit, parent q1, median, q3, change median, pairs the change was lower)}."""
+    out = {}
+    for name, metric in pairs[0][0]["metrics"].items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
-        q1, med, q3 = quartiles(parent)
-        new = statistics.median(change)
         lower = sum(c < p for p, c in zip(parent, change))
+        out[name] = (metric["unit"], *quartiles(parent), statistics.median(change), lower)
+    return out
+
+
+def summarize(pairs):
+    """One line per end-to-end metric of `pairs`, a list of (parent, change) results."""
+    stats = aggregate(pairs)
+    width = max(len(name) for name in stats)
+    lines = []
+    for name, (_, q1, med, q3, new, lower) in stats.items():
         rel = (new - med) / med if med else float("nan")
         lines.append(
             f"{name:{width}s}  {med:.4g} [{q1:.4g}, {q3:.4g}] -> {new:.4g} "
@@ -93,6 +111,116 @@ def src_rows(parent, change):
     return [f"src/ {name:10s}  {old} -> {new} ({new - old:+d})" for name, old, new in rows]
 
 
+def run_ratios(tree, workload, seed, seconds):
+    """The rows ``perfbench/report.py ratios`` prints in `tree`, as ratio-table dicts."""
+    cmd = [
+        sys.executable, "perfbench/report.py", "ratios", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    rows = []
+    # a row is: ratio, algorithm/strategy/test, ms, time ratio, flop ratio
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 5 and fields[1].count("/") == 2:
+            try:
+                values = [float(f) for f in fields[:1] + fields[2:]]
+            except ValueError:
+                continue
+            rows.append({"ratio": values[0], "config": fields[1], "ms": values[1],
+                         "time_ratio": values[2], "flop_ratio": values[3]})
+    if not rows:
+        return {"error": f"no ratio rows in: {proc.stdout.strip()[-500:]!r}"}
+    return rows
+
+
+def git_head(tree):
+    """`tree`'s git HEAD, with ``+dirty`` when its working files differ from it; None outside git."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def machine():
+    """The CPU, core count, Python, numpy and BLAS versions and BLAS thread settings."""
+    import numpy as np
+
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = {var: os.environ.get(var) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        # perfbench/run.py sets each of these to 1 before numpy loads
+        "blas_threads_in_runs": 1,
+        "blas_threads_env": threads,
+    }
+
+
+def workload_record(pairs, args, ratios):
+    """The BENCH file's record of one workload: its runs, metrics and ratio tables."""
+    metrics = {
+        name: {"unit": unit, "parent_median": med, "parent_q1": q1, "parent_q3": q3,
+               "change_median": new, "change_lower_in": lower}
+        for name, (unit, q1, med, q3, new, lower) in aggregate(pairs).items()
+    }
+    return {
+        "pairs": len(pairs),
+        "seconds": args.seconds,
+        "seeds": [args.seed_start, args.seed_start + args.pairs - 1],
+        "metrics": metrics,
+        "ratios": ratios,
+    }
+
+
+def bench_record(old, parent, change, workload, record, env):
+    """The BENCH file `old` (a dict, maybe empty) with `workload`'s `record` put in."""
+    workloads = dict(old.get("workloads", {}))
+    workloads[workload] = record
+    (p_lines, p_code), (c_lines, c_code) = src_totals(parent), src_totals(change)
+    return {
+        "schema": 1,
+        "heads": {"parent": git_head(parent), "change": git_head(change)},
+        "src": {"parent": {"lines": p_lines, "code_lines": p_code},
+                "change": {"lines": c_lines, "code_lines": c_code}},
+        "machine": env,
+        "workloads": {name: workloads[name] for name in sorted(workloads)},
+    }
+
+
+def dump(obj, indent=0):
+    """`obj` as JSON, with each dict or list that holds no dict or list on one line."""
+    if isinstance(obj, dict):
+        nested = obj.values()
+    else:
+        nested = obj if isinstance(obj, list) else ()
+    if not any(isinstance(v, (dict, list)) for v in nested):
+        return json.dumps(obj)
+    pad, inner = " " * indent, " " * (indent + 2)
+    if isinstance(obj, dict):
+        body = [f"{inner}{json.dumps(k)}: {dump(v, indent + 2)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(body) + f"\n{pad}}}"
+    body = [f"{inner}{dump(v, indent + 2)}" for v in obj]
+    return "[\n" + ",\n".join(body) + f"\n{pad}]"
+
+
 def faults(results):
     """A message for each run that did not finish, failed a solve or gave an incorrect result."""
     out = []
@@ -115,6 +243,7 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed-start", type=int, required=True)
+    p.add_argument("--json", type=Path, help="BENCH file to write this workload's record into")
     args = p.parse_args(argv)
 
     pairs, labelled = [], []
@@ -138,6 +267,16 @@ def main(argv=None):
         print(f"{args.workload}: {len(pairs)} pairs at {args.seconds:g} s, seeds "
               f"{args.seed_start}-{args.seed_start + args.pairs - 1}")
         print("\n".join(summarize(pairs) + src_rows(args.parent, args.change)))
+    if args.json and pairs:
+        ratios = {}
+        for side, tree in (("parent", args.parent), ("change", args.change)):
+            ratios[side] = run_ratios(tree, args.workload, args.seed_start, args.seconds)
+            if "error" in ratios[side]:
+                labelled.append((f"{side} ratios", ratios[side]))
+        old = json.loads(args.json.read_text()) if args.json.exists() else {}
+        record = workload_record(pairs, args, ratios)
+        new = bench_record(old, args.parent, args.change, args.workload, record, machine())
+        args.json.write_text(dump(new) + "\n")
     bad = faults(labelled)
     for line in bad:
         print(f"FAULT {line}")
