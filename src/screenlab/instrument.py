@@ -27,10 +27,10 @@ def flops_iteration(kind, strategy, k, n, kept_count, sparsity, group_count=0):
 
     The estimate covers the gradient computation (exploiting iterate
     sparsity) and the proximal step; for the dynamic strategy it adds the
-    dual scaling, radius, and per-atom test evaluations. The products
-    multiply at the support this model charges: `Dictionary.apply` gathers
-    only the columns of the nonzero coefficients while they are few. `kept_count` and
-    `sparsity` may also be sequences, one entry per iteration, and the
+    dual scaling, radius, and per-atom test evaluations. The code multiplies
+    at the support this model charges: `Dictionary.apply` gathers only the
+    columns of the nonzero coefficients while they are few. `kept_count`
+    and `sparsity` may also be sequences, one entry per iteration, and the
     result is then the array of per-iteration counts.
     """
     if kind not in (LASSO, GROUP):
