@@ -6,6 +6,7 @@ import pytest
 
 import screenlab as sl
 from screenlab import solvers
+from screenlab.dictionary import _GATHER_COST
 from screenlab.problems import penalty_value
 from screenlab.solvers import (
     CP,
@@ -782,12 +783,13 @@ class TestResidualReuse:
 
 
 class TestSupportProduct:
-    # 12 coefficients: the product gathers the nonzero columns while fewer
-    # than 12 / _GATHER_COST = 3 are nonzero
-    @pytest.mark.parametrize("nonzeros", [0, 1, 2, 3, 12])
+    # of 12 coefficients, the product gathers the nonzero columns while
+    # fewer than CUT are nonzero
+    CUT = -(-12 // _GATHER_COST)
+
+    @pytest.mark.parametrize("nonzeros", [0, 1, CUT - 1, CUT, 12])
     @pytest.mark.parametrize("through", ["Dictionary", "_LiveColumns"])
     def test_matches_direct_selection(self, nonzeros, through):
-        assert sl.dictionary._GATHER_COST == 4
         rng = np.random.default_rng(nonzeros)
         dic = make_lasso(2, n=10, k=30).dictionary
         if through == "Dictionary":

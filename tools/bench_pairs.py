@@ -174,30 +174,25 @@ def machine():
     }
 
 
-def workload_record(pairs, args, ratios):
-    """The BENCH file's record of one workload: its runs, metrics and ratio tables."""
+def bench_record(old, args, pairs, ratios, env):
+    """The BENCH file `old` (a dict, maybe empty) with this run's workload record put in."""
     metrics = {
         name: {"unit": unit, "parent_median": med, "parent_q1": q1, "parent_q3": q3,
                "change_median": new, "change_lower_in": lower}
         for name, (unit, q1, med, q3, new, lower) in aggregate(pairs).items()
     }
-    return {
+    workloads = dict(old.get("workloads", {}))
+    workloads[args.workload] = {
         "pairs": len(pairs),
         "seconds": args.seconds,
         "seeds": [args.seed_start, args.seed_start + args.pairs - 1],
         "metrics": metrics,
         "ratios": ratios,
     }
-
-
-def bench_record(old, parent, change, workload, record, env):
-    """The BENCH file `old` (a dict, maybe empty) with `workload`'s `record` put in."""
-    workloads = dict(old.get("workloads", {}))
-    workloads[workload] = record
-    (p_lines, p_code), (c_lines, c_code) = src_totals(parent), src_totals(change)
+    (p_lines, p_code), (c_lines, c_code) = src_totals(args.parent), src_totals(args.change)
     return {
         "schema": 1,
-        "heads": {"parent": git_head(parent), "change": git_head(change)},
+        "heads": {"parent": git_head(args.parent), "change": git_head(args.change)},
         "src": {"parent": {"lines": p_lines, "code_lines": p_code},
                 "change": {"lines": c_lines, "code_lines": c_code}},
         "machine": env,
@@ -274,9 +269,7 @@ def main(argv=None):
             if "error" in ratios[side]:
                 labelled.append((f"{side} ratios", ratios[side]))
         old = json.loads(args.json.read_text()) if args.json.exists() else {}
-        record = workload_record(pairs, args, ratios)
-        new = bench_record(old, args.parent, args.change, args.workload, record, machine())
-        args.json.write_text(dump(new) + "\n")
+        args.json.write_text(dump(bench_record(old, args, pairs, ratios, machine())) + "\n")
     bad = faults(labelled)
     for line in bad:
         print(f"FAULT {line}")
