@@ -19,13 +19,16 @@ _ALIGN_BYTES = 64
 # this many bytes of rows at a time, and GroupPartition.build gathers this
 # many bytes of group columns at a time
 _BLOCK_BYTES = 1 << 18
-# A product that gathers the columns of the nonzero coefficients costs as much
-# as the full product at 20-25%, 28% and 33% of them nonzero at 200x1000,
-# 500x5000 and 300x2000 (one OpenBLAS thread, 2-core Xeon VM): a gathered
-# column costs 2-4 times one multiplied in place. So a product gathers only
-# while fewer than a quarter of the coefficients are nonzero, which also
-# bounds the gather's temporary at a quarter of the dictionary.
-_GATHER_COST = 4
+# Moving a column costs about three times as much as multiplying it in place:
+# copying a 500-row column of a 500x5000 dictionary into a new packed one takes
+# 465-505 ns, correlating it 145-168 ns (OpenBLAS, 2-core Xeon VM). A product
+# that gathers the columns of the nonzero coefficients moves each one and then
+# multiplies it, so it breaks even with the full product at a quarter of them
+# nonzero; measured, at 20-25%, 28% and 33% nonzero at 200x1000, 500x5000 and
+# 300x2000 (one OpenBLAS thread). So a product gathers only while fewer than
+# 1 / (1 + _COPY_COST) of the coefficients are nonzero, which also bounds the
+# gather's temporary at a quarter of the dictionary.
+_COPY_COST = 3
 
 
 def index_set(values, size=None):
@@ -99,7 +102,7 @@ def support_product(data, x, cols=None):
     `data` of the entries of `x`; the other columns take part with a zero
     coefficient. An all-zero `x` gives exact zeros.
     """
-    if _GATHER_COST * np.count_nonzero(x) < x.size:
+    if (1 + _COPY_COST) * np.count_nonzero(x) < x.size:
         nz = x.nonzero()[0]
         return x[nz].dot(data.T[nz if cols is None else cols[nz]])
     if cols is not None and cols.size < data.shape[1]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screening
-from .dictionary import GroupLayout, operator_norm, support_product
+from .dictionary import _COPY_COST, GroupLayout, operator_norm, support_product
 from .instrument import (
     DYNAMIC,
     NONE,
@@ -44,10 +44,6 @@ ALGORITHMS = (ISTA, FISTA, TWIST, SPARSA, CP)
 
 _MAJORIZATION_SLACK = 1e-12
 _L_CEILING = 1e300
-# Copying a column into a new packed dictionary costs about three times as
-# much as correlating it: 465-505 ns against 145-168 ns for a 500-row column
-# of a 500x5000 dictionary (OpenBLAS, 2-core Xeon VM)
-_COPY_COST = 3
 _BACKTRACK_FACTOR = 2.0
 # weights of the two-step mix (1 - a) * x_prev + (a - b) * x + b * z
 _TWIST_ALPHA = _TWIST_BETA = 1.78
@@ -151,13 +147,12 @@ def _resid_at(dic, v, y):
 
 
 def _residual(state, dic, y):
-    """x's residual ``D @ x - y`` and its squared norm, each taken from the state if it has it."""
-    resid = state.resid
-    if resid is None:
-        resid = dic.apply(state.x) - y
-    elif state.resid_sq is not None:
-        return resid, state.resid_sq
-    return resid, float(resid.dot(resid))
+    """x's residual ``D @ x - y`` and its squared norm, filled into the state where it lacks them."""
+    if state.resid is None:
+        state.resid = _resid_at(dic, state.x, y)
+    if state.resid_sq is None:
+        state.resid_sq = float(state.resid.dot(state.resid))
+    return state.resid, state.resid_sq
 
 
 def _accept(state, theta, corr, cand, resid_cand, weight=None, theta_sq=None, resid_sq=None):
@@ -329,13 +324,14 @@ def init_state(problem, cfg):
     return state
 
 
-def _reduce_state(state, mask):
+def _reduce_state(state, dic, mask):
     """Drop the screened positions `mask` from everything indexed by the positions of x.
 
-    That is the primal vectors, the group layout and the screened set. A
-    residual stays valid only while every coefficient its vector loses is
-    zero; otherwise it is cleared, and recomputed where it is next needed.
-    The dictionary is the caller's to reduce.
+    That is the primal vectors, the group layout and the screened set, and
+    the columns of the `_LiveColumns` view `dic`, narrowed by `_reduce_dic`
+    and returned. A residual stays valid only while every coefficient its
+    vector loses is zero; otherwise it is cleared, and recomputed where it is
+    next needed.
     """
     keep = ~mask
     if np.count_nonzero(state.x[mask]):
@@ -351,6 +347,7 @@ def _reduce_state(state, mask):
         state.layout = state.layout.without(mask)
     state.screen_state = screening.screen_update(state.screen_state, mask)
     state.corr = None
+    return _reduce_dic(dic, keep.nonzero()[0])
 
 
 def run(problem, cfg, iteration_hook=None):
@@ -363,8 +360,10 @@ def run(problem, cfg, iteration_hook=None):
     iteration at the dual point the update just produced, and the eliminated
     set grows monotonically. Above the trivial-solution threshold every atom
     is screened before the first iteration, and the zero solution is
-    returned without one. Each of the three eliminations drops its mask from
-    the state with `_reduce_state` and reduces the dictionary on its own.
+    returned without one. Every strategy multiplies through one
+    `_LiveColumns` view of the dictionary, and each of the three
+    eliminations drops its mask from the state and the view with
+    `_reduce_state`; the view alone decides when to copy its survivors.
     The screening context serves every strategy: a plain run takes
     ``D.T y`` and `lambda_max` from it too. Every iteration, the first
     included, correlates its own dual point, and its objective takes the
@@ -395,16 +394,15 @@ def run(problem, cfg, iteration_hook=None):
     )
 
     state = init_state(problem, cfg)
-    dic = problem.dictionary
+    dic = _LiveColumns(problem.dictionary, np.arange(k))
     y, lam = problem.y, problem.lam
     if lam > ctx.lmax.value:
         # the zero solution: every column goes, and the loop below stops at once
-        _reduce_state(state, np.ones(k, dtype=bool))
+        dic = _reduce_state(state, dic, np.ones(k, dtype=bool))
     elif cfg.strategy == STATIC:
         mask = ctx.screen(cfg.test, y, ctx.y_corr, state.screen_state.kept, state.layout)
         if mask is not None:
-            _reduce_state(state, mask)
-            dic = dic.reduce(state.screen_state.kept)
+            dic = _reduce_state(state, dic, mask)
         trace.init_flops = flops_static_init(k, n)
 
     update = _UPDATES[cfg.algorithm]
@@ -428,15 +426,9 @@ def run(problem, cfg, iteration_hook=None):
             iteration_hook(t, state, mask)
 
         if mask is not None:
-            dic = _reduce_dic(dic, (~mask).nonzero()[0])
-            _reduce_state(state, mask)
+            dic = _reduce_state(state, dic, mask)
 
-        if state.resid_sq is None:
-            if state.resid is None:
-                state.resid = _resid_at(dic, state.x, y)
-            state.resid_sq = float(state.resid.dot(state.resid))
-        f_t = 0.5 * state.resid_sq
-        f_t += lam * penalty_value(state.x, state.layout)
+        f_t = 0.5 * _residual(state, dic, y)[1] + lam * penalty_value(state.x, state.layout)
         nnz = int(np.count_nonzero(state.x))
         # the flop column is filled in once, from the kept and sparsity columns
         trace.append(t, state.screen_state.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)
@@ -464,11 +456,13 @@ def run(problem, cfg, iteration_hook=None):
 class _LiveColumns:
     """The surviving columns of a packed dictionary that may still hold screened ones.
 
-    Offers the `Dictionary` products over the live columns only: coefficient
-    vectors and correlations are indexed by live position. `apply` is the
-    support product, which spans no screened column while few coefficients
-    are nonzero; `correlate` spans the packed width. The products are made
-    on the packed data directly, without the argument checks, which the
+    Every run multiplies through one such view, a plain one too, whose
+    packed data holds no screened column. It offers the `Dictionary`
+    products over the live columns only: coefficient vectors and
+    correlations are indexed by live position. `apply` is the support
+    product, which spans no screened column while few coefficients are
+    nonzero; `correlate` spans the packed width. The products are made on
+    the packed data directly, without the argument checks, which the
     solver's own vectors do not need.
 
     Each correlation charges the view with the screened columns the packed
@@ -477,7 +471,11 @@ class _LiveColumns:
     count, the view copies them with `Dictionary.reduce` and correlates over
     the copy. So a copy is made only once the waste it removes has been
     paid (ski-rental), each copy at least halves the packed width, and a
-    run copies fewer than K columns in all.
+    run copies fewer than K columns in all. The half-width condition also
+    bounds memory, since a copy made from a copy holds both while it is
+    made: without it, `peak_rss_mb` of the benchmark rose by 2.4% on desk,
+    2.0% on group and 4.9% on algos (lower in 0 of 8 alternating pairs each)
+    for no gain in solve time.
     """
 
     __slots__ = ("packed", "live", "charge")
@@ -509,13 +507,9 @@ class _LiveColumns:
 
 
 def _reduce_dic(dic, keep_pos):
-    """Keep the columns at positions `keep_pos` of `dic` behind a `_LiveColumns` view.
+    """The `_LiveColumns` view `dic` narrowed to its live positions `keep_pos`.
 
     Only narrows the view, which carries its charge over; the view itself
     decides when to copy its survivors.
     """
-    if keep_pos.size == dic.n_cols:
-        return dic
-    if isinstance(dic, _LiveColumns):
-        return _LiveColumns(dic.packed, dic.live[keep_pos], dic.charge)
-    return _LiveColumns(dic, keep_pos)
+    return _LiveColumns(dic.packed, dic.live[keep_pos], dic.charge)

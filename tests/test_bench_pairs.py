@@ -163,12 +163,25 @@ def test_ratio_rows_are_parsed_from_the_report(bench_pairs, monkeypatch):
     ]
 
 
+def traced_result(apply_s, repacks=None, failed=0):
+    """A result line's object as `perfbench/run.py --trace 1` prints it."""
+    metrics = {"dictionary.apply_s": {"value": apply_s, "unit": "s"}}
+    if repacks is not None:
+        metrics["dictionary.repack_count"] = {"value": repacks, "unit": "count"}
+    return {"correct": True, "attempted": 15, "failed": failed, "metrics": metrics}
+
+
 def test_json_record_has_a_fixed_schema_and_key_order(bench_pairs, tmp_path, monkeypatch):
     rows = [{"ratio": 0.75, "config": "twist/none/-", "ms": 80.0, "time_ratio": 1.0,
              "flop_ratio": 1.0}]
     runs = {("p", 5): result(0.4, rss=50.0), ("c", 5): result(0.3, rss=51.0),
             ("p", 6): result(0.2, rss=50.0), ("c", 6): result(0.1, rss=49.0)}
-    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, w, seed, s: runs[str(tree), seed])
+    traced = {"p": traced_result(0.5, 9), "c": traced_result(0.25, 7)}
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        return traced[str(tree)] if trace else runs[str(tree), seed]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     monkeypatch.setattr(bench_pairs, "run_ratios", lambda tree, w, seed, s: rows)
     monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: [10, 7] if str(tree) == "p" else [12, 8])
     monkeypatch.setattr(bench_pairs, "git_head", lambda tree: f"{tree}-head")
@@ -187,7 +200,7 @@ def test_json_record_has_a_fixed_schema_and_key_order(bench_pairs, tmp_path, mon
                             "change": {"lines": 12, "code_lines": 8}}
     assert list(bench["workloads"]) == ["desk", "group"]
     desk = bench["workloads"]["desk"]
-    assert list(desk) == ["pairs", "seconds", "seeds", "metrics", "ratios"]
+    assert list(desk) == ["pairs", "seconds", "seeds", "metrics", "layers", "ratios"]
     assert (desk["pairs"], desk["seconds"], desk["seeds"]) == (2, 5.0, [5, 6])
     assert list(desk["metrics"]) == ["solve_s.dynamic", "peak_rss_mb"]
     # quartiles of 0.2 and 0.4 with two values: 0.15, 0.3, 0.45
@@ -198,11 +211,50 @@ def test_json_record_has_a_fixed_schema_and_key_order(bench_pairs, tmp_path, mon
     assert dynamic["parent_median"] == pytest.approx(0.3)
     assert dynamic["change_median"] == pytest.approx(0.2)
     assert desk["metrics"]["peak_rss_mb"]["change_lower_in"] == 1
+    assert desk["layers"] == {
+        "dictionary.apply_s": {"unit": "s", "parent": 0.5, "change": 0.25},
+        "dictionary.repack_count": {"unit": "count", "parent": 9, "change": 7},
+    }
+    assert [list(m) for m in desk["layers"].values()] == [["unit", "parent", "change"]] * 2
     assert desk["ratios"] == {"parent": rows, "change": rows}
     # one metric and one ratio row per line, so that two files diff line by line
     lines = text.splitlines()
     assert sum('"solve_s.dynamic": {"unit": "s"' in line for line in lines) == 1
+    assert sum('"dictionary.repack_count": {"unit": "count"' in line for line in lines) == 1
     assert sum(line.strip().startswith('{"ratio": 0.75') for line in lines) == 2
     # writing the same record again gives the same bytes
     assert bench_pairs.main(argv) == 0
     assert out.read_text() == text
+
+
+def test_layers_come_from_one_traced_run_per_tree(bench_pairs, tmp_path, monkeypatch, capsys):
+    # the traced runs take the first seed and the pairs' seconds, after the
+    # pairs; a metric only one tree reports is None in the other, and a
+    # traced run that fails a solve is a fault
+    calls = []
+    traced = {"p": traced_result(0.5), "c": traced_result(0.25, 7, failed=1)}
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((str(tree), seed, seconds, trace))
+        return traced[str(tree)] if trace else result(0.2)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "run_ratios", lambda tree, w, seed, s: [])
+    monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: [1, 1])
+    monkeypatch.setattr(bench_pairs, "git_head", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "machine", lambda: {})
+    out = tmp_path / "BENCH.json"
+    argv = ["p", "c", "--workload", "group", "--pairs", "2", "--seconds", "3", "--seed-start", "8",
+            "--json", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert calls == [("p", 8, 3.0, 0), ("c", 8, 3.0, 0), ("c", 9, 3.0, 0), ("p", 9, 3.0, 0),
+                     ("p", 8, 3.0, 1), ("c", 8, 3.0, 1)]
+    assert "FAULT change traced: 1 of 15 solves failed" in capsys.readouterr().out
+    layers = json.loads(out.read_text())["workloads"]["group"]["layers"]
+    assert layers == {
+        "dictionary.apply_s": {"unit": "s", "parent": 0.5, "change": 0.25},
+        "dictionary.repack_count": {"unit": "count", "parent": None, "change": 7},
+    }
+    assert bench_pairs.layer_record({"parent": {"error": "exit 1"}, "change": traced["p"]}) == {
+        "dictionary.apply_s": {"unit": "s", "parent": None, "change": 0.5},
+    }

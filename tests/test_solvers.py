@@ -6,7 +6,7 @@ import pytest
 
 import screenlab as sl
 from screenlab import solvers
-from screenlab.dictionary import _GATHER_COST
+from screenlab.dictionary import _COPY_COST
 from screenlab.problems import penalty_value
 from screenlab.solvers import (
     CP,
@@ -59,15 +59,16 @@ class TestReduceState:
         fold = solvers._reduce_state
         sizes = []
 
-        def checking(state, mask):
-            fold(state, mask)
+        def checking(state, dic, mask):
+            view = fold(state, dic, mask)
             kept = state.screen_state.kept
             sizes.append(kept.size)
-            assert state.x.size == state.layout.member.size == kept.size
+            assert state.x.size == state.layout.member.size == view.n_cols == kept.size
             for v in (state.x_prev, state.u):
                 assert v is None or v.size == kept.size
             for name, ref in vars(p.partition.layout(kept)).items():
                 assert np.array_equal(getattr(state.layout, name), ref), name
+            return view
 
         monkeypatch.setattr(solvers, "_reduce_state", checking)
         res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy, test="gst3",
@@ -348,7 +349,8 @@ class TestNonFinite:
         st = SolverState(x=np.zeros(p.n_cols), L=float("nan"))
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="backtracking"):
             update_ista(st, dic, p)
-        assert dic.calls == 2  # the residual at x and a single trial
+        # a single trial: the residual at x = 0 costs no product
+        assert dic.calls == 1
 
 
 class _Budgeted:
@@ -373,23 +375,26 @@ class TestFirstCorrelation:
     def test_every_step_correlates_its_own_dual_point(self, algo, kind, test, monkeypatch):
         # `run` correlates y once, for lambda_max and the screening context,
         # and each iteration, the first included, correlates its dual point
+        # through the live-column view
         p = make_lasso(6, ratio=0.5) if kind == "lasso" else make_group(6, ratio=0.5)
-        correlate = sl.Dictionary.correlate
         for strategy in ("none", "dynamic"):
             cfg = SolverConfig(algorithm=algo, strategy=strategy,
                                test=None if strategy == "none" else test, max_iters=40)
             calls, first = [], []
 
-            def counting(self, v):
-                calls.append(1)
-                return correlate(self, v)
+            def counting(correlate):
+                def wrapped(self, v):
+                    calls.append(1)
+                    return correlate(self, v)
+                return wrapped
 
             def hook(t, state, mask):
                 if t == 1:
                     first.append((state.theta, state.corr))
 
             with monkeypatch.context() as m:
-                m.setattr(sl.Dictionary, "correlate", counting)
+                for owner in (sl.Dictionary, _LiveColumns):
+                    m.setattr(owner, "correlate", counting(owner.correlate))
                 res = sl.run(p, cfg, iteration_hook=hook)
             assert res.iterations > 1
             assert len(calls) == res.iterations + 1
@@ -473,7 +478,7 @@ class TestRun:
     @pytest.mark.parametrize("algo", sl.ALGORITHMS)
     def test_no_product_with_an_all_zero_vector(self, algo, monkeypatch):
         products, zero = [], []
-        apply = sl.Dictionary.apply
+        apply = _LiveColumns.apply
 
         def counting(self, x):
             products.append(1)
@@ -481,7 +486,7 @@ class TestRun:
                 zero.append(1)
             return apply(self, x)
 
-        monkeypatch.setattr(sl.Dictionary, "apply", counting)
+        monkeypatch.setattr(_LiveColumns, "apply", counting)
         res = sl.run(make_lasso(8, ratio=0.9), SolverConfig(algorithm=algo, max_iters=50))
         assert res.iterations > 1 and products
         assert not zero
@@ -490,15 +495,15 @@ class TestRun:
         # the first momentum factor is 0, so the second extrapolated point is
         # the first iterate, whose residual is already known
         args = []
-        apply = sl.Dictionary.apply
+        apply = _LiveColumns.apply
 
         def recording(self, x):
             args.append(np.asarray(x).tobytes())
             return apply(self, x)
 
-        monkeypatch.setattr(sl.Dictionary, "apply", recording)
+        monkeypatch.setattr(_LiveColumns, "apply", recording)
         res = sl.run(make_lasso(8, ratio=0.5), SolverConfig(algorithm="fista", max_iters=50))
-        assert res.iterations > 2
+        assert res.iterations > 2 and len(args) > 2
         assert all(a != b for a, b in zip(args, args[1:]))
 
     @staticmethod
@@ -701,13 +706,13 @@ class TestResidualReuse:
 
     @staticmethod
     def _record_callers(monkeypatch, events):
-        apply = sl.Dictionary.apply
+        apply = _LiveColumns.apply
 
         def recording(self, x):
             events.append(sys._getframe(1).f_code.co_name)
             return apply(self, x)
 
-        monkeypatch.setattr(sl.Dictionary, "apply", recording)
+        monkeypatch.setattr(_LiveColumns, "apply", recording)
 
     def test_fista_multiplies_only_in_backtracking(self, monkeypatch):
         events = []
@@ -755,9 +760,10 @@ class TestResidualReuse:
         p = make_lasso(1, n=16, k=40, ratio=0.3)
         update = update_fista if algo == "fista" else update_cp
         st = init_state(p, SolverConfig(algorithm=algo))
+        full = _LiveColumns(p.dictionary, np.arange(p.n_cols))
         # after 6 steps both algorithms have coordinates of each kind
         for _ in range(6):
-            update(st, p.dictionary, p)
+            update(st, full, p)
         zero_x = st.x == 0.0
         candidates = {
             "x": ~zero_x,
@@ -767,8 +773,8 @@ class TestResidualReuse:
         mask = np.zeros(p.n_cols, dtype=bool)
         mask[np.flatnonzero(candidates)[0]] = True
         assert (st.u[mask] != 0.0).all() or drop == "zeros"
-        _reduce_state(st, mask)
-        dic = _reduce_dic(p.dictionary, np.flatnonzero(~mask))
+        dic = _reduce_state(st, full, mask)
+        assert np.array_equal(dic.live, np.flatnonzero(~mask))
         if drop == "zeros":
             assert st.resid is not None and st.u_resid is not None
         if st.resid is not None:
@@ -785,7 +791,7 @@ class TestResidualReuse:
 class TestSupportProduct:
     # of 12 coefficients, the product gathers the nonzero columns while
     # fewer than CUT are nonzero
-    CUT = -(-12 // _GATHER_COST)
+    CUT = -(-12 // (1 + _COPY_COST))
 
     @pytest.mark.parametrize("nonzeros", [0, 1, CUT - 1, CUT, 12])
     @pytest.mark.parametrize("through", ["Dictionary", "_LiveColumns"])
@@ -796,7 +802,7 @@ class TestSupportProduct:
             cols, view = np.arange(12, 24), dic.reduce(np.arange(12, 24))
         else:
             cols = np.sort(rng.choice(30, 12, replace=False))
-            view = _reduce_dic(dic, cols)
+            view = _reduce_dic(_LiveColumns(dic, np.arange(30)), cols)
         x = np.zeros(12)
         x[rng.choice(12, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
         got = view.apply(x)
@@ -820,7 +826,7 @@ class TestColumnReduction:
     @staticmethod
     def drop_at_random(dic, rng):
         kept = np.arange(60)
-        cur = dic
+        cur = _LiveColumns(dic, kept)
         copies = 0
         while kept.size > 1:
             keep_pos = np.flatnonzero(rng.random(kept.size) < 0.8)
@@ -830,7 +836,7 @@ class TestColumnReduction:
             direct = dic.data[:, kept]
             for _ in range(rng.integers(1, 6)):
                 packed, charge = cur.packed, cur.charge + cur.packed.n_cols - kept.size
-                due = 2 * kept.size <= packed.n_cols and charge >= solvers._COPY_COST * kept.size
+                due = 2 * kept.size <= packed.n_cols and charge >= _COPY_COST * kept.size
                 v = rng.standard_normal(12)
                 assert np.allclose(cur.correlate(v), direct.T @ v, rtol=0, atol=1e-12)
                 copied = cur.packed is not packed
@@ -842,3 +848,81 @@ class TestColumnReduction:
                 x = rng.standard_normal(kept.size) * (rng.random(kept.size) < 0.3)
                 assert np.allclose(cur.apply(x), direct @ x, rtol=0, atol=1e-12)
         assert copies > 0
+
+
+class TestOneColumnPath:
+    # Every strategy multiplies through one live-column view of the
+    # dictionary. The dictionary itself is correlated once, with y, by the
+    # screening context, and copied only where the view's charge says so.
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("kind,test", [("lasso", "safe"), ("group", "gsafe")])
+    def test_dictionary_correlates_y_once_and_never_applies(self, algo, kind, test, monkeypatch):
+        p = make_lasso(6, ratio=0.8) if kind == "lasso" else make_group(6, ratio=0.8)
+        correlated, applied = [], []
+        correlate, apply = sl.Dictionary.correlate, sl.Dictionary.apply
+
+        def correlating(self, v):
+            correlated.append(v)
+            return correlate(self, v)
+
+        def applying(self, x):
+            applied.append(x)
+            return apply(self, x)
+
+        monkeypatch.setattr(sl.Dictionary, "correlate", correlating)
+        monkeypatch.setattr(sl.Dictionary, "apply", applying)
+        for strategy in sl.STRATEGIES:
+            correlated.clear()
+            res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy,
+                                         test=None if strategy == "none" else test, max_iters=40))
+            assert res.iterations > 1
+            assert len(correlated) == 1 and correlated[0] is p.y, strategy
+            assert not applied, strategy
+
+    def test_static_screen_copies_only_when_the_charge_is_due(self, monkeypatch):
+        # the view copies the static survivors at the first correlation whose
+        # charge, the dead columns of every correlation so far, reaches
+        # _COPY_COST times the survivors, once they fill at most half the
+        # dictionary: never when the screen drops fewer than half the columns,
+        # at the first correlation when it drops more than three quarters
+        copies, correlations = [], []
+        reduce, correlate = sl.Dictionary.reduce, _LiveColumns.correlate
+
+        def counting(self, v):
+            correlations.append(1)
+            return correlate(self, v)
+
+        def recording(self, cols):
+            copies.append((len(correlations), np.array(cols)))
+            return reduce(self, cols)
+
+        monkeypatch.setattr(_LiveColumns, "correlate", counting)
+        monkeypatch.setattr(sl.Dictionary, "reduce", recording)
+        cases = set()
+        for make, tests in ((make_lasso, ("safe", "dst3")), (make_group, ("gsafe", "gst3"))):
+            for test in tests:
+                for ratio in (0.5, 0.7, 0.8, 0.9):
+                    p = make(5, ratio=ratio)
+                    copies.clear(), correlations.clear()
+                    res = sl.run(p, SolverConfig(algorithm="fista", strategy="static", test=test,
+                                                 max_iters=20))
+                    kept = res.screen_state.kept
+                    live, dead = kept.size, p.n_cols - kept.size
+                    assert len(correlations) == res.iterations > 0
+                    due = None
+                    if dead and 2 * live <= p.n_cols:
+                        due = max(1, -(-_COPY_COST * live // dead))
+                    want = [due] if due is not None and due <= res.iterations else []
+                    assert [at for at, _ in copies] == want, (test, ratio)
+                    for _, cols in copies:
+                        assert np.array_equal(cols, kept)
+                    if 0 < 2 * dead < p.n_cols:
+                        assert not copies
+                        cases.add("fewer than half")
+                    if 4 * dead > 3 * p.n_cols:
+                        assert [at for at, _ in copies] == [1]
+                        cases.add("more than three quarters")
+                    if want and want != [1]:
+                        cases.add("later")
+        assert cases == {"fewer than half", "more than three quarters", "later"}

@@ -24,12 +24,13 @@ Every metric of the benchmark is better lower. The exit status is nonzero
 if any run exited nonzero, printed no result line, failed a solve or gave an
 incorrect result.
 
-With ``--json PATH`` the tool also runs ``perfbench/report.py ratios`` once
-in each tree (seed ``seed_start``, the same seconds), and writes the
-workload's record into the BENCH file at PATH, keeping the other workloads
-already there. The record holds each metric's parent median and quartiles,
-change median and wins, and each tree's time and flop ratios to the plain
-solve; the file also holds both trees' ``src/`` totals and git HEADs and
+With ``--json PATH`` the tool also runs ``perfbench/run.py --trace 1`` and
+``perfbench/report.py ratios`` once in each tree (seed ``seed_start``, the
+same seconds), and writes the workload's record into the BENCH file at
+PATH, keeping the other workloads already there. The record holds each
+end-to-end metric's parent median and quartiles, change median and wins,
+each per-layer metric of both traced runs, and each tree's time and flop
+ratios to the plain solve; the file also holds both trees' ``src/`` totals and git HEADs and
 the machine: CPU model, core count, Python, numpy and BLAS versions and the
 BLAS thread settings. Keys are written in a fixed order, and each metric or
 ratio row on one line, so that two BENCH files diff line by line.
@@ -44,14 +45,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from src_lines import count
+from src_lines import totals
 
 
-def run_once(tree, workload, seed, seconds):
-    """The result object of one untraced benchmark run in `tree`: its last output line."""
+def run_once(tree, workload, seed, seconds, trace=0):
+    """The result object of one benchmark run in `tree`, traced if `trace` is 1: its last output line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -96,13 +97,8 @@ def summarize(pairs):
 
 
 def src_totals(tree):
-    """(all lines, code lines) of the Python files under ``src/`` of `tree`."""
-    total = [0, 0]
-    for path in sorted(Path(tree, "src").rglob("*.py")):
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total[0] += lines
-        total[1] += code
-    return total
+    """[all lines, code lines] of the Python files under ``src/`` of `tree`."""
+    return totals(Path(tree, "src"))
 
 
 def src_rows(parent, change):
@@ -174,7 +170,21 @@ def machine():
     }
 
 
-def bench_record(old, args, pairs, ratios, env):
+def layer_record(traced):
+    """Each per-layer metric of the two trees' traced runs, in the order the runs print them.
+
+    `traced` maps "parent" and "change" to a traced run's result object; a
+    metric a run did not report, or a run that failed, gives None.
+    """
+    parent, change = (traced[side].get("metrics", {}) for side in ("parent", "change"))
+    return {
+        name: {"unit": m["unit"], "parent": parent.get(name, {}).get("value"),
+               "change": change.get(name, {}).get("value")}
+        for name, m in {**parent, **change}.items()
+    }
+
+
+def bench_record(old, args, pairs, traced, ratios, env):
     """The BENCH file `old` (a dict, maybe empty) with this run's workload record put in."""
     metrics = {
         name: {"unit": unit, "parent_median": med, "parent_q1": q1, "parent_q3": q3,
@@ -187,6 +197,7 @@ def bench_record(old, args, pairs, ratios, env):
         "seconds": args.seconds,
         "seeds": [args.seed_start, args.seed_start + args.pairs - 1],
         "metrics": metrics,
+        "layers": layer_record(traced),
         "ratios": ratios,
     }
     (p_lines, p_code), (c_lines, c_code) = src_totals(args.parent), src_totals(args.change)
@@ -263,13 +274,16 @@ def main(argv=None):
               f"{args.seed_start}-{args.seed_start + args.pairs - 1}")
         print("\n".join(summarize(pairs) + src_rows(args.parent, args.change)))
     if args.json and pairs:
-        ratios = {}
+        traced, ratios = {}, {}
         for side, tree in (("parent", args.parent), ("change", args.change)):
+            traced[side] = run_once(tree, args.workload, args.seed_start, args.seconds, trace=1)
+            labelled.append((f"{side} traced", traced[side]))
             ratios[side] = run_ratios(tree, args.workload, args.seed_start, args.seconds)
             if "error" in ratios[side]:
                 labelled.append((f"{side} ratios", ratios[side]))
         old = json.loads(args.json.read_text()) if args.json.exists() else {}
-        args.json.write_text(dump(bench_record(old, args, pairs, ratios, machine())) + "\n")
+        record = bench_record(old, args, pairs, traced, ratios, machine())
+        args.json.write_text(dump(record) + "\n")
     bad = faults(labelled)
     for line in bad:
         print(f"FAULT {line}")

@@ -44,24 +44,29 @@ def count(text):
     return len(text.splitlines()), len(code)
 
 
-def tree(root):
-    """Print the rows of one tree and return its (all lines, code lines)."""
+def totals(root, show=False):
+    """[all lines, code lines] of the Python files under `root`.
+
+    With `show`, also prints one row per file and a total row.
+    """
     root = Path(root)
     total = [0, 0]
     for path in sorted(root.rglob("*.py")):
         lines, code = count(path.read_text(encoding="utf-8"))
         total[0] += lines
         total[1] += code
-        print(f"{lines:7d} {code:7d}  {path.relative_to(root)}")
-    print(f"{total[0]:7d} {total[1]:7d}  total {root}")
+        if show:
+            print(f"{lines:7d} {code:7d}  {path.relative_to(root)}")
+    if show:
+        print(f"{total[0]:7d} {total[1]:7d}  total {root}")
     return total
 
 
 def main(roots):
     print(f"{'lines':>7} {'code':>7}  file")
-    totals = [tree(root) for root in roots]
-    if len(totals) == 2:
-        (a, b), (c, d) = totals
+    counts = [totals(root, show=True) for root in roots]
+    if len(counts) == 2:
+        (a, b), (c, d) = counts
         print(f"{c - a:+7d} {d - b:+7d}  change")
     return 0
 
