@@ -147,7 +147,7 @@ def _resid_at(dic, v, y):
 
 
 def _residual(state, dic, y):
-    """x's residual ``D @ x - y`` and its squared norm, filled into the state where it lacks them."""
+    """x's residual ``D @ x - y`` and its squared norm, filled in where the state lacks them."""
     if state.resid is None:
         state.resid = _resid_at(dic, state.x, y)
     if state.resid_sq is None:

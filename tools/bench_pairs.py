@@ -30,10 +30,11 @@ same seconds), and writes the workload's record into the BENCH file at
 PATH, keeping the other workloads already there. The record holds each
 end-to-end metric's parent median and quartiles, change median and wins,
 each per-layer metric of both traced runs, and each tree's time and flop
-ratios to the plain solve; the file also holds both trees' ``src/`` totals and git HEADs and
-the machine: CPU model, core count, Python, numpy and BLAS versions and the
-BLAS thread settings. Keys are written in a fixed order, and each metric or
-ratio row on one line, so that two BENCH files diff line by line.
+ratios to the plain solve; the file also holds both trees' ``src/`` totals
+and git HEADs and the machine: CPU model, core count, Python, numpy and BLAS
+versions and the BLAS thread settings. Keys are written in a fixed order,
+and each metric or ratio row on one line, so that two BENCH files diff line
+by line.
 """
 
 import argparse
@@ -49,7 +50,7 @@ from src_lines import totals
 
 
 def run_once(tree, workload, seed, seconds, trace=0):
-    """The result object of one benchmark run in `tree`, traced if `trace` is 1: its last output line."""
+    """The result object of one benchmark run in `tree`, traced if `trace`: its last output line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
