@@ -11,6 +11,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -297,48 +298,35 @@ def run_bench(plan, out_path, parallel=False):
         for seed in plan.seeds:
             rows.extend(_bench_seed(plan, seed))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# screenlab bench config={plan.to_json()}\n")
-        fh.write(BENCH_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                "{},{},{},{},{!r},{},{},{!r},{!r},{!r}\n".format(*row)
-            )
+    instrument.write_csv(out_path, [f"screenlab bench config={plan.to_json()}"], BENCH_HEADER, rows)
     return len(rows)
 
 
 def cmd_bench(args):
+    repeats = args.repeats
     if args.preset == "paper-desk":
-        plan = BenchPlan(
-            problem="lasso",
-            dict_kind=datagen.PNOISE,
-            n=200,
-            k=1000,
-            group_size=0,
-            lambda_ratios=[round(0.1 * i, 1) for i in range(1, 10)],
-            algorithms=["fista"],
-            strategies=["none", "static", "dynamic"],
-            tests=["dst3"],
-            seeds=list(range(30)),
-            max_iters=200,
-            rel_tol=1e-7,
-        )
-    else:
-        seeds = _int_list(args.seeds) if args.seeds else list(range(args.repeats))
-        plan = BenchPlan(
-            problem=args.problem,
-            dict_kind=args.dict_kind,
-            n=args.n,
-            k=args.k,
-            group_size=args.group_size,
-            lambda_ratios=_float_list(args.ratios),
-            algorithms=_csv_list(args.algos),
-            strategies=_csv_list(args.strategies),
-            tests=_csv_list(args.tests) if args.tests else [],
-            seeds=seeds,
-            max_iters=args.max_iters,
-            rel_tol=args.rel_tol,
-        )
+        # the preset is the bench defaults over 30 seeds; it takes no other grid
+        defaults = build_parser().parse_args(["bench", "--preset", args.preset, "--out", args.out])
+        fixed = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                 if name != "parallel" and value != getattr(defaults, name)]
+        if fixed:
+            raise SystemExit(f"invalid plan: --preset {args.preset} fixes the grid, "
+                             f"so {', '.join(fixed)} cannot be given")
+        repeats = 30
+    plan = BenchPlan(
+        problem=args.problem,
+        dict_kind=args.dict_kind,
+        n=args.n,
+        k=args.k,
+        group_size=args.group_size,
+        lambda_ratios=_float_list(args.ratios),
+        algorithms=_csv_list(args.algos),
+        strategies=_csv_list(args.strategies),
+        tests=_csv_list(args.tests) if args.tests else [],
+        seeds=_int_list(args.seeds) if args.seeds else list(range(repeats)),
+        max_iters=args.max_iters,
+        rel_tol=args.rel_tol,
+    )
     try:
         n_rows = run_bench(plan, args.out, parallel=args.parallel)
     except ValueError as exc:
@@ -463,12 +451,12 @@ def render_svg(series, title="", xlabel="", ylabel="", width=640, height=420):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
         f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" y2="{height-margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height-margin}" stroke="black"/>',
-        f'<text x="{width/2:.1f}" y="{height-12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="{width/2:.1f}" y="{height-12}" text-anchor="middle">{escape(xlabel)}</text>',
         f'<text x="16" y="{height/2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {height/2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 16 {height/2:.1f})">{escape(ylabel)}</text>',
     ]
     for i in range(5):
         xv = x_lo + i * (x_hi - x_lo) / 4
@@ -490,7 +478,7 @@ def render_svg(series, title="", xlabel="", ylabel="", width=640, height=420):
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         ly = margin + 16 * i
         parts.append(f'<line x1="{width-margin-150}" y1="{ly}" x2="{width-margin-126}" y2="{ly}" stroke="{color}" stroke-width="1.8"/>')
-        parts.append(f'<text x="{width-margin-120}" y="{ly+4}">{label}</text>')
+        parts.append(f'<text x="{width-margin-120}" y="{ly+4}">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -501,15 +489,9 @@ def cmd_report(args):
         report = aggregate_report(rows)
     except ValueError as exc:
         raise SystemExit(f"report failed: {exc}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# screenlab report source={args.input}\n")
-        fh.write(REPORT_HEADER + "\n")
-        for r in report:
-            fh.write(
-                "{algo},{strategy},{test},{lambda_ratio!r},{n},"
-                "{flops_ratio_p25!r},{flops_ratio_med!r},{flops_ratio_p75!r},"
-                "{time_ratio_p25!r},{time_ratio_med!r},{time_ratio_p75!r}\n".format(**r)
-            )
+    columns = REPORT_HEADER.split(",")
+    instrument.write_csv(args.out, [f"screenlab report source={args.input}"], REPORT_HEADER,
+                         ([r[c] for c in columns] for r in report))
     if args.svg:
         metric = "flops_ratio_med" if args.metric == "flops" else "time_ratio_med"
         series = {}

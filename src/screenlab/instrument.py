@@ -133,20 +133,27 @@ class SolveTrace:
             f"groups={self.group_count} lam={self.lam!r} digest={self.digest}"
         )
 
-    def to_csv(self, path_or_file, comment=None):
-        close = False
-        if hasattr(path_or_file, "write"):
-            fh = path_or_file
-        else:
-            fh = open(path_or_file, "w", encoding="utf-8")
-            close = True
-        try:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(f"# {self.config_line()}\n")
-            fh.write(TRACE_HEADER + "\n")
-            for row in zip(self.t, self.kept, self.sparsity, self.objective, self.flops_cum, self.seconds):
-                fh.write("{},{},{},{!r},{},{!r}\n".format(*row))
-        finally:
-            if close:
-                fh.close()
+    def to_csv(self, path, comment=None):
+        """Write the trace to the CSV file at `path` under `TRACE_HEADER`.
+
+        The file opens with a `#` line holding `comment`, when given, and a
+        `#` line with `config_line()`.
+        """
+        rows = zip(self.t, self.kept, self.sparsity, self.objective, self.flops_cum, self.seconds)
+        write_csv(path, [comment, self.config_line()] if comment else [self.config_line()],
+                  TRACE_HEADER, rows)
+
+
+def write_csv(path, comments, header, rows):
+    """Write a CSV file: one `# ` line per comment, then `header`, then `rows`.
+
+    This is the one writer of the trace, bench and report files. Fields are
+    quoted as the `csv` module's default dialect quotes them, floats are
+    written with `repr`, and lines end in `\\n`.
+    """
+    import csv  # here, not at the top: a solve never writes a CSV file
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import screenlab as sl
-from screenlab.cli import main
+from screenlab import cli
+from screenlab.cli import BENCH_HEADER, BenchPlan, main
 from screenlab.dictionary import read_dsmx
 
 
@@ -476,6 +478,63 @@ class TestBench:
         with pytest.raises(SystemExit, match=want):
             run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
 
+    def test_report_quotes_a_label_with_a_comma(self, tmp_path):
+        bench = tmp_path / "b.csv"
+        report = tmp_path / "r.csv"
+        bench.write_text(
+            BENCH_HEADER + "\n"
+            "1,ista,none,-,0.5,10,1000,2.0,0.4,0.0\n"
+            '1,ista,dynamic,"a,b",0.5,10,400,1.0,0.4,0.5\n'
+        )
+        assert run_cli("report", "--input", str(bench), "--out", str(report)) == 0
+        with open(report, encoding="utf-8") as fh:
+            recs = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(recs) == 1
+        assert None not in recs[0] and len(recs[0]) == 11
+        assert recs[0]["test"] == "a,b"
+        assert float(recs[0]["flops_ratio_med"]) == 0.4
+
+    def test_svg_escapes_labels(self, tmp_path):
+        bench = tmp_path / "b.csv"
+        svg = tmp_path / "r.svg"
+        bench.write_text(
+            BENCH_HEADER + "\n"
+            "1,ista,none,-,0.5,10,1000,2.0,0.4,0.0\n"
+            "1,ista,dynamic,a&b<c,0.5,10,400,1.0,0.4,0.5\n"
+        )
+        assert run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"),
+                       "--svg", str(svg)) == 0
+        texts = [el.text for el in ET.parse(svg).getroot().iter() if el.tag.endswith("text")]
+        assert "ista/dynamic/a&b<c" in texts
+
+    def test_bench_and_report_row_text_is_pinned(self, tmp_path, monkeypatch):
+        # the format the README promises: repr floats, `-` for no test, `\n` line ends
+        plan = BenchPlan(problem="lasso", dict_kind="gaussian", n=4, k=8, group_size=0,
+                         lambda_ratios=[0.1 + 0.2], algorithms=["fista"],
+                         strategies=["none", "dynamic"], tests=["dst3"], seeds=[1])
+        rows = [(1, "fista", "none", "-", 0.1 + 0.2, 200, 1000, 1.0, 0.1 + 0.2, 0.0),
+                (1, "fista", "dynamic", "dst3", 0.1 + 0.2, 200, 400, 1e-07, 0.1 + 0.2, 0.5)]
+        monkeypatch.setattr(cli, "_bench_seed", lambda plan, seed: rows)
+        bench = tmp_path / "b.csv"
+        assert cli.run_bench(plan, bench) == 2
+        assert bench.read_bytes() == (
+            b'# screenlab bench config={"algorithms": ["fista"], "dict_kind": "gaussian", '
+            b'"group_size": 0, "k": 8, "lambda_ratios": [0.30000000000000004], "max_iters": 200, '
+            b'"n": 4, "problem": "lasso", "rel_tol": 1e-07, "seeds": [1], '
+            b'"strategies": ["none", "dynamic"], "tests": ["dst3"]}\n'
+            b"seed,algo,strategy,test,lambda_ratio,iters,flops,time_s,final_obj,screened_frac\n"
+            b"1,fista,dynamic,dst3,0.30000000000000004,200,400,1e-07,0.30000000000000004,0.5\n"
+            b"1,fista,none,-,0.30000000000000004,200,1000,1.0,0.30000000000000004,0.0\n"
+        )
+        report = tmp_path / "r.csv"
+        assert run_cli("report", "--input", str(bench), "--out", str(report)) == 0
+        assert report.read_text(encoding="utf-8") == (
+            f"# screenlab report source={bench}\n"
+            "algo,strategy,test,lambda_ratio,n,flops_ratio_p25,flops_ratio_med,flops_ratio_p75,"
+            "time_ratio_p25,time_ratio_med,time_ratio_p75\n"
+            "fista,dynamic,dst3,0.30000000000000004,1,0.4,0.4,0.4,1e-07,1e-07,1e-07\n"
+        )
+
     def test_report_requires_baseline(self, tmp_path):
         bench = tmp_path / "b.csv"
         bench.write_text(
@@ -484,3 +543,32 @@ class TestBench:
         )
         with pytest.raises(SystemExit):
             run_cli("report", "--input", str(bench), "--out", str(tmp_path / "r.csv"))
+
+
+class TestPreset:
+    def test_paper_desk_plan(self, tmp_path, monkeypatch):
+        # the plan the README's `--preset` paragraph describes
+        calls = []
+        monkeypatch.setattr(cli, "run_bench",
+                            lambda plan, out, parallel=False: calls.append((plan, out, parallel)) or 0)
+        out = str(tmp_path / "b.csv")
+        assert run_cli("bench", "--preset", "paper-desk", "--out", out) == 0
+        assert run_cli("bench", "--preset", "paper-desk", "--out", out, "--parallel") == 0
+        (plan, got_out, serial), (same, _, parallel) = calls
+        assert json.loads(plan.to_json()) == {
+            "problem": "lasso", "dict_kind": "pnoise", "n": 200, "k": 1000, "group_size": 0,
+            "lambda_ratios": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+            "algorithms": ["fista"], "strategies": ["none", "static", "dynamic"],
+            "tests": ["dst3"], "seeds": list(range(30)), "max_iters": 200, "rel_tol": 1e-7,
+        }
+        assert same.to_json() == plan.to_json()
+        assert (got_out, serial, parallel) == (out, False, True)
+
+    def test_paper_desk_rejects_grid_options(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_bench", lambda *a, **k: pytest.fail("ran a rejected plan"))
+        out = tmp_path / "b.csv"
+        for extra, named in ((["--n", "50"], "--n"), (["--seeds", "1,2"], "--seeds"),
+                             (["--repeats", "5", "--rel-tol", "1e-9"], "--repeats, --rel-tol")):
+            with pytest.raises(SystemExit, match=f"invalid plan: .* so {named} cannot be given"):
+                run_cli("bench", "--preset", "paper-desk", *extra, "--out", str(out))
+        assert not out.exists()

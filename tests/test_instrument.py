@@ -1,4 +1,6 @@
-import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,11 +111,11 @@ def hand_trace(strategy, flops, seconds):
 
 
 class TestTraceCsv:
-    def test_header_and_roundtrip(self):
+    def test_header_and_roundtrip(self, tmp_path):
         tr = hand_trace("none", 123, 0.25)
-        buf = io.StringIO()
-        tr.to_csv(buf, comment="unit test")
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path, comment="unit test")
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "# unit test"
         assert lines[2] == "t,kept,sparsity,objective,flops_cum,seconds"
         t, kept, sparsity, obj, flops, secs = lines[3].split(",")
@@ -121,6 +123,26 @@ class TestTraceCsv:
         assert float(obj) == 0.4
         assert int(flops) == 123
         assert float(secs) == 0.25
+
+    def test_row_text_is_pinned(self, tmp_path):
+        # the format `report` and the README promise: repr floats, `\n` line ends
+        tr = SolveTrace(kind="lasso", strategy="none", n_rows=5, n_cols=10,
+                        group_count=0, lam=0.5, digest="d")
+        tr.append(1, 10, 2, 0.1 + 0.2, 123, 1e-07)
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        assert path.read_bytes() == (
+            b"# kind=lasso strategy=none n=5 k=10 groups=0 lam=0.5 digest=d\n"
+            b"t,kept,sparsity,objective,flops_cum,seconds\n"
+            b"1,10,2,0.30000000000000004,123,1e-07\n"
+        )
+
+    def test_importing_the_library_does_not_load_csv(self):
+        # `write_csv` imports it when a file is written
+        code = "import sys, screenlab; sys.exit('csv' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(sl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_digest_distinguishes_instances(self):
         a = make_lasso(1)
