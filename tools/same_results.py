@@ -13,10 +13,11 @@ two sets of results are compared exactly: iteration count, final objective,
 eliminated set, `x_star`, and the kept count, objective and cumulative flop
 count of every iteration, so the whole trace is covered. Objectives are
 compared as float hex strings, arrays as raw bytes. Where runs differ, prints
-one line per penalty and algorithm: how many runs differ and in which fields,
-whether the eliminated sets and the iteration counts still match, the largest
-relative gap between final objectives twice, and the largest `x_star` gap
-relative to the larger ``max|x|`` of the two runs. The first objective gap is
+one line per penalty and algorithm: how many runs differ, under which
+strategies and in which fields, whether the eliminated sets and the
+iteration counts still match, the largest relative gap between final
+objectives twice, and the largest `x_star` gap relative to the larger
+``max|x|`` of the two runs. The first objective gap is
 over the runs whose iteration counts match, so it shows rounding; the second
 over the runs whose counts differ, so it shows where the stopping rule landed.
 The line ends with how many final objectives fell and how many rose, and the
@@ -51,6 +52,7 @@ SETUP_FIELDS = ("dictionary", "y", "lam", "group_of", "weights", "spectral_norms
 FAMILIES = ("gaussian", "pnoise")
 SEEDS = (1, 2, 3)
 RATIOS = (0.3, 0.6, 0.9, 1.1)
+STRATEGIES = ("none", "static", "dynamic")
 N, K, GROUP_SIZE = 40, 160, 4
 
 
@@ -114,7 +116,7 @@ def dump(out_path):
     for key, problem in _problems(sl):
         setup[key] = _setup(problem)
         tests = sl.LASSO_TESTS if problem.kind == sl.LASSO else sl.GROUP_TESTS
-        runs = [("none", None)] + [(s, t) for s in ("static", "dynamic") for t in tests]
+        runs = [("none", None)] + [(s, t) for s in STRATEGIES[1:] for t in tests]
         for algo in sl.ALGORITHMS:
             for strategy, test in runs:
                 cfg = sl.SolverConfig(algorithm=algo, strategy=strategy, test=test,
@@ -171,10 +173,11 @@ def main(old_src, new_src):
         if diff:
             entry = summary.setdefault(
                 (key[0], key[4]),
-                dict(runs=0, seen=set(), matched=None, moved=None, x_gap=0.0, fell=0, rose=0,
-                     rise=0.0),
+                dict(runs=0, strategies=set(), seen=set(), matched=None, moved=None, x_gap=0.0,
+                     fell=0, rose=0, rise=0.0),
             )
             entry["runs"] += 1
+            entry["strategies"].add(key[5])
             entry["seen"] |= diff
             a, b = (float.fromhex(side[key][1]) for side in (old, new))
             gap = abs(a - b) / max(abs(a), 1e-300)
@@ -191,7 +194,9 @@ def main(old_src, new_src):
     for (penalty, algo), e in sorted(summary.items()):
         gaps = ["-" if gap is None else f"{gap:.2e}" for gap in (e["matched"], e["moved"])]
         print(
-            f"{penalty} {algo}: {e['runs']} differ in {', '.join(f for f in fields if f in e['seen'])};"
+            f"{penalty} {algo}: {e['runs']} differ, under"
+            f" {', '.join(s for s in STRATEGIES if s in e['strategies'])},"
+            f" in {', '.join(f for f in fields if f in e['seen'])};"
             f" eliminated sets {'differ' if 'eliminated' in e['seen'] else 'same'},"
             f" iterations {'differ' if 'iterations' in e['seen'] else 'same'},"
             f" max relative objective gap {gaps[0]} where iterations match,"
