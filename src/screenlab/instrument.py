@@ -1,4 +1,4 @@
-"""Analytic flop accounting and per-iteration run traces.
+"""Analytic flop accounting, per-iteration run traces, and the CSV writer.
 
 The paper's normalized flop and time ratios are not computed here: they come
 from `screenlab bench` rows, aggregated by `cli.aggregate_report`.
