@@ -303,7 +303,9 @@ def run_bench(plan, out_path, parallel=False):
 
 
 def cmd_bench(args):
-    repeats = args.repeats
+    repeats = 1 if args.repeats is None else args.repeats
+    if args.seeds and args.repeats is not None:
+        raise SystemExit("invalid plan: --seeds lists the seeds, so --repeats cannot be given")
     if args.preset == "paper-desk":
         # the preset is the bench defaults over 30 seeds; it takes no other grid
         defaults = build_parser().parse_args(["bench", "--preset", args.preset, "--out", args.out])
@@ -563,7 +565,8 @@ def build_parser():
     b.add_argument("--tests", default="dst3")
     b.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     b.add_argument("--seeds", default=None, help="comma-separated seed list")
-    b.add_argument("--repeats", type=int, default=1, help="seeds 0..repeats-1 when --seeds absent")
+    b.add_argument("--repeats", type=int, default=None,
+                   help="seeds 0..repeats-1 (default 1); not with --seeds")
     b.add_argument("--max-iters", type=int, default=200)
     b.add_argument("--rel-tol", type=float, default=1e-7)
     b.add_argument("--parallel", action="store_true", help="run seeds concurrently (timings contend)")

@@ -95,20 +95,14 @@ def _aligned_copy(src, cols=None):
     return out
 
 
-def support_product(data, x, cols=None):
-    """``data[:, cols] @ x``, multiplying only the columns of x's nonzero coefficients when few.
+def support_product(data, x):
+    """``data @ x``, multiplying only the columns of x's nonzero coefficients when few.
 
-    `cols`, when given, are the strictly increasing column positions in
-    `data` of the entries of `x`; the other columns take part with a zero
-    coefficient. An all-zero `x` gives exact zeros.
+    An all-zero `x` gives exact zeros.
     """
     if (1 + _COPY_COST) * np.count_nonzero(x) < x.size:
         nz = x.nonzero()[0]
-        return x[nz].dot(data.T[nz if cols is None else cols[nz]])
-    if cols is not None and cols.size < data.shape[1]:
-        full = np.zeros(data.shape[1])
-        full[cols] = x
-        x = full
+        return x[nz].dot(data.T[nz])
     return data.dot(x)
 
 
@@ -136,9 +130,10 @@ class Dictionary:
     Instances are immutable (`data` is marked read-only).
 
     The constructor copies its input into such a buffer, and `reduce` copies
-    the kept columns into a new one. The generators in `datagen` fill a
-    buffer from `_aligned_empty` themselves, and `_adopt` takes it over
-    without a copy, after the same unit-norm check.
+    the kept columns into a new one or into one the caller owns. The
+    generators in `datagen` fill a buffer from `_aligned_empty` themselves,
+    and `_adopt` takes it over without a copy, after the same unit-norm
+    check.
     `_opnorm` caches the operator norm once `operator_norm` has computed it.
     """
 
@@ -189,18 +184,33 @@ class Dictionary:
             raise ValueError(f"expected observation-space vector of length {self.n_rows}")
         return self.data.T @ v
 
-    def reduce(self, cols):
+    def reduce(self, cols, out=None):
         """Sub-dictionary of the columns at the strictly increasing positions `cols`.
 
         Returns this dictionary itself when every column is kept, and a copy
-        of the kept columns otherwise.
+        of the kept columns otherwise: in a new buffer, or in the first
+        columns of `out`, a writable buffer from `_aligned_empty` with room
+        for them, which may be the buffer this dictionary's columns lie in.
+        There the copy moves the columns front to back in chunks of at most
+        `_BLOCK_BYTES`: a column never moves right, so none is overwritten
+        before it has moved, and no temporary holds more than a chunk. `out`
+        stays writable; the result sees its columns read-only.
         """
         cols = index_set(cols, self.n_cols)
         if cols.size == self.n_cols:
             return self
-        out = Dictionary.__new__(Dictionary)
-        out._own(_aligned_copy(self.data, cols))
-        return out
+        if out is None:
+            buf = _aligned_copy(self.data, cols)
+        else:
+            buf = out[:, : cols.size]
+            step = max(1, _BLOCK_BYTES // (8 * self.n_rows))
+            for lo in range(0, cols.size, step):
+                # numpy takes through a temporary of the chunk where it overlaps the source
+                np.take(self.data.T, cols[lo : lo + step], axis=0, out=buf.T[lo : lo + step],
+                        mode="clip")
+        reduced = Dictionary.__new__(Dictionary)
+        reduced._own(buf)
+        return reduced
 
 
 def _top_singular_values(blocks):
@@ -392,11 +402,10 @@ class GroupLayout:
         """Layout over the positions that `mask` leaves, where `mask` flags whole groups.
 
         `mask` is aligned with the reduced vector this layout places. The
-        groups of the flagged positions go, so a dynamic elimination, which
-        flags a few groups, reads only those positions' groups; the others
-        keep their order and positions, renumbered past the flagged ones.
-        Every reduced layout is made here, ``partition.layout(kept)``
-        included.
+        groups of the flagged positions go; the others keep their order and
+        positions, renumbered past the flagged ones. Every reduced layout is
+        made here: a run's fold, which drops every position out of play, and
+        ``partition.layout(kept)``.
         """
         alive = np.ones(self.n_groups, dtype=bool)
         alive[self.member[mask]] = False

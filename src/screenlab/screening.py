@@ -12,7 +12,7 @@ shrinks its radius, which is what makes per-iteration screening profitable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,34 +44,43 @@ _CORR_BOUND_TOL = 1e-9
 
 _EPS = float(np.finfo(np.float64).eps)
 
+_NO_COLUMNS = np.empty(0, dtype=np.int64)
+_NO_COLUMNS.setflags(write=False)
+
 
 class Slack:
     """Per-atom (per-group) slack of a sphere center that stays fixed for a solve.
 
     `values[i]` is the largest radius at which a sphere around the center
-    still certifies atom (group) i. `over(idx)` gathers the slack of the
-    atoms (groups) in play and its maximum. The gather of the last read-only
-    index array is kept, so a solve that tests at every iteration gathers once
-    per kept set; a writable array could change behind that memo, so it is
-    gathered afresh on every call.
+    still certifies atom (group) i, and `top` the largest of them. `over(idx)`
+    gathers the slack of the atoms (groups) `idx` and its maximum, and
+    `over(None)` gives `values` and `top` themselves. A run's `ScreenState`
+    holds each sphere's slack gathered at its packed positions, and `drop`
+    keeps that copy's `top` the largest slack still in play.
     """
 
-    __slots__ = ("values", "_memo")
+    __slots__ = ("values", "top", "_at")
 
     def __init__(self, values):
         self.values = values
-        self._memo = (None, None, 0.0)
+        self._find_top()
+
+    def _find_top(self):
+        # argmax skips the reduction machinery of max, several times slower on short arrays
+        self._at = int(self.values.argmax()) if self.values.size else 0
+        self.top = float(self.values[self._at]) if self.values.size else -np.inf
 
     def over(self, idx):
-        memo = self._memo
-        if memo[0] is idx and not idx.flags.writeable:
-            return memo[1], memo[2]
+        if idx is None:
+            return self.values, self.top
         slack = self.values[idx]
-        top = float(slack.max(initial=-np.inf))
-        if not idx.flags.writeable:
-            # one tuple, so a concurrent reader sees the old memo or the new one
-            self._memo = (idx, slack, top)
-        return slack, top
+        return slack, float(slack.max(initial=-np.inf))
+
+    def drop(self, pos):
+        """Take the entries `pos` out of play: they become -inf, and `top` the largest left."""
+        self.values[pos] = -np.inf
+        if self.values[self._at] != self.top:
+            self._find_top()
 
 
 @dataclass(slots=True)
@@ -125,14 +134,29 @@ class DomeParams:
 
 @dataclass(frozen=True)
 class ScreenState:
-    """Monotone record of eliminated column indices and their complement.
+    """Monotone screened set of a run, over the packed positions of its iterates.
 
-    The `kept` array of a state made by `initial` or `screen_update` is
-    read-only, so screening can key per-kept-set work on it.
+    `kept[p]` is the original column of position p, and `alive[p]` whether
+    it is still in play; `eliminated` holds the original columns folded out,
+    sorted. An elimination event (`drop`) only clears bits of `alive`. A fold
+    (`screen_update`) moves positions from `kept` to `eliminated` and starts
+    a state in which every kept column is alive, as it is in every state a
+    run hands out. `kept` and `eliminated` are read-only, so screening can
+    key work on `kept`; `alive` is updated in place.
+
+    `slacks` maps each sphere's `Slack` that a screen over this state used
+    to its copy at the packed positions (the layout's groups), -inf where
+    out of play, whose `top` `drop` keeps up to date.
     """
 
     eliminated: np.ndarray
     kept: np.ndarray
+    alive: np.ndarray | None = None
+    slacks: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.alive is None:
+            object.__setattr__(self, "alive", np.ones(self.kept.size, dtype=bool))
 
     @classmethod
     def initial(cls, k):
@@ -144,13 +168,41 @@ class ScreenState:
     def size(self):
         return self.eliminated.size + self.kept.size
 
+    def slack(self, full, layout=None):
+        """The `Slack` `full` of every original atom (group) at this state's packed positions.
+
+        For group problems `layout` places the positions in their groups.
+        Gathered on first use and kept, with -inf where out of play.
+        """
+        packed = self.slacks.get(full)
+        if packed is None:
+            idx = self.kept if layout is None else layout.group_ids
+            values = full.values[idx]
+            out = ~self.alive
+            values[out if layout is None else layout.member[out]] = -np.inf
+            packed = self.slacks[full] = Slack(values)
+        return packed
+
+    def drop(self, pos, layout=None):
+        """An elimination event: the packed positions `pos` leave play.
+
+        `pos` are positions still alive; for group problems they cover whole
+        groups of `layout`. Nothing is copied or merged.
+        """
+        self.alive[pos] = False
+        at = pos if layout is None else layout.member[pos]
+        for packed in self.slacks.values():
+            packed.drop(at)
+
 
 def screen_update(state, mask):
-    """Fold a new elimination mask (aligned with ``state.kept``) into the state.
+    """Fold the positions `mask` (aligned with ``state.kept``) out of the state.
 
     Both index sets stay sorted. The newly eliminated indices form a sorted
     run disjoint from ``state.eliminated``, so a stable sort of the two runs
-    back to back (timsort for int64) is a single O(K) merge.
+    back to back (timsort for int64) is a single O(K) merge. A run folds
+    every position out of play at once; the new state's kept columns are
+    all alive.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (state.kept.size,):
@@ -163,7 +215,7 @@ def screen_update(state, mask):
 
 
 def _frozen(arr):
-    # a read-only kept set cannot change behind the slack gathers kept for it
+    # a read-only kept set cannot change behind the extremal atom kept for it
     arr.setflags(write=False)
     return arr
 
@@ -226,8 +278,11 @@ class ScreeningContext:
     used by the tests (with the extremal atom and the shifted sphere
     centers) are computed once, on first use, and so are the slacks of the
     sphere centers. Per-iteration work is then a few O(N) vector operations
-    and the largest kept correlation; the kept slacks are compared with the
-    radius only when their maximum clears it.
+    and the largest correlation in play; the slacks in play are compared
+    with the radius only when their maximum clears it. A run's
+    `ScreenState` holds each sphere's slack at its packed positions and
+    keeps their maximum up to date at each elimination, so a screen over it
+    gathers nothing.
 
     Most dynamic screens certify nothing, and `screen` recognizes many of
     them before it builds a region. Any one kept atom (group) j bounds the
@@ -237,18 +292,18 @@ class ScreeningContext:
     at the point of that segment closest to the parabola's minimum. That
     lower bound costs one dot product of the observation's length (two
     when the caller does not pass ``theta @ theta``) and j's correlations,
-    one scalar for an atom; when no sphere's largest kept slack clears the
-    radius it bounds, the exact test would flag nothing either, and the
+    one scalar for an atom; when no sphere's largest slack in play clears
+    the radius it bounds, the exact test would flag nothing either, and the
     screen returns None.
 
-    The per-kept-set memos are keyed on a read-only kept set, which cannot
-    change behind them. `_extremal` holds the extremal atom (group) j of the
-    last exact screen that flagged nothing: j's position among the kept
-    atoms (its group's positions), its weight and its original index (group
-    id). An elimination that leaves j kept moves the memo to the new kept
-    set at its first screen, which finds j there by that index. A context
-    reused across runs or kept sets can only make that j a looser choice,
-    never an unsafe one.
+    `_extremal` holds the extremal atom (group) j of the last exact screen
+    that flagged nothing, keyed on a read-only kept set, which cannot change
+    behind it: j's position among the kept atoms (its group's positions),
+    its weight and its original index (group id). While j is in play the
+    bound uses it; a fold that keeps j moves the memo to the new kept set at
+    its first screen, which finds j there by that index. A context reused
+    across runs or kept sets can only make that j a looser choice, never an
+    unsafe one.
     """
 
     def __init__(self, problem):
@@ -342,21 +397,25 @@ class ScreeningContext:
 
     # -- regions and the screening dispatch --------------------------------
 
-    def region(self, kind, theta, corr, layout=None):
+    def region(self, kind, theta, corr, layout=None, screened=None):
         """Region of test `kind` around the dual candidate `theta`.
 
         `corr` holds the correlations of `theta` with the columns still in
         play; for group problems `layout` places those columns in their
-        groups, and is the whole partition's when omitted. `theta` is first
-        scaled onto the dual feasible segment those columns allow. SAFE and
-        GSAFE give the plain sphere around ``y / lam``. DST3 and GST3 give
-        the shifted sphere intersected with the plain sphere it was cut from:
-        the shifted sphere bounds the plain sphere's intersection with the
-        extremal atom's half-space ``a* . theta <= 1`` (the extremal group's
-        tangent half-space), and `base` keeps the plain sphere itself, so the
-        test also eliminates what only the plain sphere certifies. DOME gives
-        the `DomeParams` of that intersection. A test of the other penalty
-        (a group test on a Lasso problem, or the reverse) is rejected.
+        groups, and is the whole partition's when omitted. With a run's
+        `ScreenState` `screened`, `corr` and `layout` cover its packed
+        positions instead, the correlations of those out of play zero, and
+        the spheres' slacks are the state's packed ones. `theta` is first
+        scaled onto the dual feasible segment the columns in play allow.
+        SAFE and GSAFE give the plain sphere around ``y / lam``. DST3 and
+        GST3 give the shifted sphere intersected with the plain sphere it was
+        cut from: the shifted sphere bounds the plain sphere's intersection
+        with the extremal atom's half-space ``a* . theta <= 1`` (the extremal
+        group's tangent half-space), and `base` keeps the plain sphere
+        itself, so the test also eliminates what only the plain sphere
+        certifies. DOME gives the `DomeParams` of that intersection. A test
+        of the other penalty (a group test on a Lasso problem, or the
+        reverse) is rejected.
         """
         problem = self.problem
         self._check_test(kind)
@@ -370,7 +429,10 @@ class ScreeningContext:
             _, v = dual_scale_group(problem, theta, corr, layout)
         diff = self.safe_center - v
         rsq = float(diff.dot(diff))
-        safe = SphereRegion(self.safe_center, math.sqrt(rsq), self.safe_slack)
+        safe_slack = self.safe_slack
+        if screened is not None:
+            safe_slack = screened.slack(safe_slack, layout)
+        safe = SphereRegion(self.safe_center, math.sqrt(rsq), safe_slack)
         if kind in (SAFE, GSAFE):
             return safe
         center, slack, shift_sq = self._shifted
@@ -378,6 +440,8 @@ class ScreeningContext:
         if kind == DOME:
             star_corr, y_corr = self._dome_correlations
             return DomeParams(problem.lam, self.lmax.value, star_corr, y_corr, radius)
+        if screened is not None:
+            slack = screened.slack(slack, layout)
         return SphereRegion(center, radius, slack, base=safe)
 
     def static_region(self, kind):
@@ -390,26 +454,35 @@ class ScreeningContext:
         `theta` is a float64 array, `kept` holds the original indices of the
         columns still in play and `corr` their correlations with theta, in
         the same order; for group problems `layout` is the group layout over
-        `kept` (built from it when omitted). `theta_sq` is ``theta @ theta``
-        when the caller already has it, and is computed otherwise. The
-        screen-once strategy is this call at ``theta = y`` on the whole
-        dictionary, the dynamic strategy the same call at each iteration's
-        dual point. Group tests flag whole groups, and the mask flags each of
-        their columns. A sphere test whose radius lower bound already
-        certifies nothing returns None without building the region, as the
-        region's test would. A mask is a fresh boolean array aligned with
-        `kept` that flags at least one column.
+        `kept` (built from it when omitted). `kept` may instead be a run's
+        `ScreenState`: `corr` and `layout` then cover its packed positions,
+        with zero correlations where out of play, and the mask never flags
+        one of those. `theta_sq` is ``theta @ theta`` when the caller already
+        has it, and is computed otherwise. The screen-once strategy is this
+        call at ``theta = y`` on the whole dictionary, the dynamic strategy
+        the same call at each iteration's dual point. Group tests flag whole
+        groups, and the mask flags each of their columns. A sphere test whose
+        radius lower bound already certifies nothing returns None without
+        building the region, as the region's test would. A mask is a fresh
+        boolean array aligned with `kept` that flags at least one column.
         """
         problem = self.problem
         self._check_test(kind)
-        kept = np.asarray(kept, dtype=np.int64)
+        if isinstance(kept, ScreenState):
+            state = kept
+        else:
+            state = ScreenState(_NO_COLUMNS, np.asarray(kept, dtype=np.int64))
+        kept = state.kept
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
-        if self._certifies_nothing(kind, theta, theta_sq, corr, kept, idx, layout):
+        if self._certifies_nothing(kind, theta, theta_sq, corr, state, idx, layout):
             return None
-        region = self.region(kind, theta, corr, layout)
-        mask = test_dome(region, kept) if kind == DOME else test_sphere_lasso(region, idx)
+        region = self.region(kind, theta, corr, layout, state)
+        if kind == DOME:
+            mask = test_dome(region, kept) & state.alive
+        else:
+            mask = test_sphere_lasso(region, None)
         if mask.any():
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
         if kind != DOME and kept.size and not kept.flags.writeable:
@@ -430,7 +503,7 @@ class ScreeningContext:
         cols = np.searchsorted(kept, self.problem.partition.groups[g])
         return kept, cols, float(layout.weights[i]), g
 
-    def _certifies_nothing(self, kind, theta, theta_sq, corr, kept, idx, layout):
+    def _certifies_nothing(self, kind, theta, theta_sq, corr, state, idx, layout):
         """Whether a lower bound on the radius shows that sphere test `kind` flags nothing.
 
         The bound scales theta onto the feasible segment of the remembered
@@ -442,18 +515,22 @@ class ScreeningContext:
         all of it, so the bound stays below the radius the region computes.
         Sqrt and subtraction round monotonically, so a slack that does not
         clear the bounded radius does not clear the region's either. The
-        dome and a kept set without j take the exact path, and so does a
-        shifted test the region would reject.
+        dome and a kept set without j in play take the exact path, and so does
+        a shifted test the region would reject. The largest slack in play is
+        the `ScreenState`'s packed slack's `top`.
         """
         key, cols, weight, j = self._extremal
+        kept = state.kept
         if kind == DOME or (key is not kept and kept.flags.writeable):
             return False
         if key is not kept:
-            # j stays in a read-only kept set, sorted, unless it was eliminated
+            # j stays in a read-only kept set, sorted, unless it was folded out
             i = int(np.searchsorted(idx, j))
             if i == idx.size or idx[i] != j:
                 return False
             _, cols, weight, _ = self._extremal = self._memo(kept, layout, i)
+        if not state.alive[cols if layout is None else cols[0]]:
+            return False
         problem = self.problem
         lam = problem.lam
         shifted = kind in (DST3, GST3)
@@ -471,13 +548,14 @@ class ScreeningContext:
         n_cols = 1 if layout is None else cols.size
         allowance = 4.0 * (theta.size + n_cols + 8) * _EPS * (a + abs(b) + c)
         rsq = a - b + c - allowance
-        if self.safe_slack.over(idx)[1] - math.sqrt(max(rsq, 0.0)) > SCREEN_MARGIN:
+        if state.slack(self.safe_slack, layout).top - math.sqrt(max(rsq, 0.0)) > SCREEN_MARGIN:
             return False
         if shifted:
             _, slack, shift_sq = self._shifted
             if rsq - shift_sq < -RADIUS_GUARD:
                 return False
-            if slack.over(idx)[1] - math.sqrt(max(rsq - shift_sq, 0.0)) > SCREEN_MARGIN:
+            top = state.slack(slack, layout).top
+            if top - math.sqrt(max(rsq - shift_sq, 0.0)) > SCREEN_MARGIN:
                 return False
         return True
 
@@ -507,6 +585,9 @@ def _certified(region, idx):
 def test_sphere_lasso(region, idx):
     """Elimination mask over the atoms (or groups) `idx` for a sphere region.
 
+    `idx` None tests every entry of the region's slack, which for a region
+    built over a run's `ScreenState` are its packed positions (groups).
+
     Entry i is flagged iff the region's slack for it exceeds the radius with
     at least `SCREEN_MARGIN` to spare: ``1 - |a_i . center| > radius`` for an
     atom, ``(w_g - ||D_g.T center||) / ||D_g|| > radius`` for a group, i.e.
@@ -519,9 +600,12 @@ def test_sphere_lasso(region, idx):
     SAFE radius never drops below ``lambda_max / lam - 1``, so below half the
     trivial threshold the SAFE sphere of a DST3 region costs nothing more.
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    if idx is not None:
+        idx = np.asarray(idx, dtype=np.int64)
     mask = _certified(region, idx)
-    return np.zeros(idx.size, dtype=bool) if mask is None else mask
+    if mask is None:
+        return np.zeros(region.slack.values.size if idx is None else idx.size, dtype=bool)
+    return mask
 
 
 # groups take the same test over group ids, under their own name

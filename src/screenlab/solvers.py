@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import screening
-from .dictionary import _COPY_COST, GroupLayout, operator_norm, support_product
+from .dictionary import _COPY_COST, GroupLayout, _aligned_empty, operator_norm, support_product
 from .instrument import (
     DYNAMIC,
     NONE,
@@ -95,8 +95,10 @@ class SolverState:
     restarts at the Barzilai-Borwein curvature of each step it takes; `step`
     is the fixed step of TwIST and Chambolle-Pock.
     `layout` places the positions of x in their groups (None for the l1
-    penalty), and `screen_state.kept[p]` is the original column of ``x[p]``;
-    `_reduce_state` drops screened positions from both and from the iterates.
+    penalty), and `screen_state.kept[p]` is the original column of ``x[p]``.
+    Inside `run` the vectors span the view's packed positions, and those
+    out of play (``~screen_state.alive``) hold zero coefficients and zero
+    correlations; `_reduce_state` folds them out when the view copies.
     """
 
     x: np.ndarray
@@ -324,30 +326,60 @@ def init_state(problem, cfg):
     return state
 
 
-def _reduce_state(state, dic, mask):
-    """Drop the screened positions `mask` from everything indexed by the positions of x.
+def _screen_out(state, dic, mask):
+    """An elimination event: the packed positions `mask` leave play.
+
+    Their coefficients in x, x_prev and u become zero, in a copy of each
+    vector that holds any of them nonzero; a residual stays valid only
+    while its vector held them all zero, and is otherwise cleared and
+    recomputed where it is next needed. The screened set clears their alive
+    bits and drops them from its slacks' tops, and the view stops counting
+    them. No vector changes width, and nothing is copied or merged.
+    """
+    pos = mask.nonzero()[0]
+    # count_nonzero, not any: a reduction's set-up outweighs a few entries
+    if np.count_nonzero(state.x[pos]):
+        state.resid = state.resid_sq = None
+        state.x = _zeroed(state.x, pos)
+    if state.x_prev is not None and np.count_nonzero(state.x_prev[pos]):
+        state.x_prev = _zeroed(state.x_prev, pos)
+    if state.u is not None and np.count_nonzero(state.u[pos]):
+        state.u_resid = None
+        state.u = _zeroed(state.u, pos)
+    state.corr = None
+    state.screen_state.drop(pos, state.layout)
+    dic.live -= pos.size
+
+
+def _zeroed(v, pos):
+    # a copy, so that an array a hook holds keeps its values
+    v = v.copy()
+    v[pos] = 0.0
+    return v
+
+
+def _reduce_state(state, dic):
+    """Fold everything indexed by the packed positions to those in play, and copy the view.
 
     That is the primal vectors, the group layout and the screened set, and
-    the columns of the `_LiveColumns` view `dic`, narrowed by `_reduce_dic`
-    and returned. A residual stays valid only while every coefficient its
-    vector loses is zero; otherwise it is cleared, and recomputed where it is
-    next needed.
+    the view's columns, which `_reduce_dic` copies into the run's private
+    buffer; returns the view over the copy. The positions out of play hold
+    zero coefficients, so every residual stays valid.
     """
-    keep = ~mask
-    if np.count_nonzero(state.x[mask]):
-        state.resid = state.resid_sq = None
+    ss = state.screen_state
+    out = ~ss.alive
+    keep = ss.alive.nonzero()[0]
     state.x = state.x[keep]
     if state.x_prev is not None:
         state.x_prev = state.x_prev[keep]
     if state.u is not None:
-        if np.count_nonzero(state.u[mask]):
-            state.u_resid = None
         state.u = state.u[keep]
     if state.layout is not None:
-        state.layout = state.layout.without(mask)
-    state.screen_state = screening.screen_update(state.screen_state, mask)
+        state.layout = state.layout.without(out)
+    state.screen_state = screening.screen_update(ss, out)
     state.corr = None
-    return _reduce_dic(dic, keep.nonzero()[0])
+    packed = _reduce_dic(dic, keep)
+    return _LiveColumns(packed, state.screen_state.alive, dic.own)
 
 
 def run(problem, cfg, iteration_hook=None):
@@ -360,23 +392,30 @@ def run(problem, cfg, iteration_hook=None):
     iteration at the dual point the update just produced, and the eliminated
     set grows monotonically. Above the trivial-solution threshold every atom
     is screened before the first iteration, and the zero solution is
-    returned without one. Every strategy multiplies through one
-    `_LiveColumns` view of the dictionary, and each of the three
-    eliminations drops its mask from the state and the view with
-    `_reduce_state`; the view alone decides when to copy its survivors.
-    The screening context serves every strategy: a plain run takes
-    ``D.T y`` and `lambda_max` from it too. Every iteration, the first
-    included, correlates its own dual point, and its objective takes the
-    squared residual norm the step summed where it did.
+    returned without one. The screening context serves every strategy: a
+    plain run takes ``D.T y`` and `lambda_max` from it too. Every iteration,
+    the first included, correlates its own dual point, and its objective
+    takes the squared residual norm the step summed where it did.
+
+    Every strategy multiplies through one `_LiveColumns` view of the
+    dictionary, and the iterates span its packed positions. Each of the
+    three eliminations is an event (`_screen_out`) that clears bits of the
+    one alive mask, ``state.screen_state.alive``, and pins the positions it
+    clears to zero. Only when the view's charge pays for a copy, checked
+    before each update, does `_reduce_state` fold the state to the
+    positions in play and copy the view's live columns.
 
     `iteration_hook(t, state, mask)` is called after each update and its
     screen, before the mask is dropped: `mask` is the dynamic elimination, a
     boolean array aligned with the positions of ``state.x`` that flags at
     least one of them, or None when the iteration eliminates nothing or the
-    strategy is not dynamic. The hook reads the live `SolverState` and must
-    not modify it. The loop replaces the arrays it holds and never writes
-    into them, so an array a hook keeps still holds the values it had at the
-    call.
+    strategy is not dynamic. A hooked run folds before every update that
+    follows an elimination, so the hook reads the live `SolverState` with
+    every kept column in play: ``state.screen_state.kept`` holds the
+    original columns of ``state.x``. The hook must not modify the state.
+    The loop replaces the arrays it holds and never writes into them, the
+    alive mask of ``state.screen_state`` aside, so an array a hook keeps
+    still holds the values it had at the call.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -394,15 +433,15 @@ def run(problem, cfg, iteration_hook=None):
     )
 
     state = init_state(problem, cfg)
-    dic = _LiveColumns(problem.dictionary, np.arange(k))
+    dic = _LiveColumns(problem.dictionary, state.screen_state.alive)
     y, lam = problem.y, problem.lam
     if lam > ctx.lmax.value:
         # the zero solution: every column goes, and the loop below stops at once
-        dic = _reduce_state(state, dic, np.ones(k, dtype=bool))
+        _screen_out(state, dic, np.ones(k, dtype=bool))
     elif cfg.strategy == STATIC:
-        mask = ctx.screen(cfg.test, y, ctx.y_corr, state.screen_state.kept, state.layout)
+        mask = ctx.screen(cfg.test, y, ctx.y_corr, state.screen_state, state.layout)
         if mask is not None:
-            dic = _reduce_state(state, dic, mask)
+            _screen_out(state, dic, mask)
         trace.init_flops = flops_static_init(k, n)
 
     update = _UPDATES[cfg.algorithm]
@@ -413,25 +452,27 @@ def run(problem, cfg, iteration_hook=None):
     moved = False
     mask = None
     for t in range(1, cfg.max_iters + 1):
-        if state.screen_state.kept.size == 0:
+        if dic.live == 0:
             break
+        if dic.live < dic.packed.n_cols and (iteration_hook is not None or dic.due()):
+            dic = _reduce_state(state, dic)
         update(state, dic, problem)
         iterations = t
 
         if test is not None:
-            mask = ctx.screen(test, state.theta, state.corr, state.screen_state.kept,
+            mask = ctx.screen(test, state.theta, state.corr, state.screen_state,
                               state.layout, state.theta_sq)
 
         if iteration_hook is not None:
             iteration_hook(t, state, mask)
 
         if mask is not None:
-            dic = _reduce_state(state, dic, mask)
+            _screen_out(state, dic, mask)
 
         f_t = 0.5 * _residual(state, dic, y)[1] + lam * penalty_value(state.x, state.layout)
         nnz = int(np.count_nonzero(state.x))
         # the flop column is filled in once, from the kept and sparsity columns
-        trace.append(t, state.screen_state.kept.size, nnz, f_t, 0, time.perf_counter() - t_start)
+        trace.append(t, dic.live, nnz, f_t, 0, time.perf_counter() - t_start)
 
         # The variation test only means something once the iterate has left the
         # all-zero start; a dual-driven method can sit at zero for a few warmup
@@ -442,74 +483,82 @@ def run(problem, cfg, iteration_hook=None):
         f_prev = f_t
 
     trace.flops_cum = trace.recompute_flops()
+    # the positions out of play hold zeros, so x expands over the packed record
     x_star = expand(state.x, state.screen_state.kept, k)
+    screened = screening.screen_update(state.screen_state, ~state.screen_state.alive)
     final_objective = trace.objective[-1] if trace.objective else 0.5 * float(y @ y)
     return SolveResult(
         x_star=x_star,
         iterations=iterations,
         trace=trace,
         final_objective=final_objective,
-        screen_state=state.screen_state,
+        screen_state=screened,
     )
 
 
 class _LiveColumns:
-    """The surviving columns of a packed dictionary that may still hold screened ones.
+    """The columns in play of a packed dictionary that may still hold screened ones.
 
-    Every run multiplies through one such view, a plain one too, whose
-    packed data holds no screened column. It offers the `Dictionary`
-    products over the live columns only: coefficient vectors and
-    correlations are indexed by live position. `apply` is the support
-    product, which spans no screened column while few coefficients are
-    nonzero; `correlate` spans the packed width. The products are made on
-    the packed data directly, without the argument checks, which the
-    solver's own vectors do not need.
+    Every run multiplies through one such view, a plain one too. It offers
+    the `Dictionary` products over the packed width: coefficient vectors and
+    correlations are indexed by packed position, and `alive`, the run's
+    alive mask, marks the `live` positions in play. A coefficient out of
+    play is zero, so `apply`, the support product, spans no screened column
+    while few coefficients are nonzero; `correlate` spans the packed width
+    and zeroes the correlations out of play, which pins their coefficients
+    at zero through the prox and keeps them out of the dual scaling. The
+    products are made on the packed data directly, without the argument
+    checks, which the solver's own vectors do not need.
 
     Each correlation charges the view with the screened columns the packed
-    data still holds. Once the survivors fill at most half the packed width
-    and the charge since the last copy has reached `_COPY_COST` times their
-    count, the view copies them with `Dictionary.reduce` and correlates over
-    the copy. So a copy is made only once the waste it removes has been
-    paid (ski-rental), each copy at least halves the packed width, and a
-    run copies fewer than K columns in all. The half-width condition also
-    bounds memory, since a copy made from a copy holds both while it is
-    made: without it, `peak_rss_mb` of the benchmark rose by 2.4% on desk,
-    2.0% on group and 4.9% on algos (lower in 0 of 8 alternating pairs each)
-    for no gain in solve time.
+    data still holds. The view is `due` for a copy once the charge, with
+    the next correlation's, reaches `_COPY_COST` times the live count: a
+    copy is made only once the waste it removes has been paid (ski-rental).
+    `run` then folds its state and copies the live columns through
+    `_reduce_dic` into `own`, the run's one private buffer: the first copy
+    takes it from the problem's dictionary, and every later one moves the
+    columns down that buffer in place, so a run holds at most one private
+    buffer, no larger than its first copy, and only that copy touches
+    fresh pages.
     """
 
-    __slots__ = ("packed", "live", "charge")
+    __slots__ = ("packed", "alive", "live", "charge", "own")
 
-    def __init__(self, packed, live, charge=0):
+    def __init__(self, packed, alive, own=None):
         self.packed = packed
-        self.live = live
-        self.charge = charge
+        self.alive = alive
+        self.live = int(np.count_nonzero(alive))
+        self.charge = 0
+        self.own = own
 
     @property
     def n_cols(self):
-        return self.live.size
+        return self.live
+
+    def due(self):
+        """Whether the next correlation's dead columns complete the charge of a copy."""
+        dead = self.packed.n_cols - self.live
+        return self.charge + dead >= _COPY_COST * self.live
 
     def apply(self, x):
-        return support_product(self.packed.data, x, self.live)
+        return support_product(self.packed.data, x)
 
     def correlate(self, v):
-        live = self.live.size
-        dead = self.packed.n_cols - live
-        self.charge += dead
-        if 2 * live <= self.packed.n_cols and self.charge >= _COPY_COST * live:
-            self.packed = self.packed.reduce(self.live)
-            self.live = np.arange(live)
-            self.charge = dead = 0
         corr = self.packed.data.T.dot(v)
-        if not dead:
-            return corr
-        return corr[self.live]
+        dead = corr.size - self.live
+        if dead:
+            self.charge += dead
+            corr *= self.alive
+        return corr
 
 
-def _reduce_dic(dic, keep_pos):
-    """The `_LiveColumns` view `dic` narrowed to its live positions `keep_pos`.
+def _reduce_dic(dic, keep):
+    """The packed columns `keep` of the view `dic`, copied into the run's private buffer.
 
-    Only narrows the view, which carries its charge over; the view itself
-    decides when to copy its survivors.
+    The first copy allocates that buffer, `dic.own`, the size of `keep`, and
+    copies from the problem's dictionary; every later one moves the columns
+    down the same buffer with `Dictionary.reduce`.
     """
-    return _LiveColumns(dic.packed, dic.live[keep_pos], dic.charge)
+    if dic.own is None:
+        dic.own = _aligned_empty(dic.packed.n_rows, keep.size)
+    return dic.packed.reduce(keep, out=dic.own)

@@ -572,3 +572,19 @@ class TestPreset:
             with pytest.raises(SystemExit, match=f"invalid plan: .* so {named} cannot be given"):
                 run_cli("bench", "--preset", "paper-desk", *extra, "--out", str(out))
         assert not out.exists()
+
+
+def test_bench_rejects_repeats_with_seeds(tmp_path, monkeypatch):
+    # --seeds names every seed, so a --repeats beside it would be ignored
+    monkeypatch.setattr(cli, "run_bench", lambda *a, **k: pytest.fail("ran a rejected plan"))
+    out = tmp_path / "b.csv"
+    for repeats in ("5", "1"):
+        with pytest.raises(SystemExit, match="invalid plan: --seeds .* so --repeats cannot be given"):
+            run_cli("bench", "--repeats", repeats, "--seeds", "1", "--out", str(out))
+    assert not out.exists()
+    ran = []
+    monkeypatch.setattr(cli, "run_bench", lambda plan, out, parallel=False: ran.append(plan) or 0)
+    assert run_cli("bench", "--repeats", "3", "--out", str(out)) == 0
+    assert run_cli("bench", "--seeds", "4,7", "--out", str(out)) == 0
+    assert run_cli("bench", "--out", str(out)) == 0
+    assert [plan.seeds for plan in ran] == [[0, 1, 2], [4, 7], [0]]

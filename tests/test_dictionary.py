@@ -158,6 +158,29 @@ class TestReduce:
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
             reduced.reduce(np.array([2]))
 
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_copies_into_a_buffer_and_down_it_in_place(self, chunk, monkeypatch):
+        # the first copy fills the front of a private buffer, and each later
+        # one moves the kept columns down that buffer, chunk by chunk, while
+        # they are still the source: every result equals the direct selection
+        monkeypatch.setattr(dictionary_module, "_BLOCK_BYTES", 8 * 5 * chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(10):
+            dic = random_dictionary(int(rng.integers(100)), 5, 40)
+            cols = np.arange(40)
+            own = dictionary_module._aligned_empty(5, 40)
+            cur = dic
+            while cols.size > 1:
+                keep = np.flatnonzero(rng.random(cols.size) < 0.7)
+                if keep.size == cols.size:
+                    continue
+                cols = cols[keep]
+                cur = cur.reduce(keep, out=own)
+                assert np.array_equal(cur.data, dic.data[:, cols])
+                assert not cols.size or np.shares_memory(cur.data, own)
+                assert own.flags.writeable
+                assert cur.data.flags.f_contiguous and not cur.data.flags.writeable
+
 
 class TestSpectralNorm:
     def test_single_unit_column(self):

@@ -1129,3 +1129,56 @@ class TestScreenState:
             assert seen <= now
             seen = now
             assert st.eliminated.size + st.kept.size == 40
+
+
+class TestPackedScreen:
+    # A run screens over its packed positions: the ScreenState's alive mask
+    # marks those in play, their correlations are zero out of play, and an
+    # elimination event only clears alive bits. The mask must equal the
+    # screen over the columns in play alone, placed back at their
+    # positions, and each packed slack's top the largest slack in play.
+
+    @pytest.mark.parametrize("kind", sl.ALL_TESTS)
+    def test_matches_the_screen_over_the_columns_in_play(self, kind):
+        rng = np.random.default_rng(41)
+        flagged = 0
+        for seed in range(6):
+            if kind in sl.LASSO_TESTS:
+                p, layout = make_lasso(seed, n=14, k=36, ratio=0.75), None
+            else:
+                p = make_group(seed, ratio=0.75)
+                layout = p.partition.full
+            ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
+            state = screening.ScreenState.initial(p.n_cols)
+            for _ in range(8):
+                alive = state.alive.copy()
+                near = -p.y + 0.3 * rng.standard_normal(p.n_rows) / np.sqrt(p.n_rows)
+                for theta in (near, rng.standard_normal(p.n_rows)):
+                    corr = p.dictionary.correlate(theta) * alive
+                    got = ctx.screen(kind, theta, corr, state, layout)
+                    kept = state.kept[alive]
+                    want = np.zeros(p.n_cols, dtype=bool)
+                    want[alive] = as_mask(ref.screen(kind, theta, corr[alive], kept), kept.size)
+                    assert same(got, want)
+                    flagged += int(want.any())
+                for full, packed in state.slacks.items():
+                    values = full.values[state.kept if layout is None else layout.group_ids]
+                    play = alive if layout is None else np.isin(np.arange(layout.n_groups),
+                                                                layout.member[alive])
+                    assert np.array_equal(packed.values[play], values[play])
+                    assert (packed.values[~play] == -np.inf).all()
+                    assert packed.top == values[play].max(initial=-np.inf)
+                # an event: a few positions (whole groups) in play leave it,
+                # never the extremal atom (group), so the shifted radius exists
+                lmax = sl.lambda_max(p)
+                if layout is None:
+                    leave = alive & (rng.random(p.n_cols) < 0.15)
+                    leave[lmax.atom_index] = False
+                    pos = np.flatnonzero(leave)
+                else:
+                    groups = np.setdiff1d(layout.member[alive], [lmax.group])
+                    gone = groups[rng.random(groups.size) < 0.15]
+                    pos = np.flatnonzero(np.isin(layout.member, gone))
+                state.drop(pos, layout)
+                assert np.array_equal(state.alive, alive & ~np.isin(np.arange(p.n_cols), pos))
+        assert flagged

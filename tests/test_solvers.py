@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import screenlab as sl
-from screenlab import solvers
+from screenlab import screening, solvers
 from screenlab.dictionary import _COPY_COST
 from screenlab.problems import penalty_value
 from screenlab.solvers import (
@@ -16,6 +16,7 @@ from screenlab.solvers import (
     _LiveColumns,
     _reduce_dic,
     _reduce_state,
+    _screen_out,
     init_state,
     update_cp,
     update_fista,
@@ -51,29 +52,43 @@ class TestReduceState:
     @pytest.mark.parametrize("algo", sl.ALGORITHMS)
     @pytest.mark.parametrize("strategy", ["static", "dynamic"])
     def test_positions_stay_aligned_after_every_fold(self, algo, strategy, monkeypatch):
-        # x, the iterates, the layout and the kept set are reduced together:
-        # after each fold they have one length, and the layout is the one of
-        # the kept columns. Here the static screen keeps 24 of the 30
-        # columns, and a dynamic run folds 3 or 4 times.
+        # a fold happens only where the view copies, and reduces x, the
+        # iterates, the layout and the kept set together: after each fold
+        # they have one length, every kept column is in play, the layout is
+        # the one of the kept columns and the view spans exactly its live
+        # columns. Here the static screen keeps 24 of the 30 columns, and a
+        # dynamic run folds twice or more.
         p = make_group(15, k=30, ratio=0.5)
-        fold = solvers._reduce_state
-        sizes = []
+        fold, reduce = solvers._reduce_state, sl.Dictionary.reduce
+        sizes, copies, last = [], [], []
 
-        def checking(state, dic, mask):
-            view = fold(state, dic, mask)
+        def checking(state, dic):
+            view = fold(state, dic)
             kept = state.screen_state.kept
             sizes.append(kept.size)
+            last[:] = [kept]
+            assert state.screen_state.alive.all()
             assert state.x.size == state.layout.member.size == view.n_cols == kept.size
+            assert view.packed.n_cols == kept.size
             for v in (state.x_prev, state.u):
                 assert v is None or v.size == kept.size
             for name, ref in vars(p.partition.layout(kept)).items():
                 assert np.array_equal(getattr(state.layout, name), ref), name
+            assert np.array_equal(view.packed.data, p.dictionary.data[:, kept])
             return view
 
+        def recording(self, cols, out=None):
+            copies.append(len(sizes))
+            return reduce(self, cols, out)
+
         monkeypatch.setattr(solvers, "_reduce_state", checking)
+        monkeypatch.setattr(sl.Dictionary, "reduce", recording)
         res = sl.run(p, SolverConfig(algorithm=algo, strategy=strategy, test="gst3",
                                      max_iters=300, rel_tol=1e-10))
-        assert sizes[-1] == res.screen_state.kept.size < p.n_cols
+        # one copy in each fold, and no copy outside one
+        assert copies == list(range(len(sizes)))
+        assert sizes[-1] < p.n_cols
+        assert np.isin(res.screen_state.kept, last[0]).all()
         if strategy == "dynamic":
             assert len(sizes) > 1
 
@@ -754,16 +769,17 @@ class TestResidualReuse:
 
     @pytest.mark.parametrize("algo", ["fista", "cp"])
     @pytest.mark.parametrize("drop", ["x", "x_prev", "zeros"])
-    def test_residuals_track_direct_reduction(self, algo, drop):
-        # a reduction that drops a nonzero of x or u clears that residual, so
-        # the next step multiplies instead of using a stale one
+    def test_residuals_track_elimination_events(self, algo, drop):
+        # an elimination that zeroes a nonzero of x or u clears that residual,
+        # so the next step multiplies instead of using a stale one; the
+        # vectors keep their width, and the arrays they held are not written
         p = make_lasso(1, n=16, k=40, ratio=0.3)
         update = update_fista if algo == "fista" else update_cp
         st = init_state(p, SolverConfig(algorithm=algo))
-        full = _LiveColumns(p.dictionary, np.arange(p.n_cols))
+        dic = _LiveColumns(p.dictionary, st.screen_state.alive)
         # after 6 steps both algorithms have coordinates of each kind
         for _ in range(6):
-            update(st, full, p)
+            update(st, dic, p)
         zero_x = st.x == 0.0
         candidates = {
             "x": ~zero_x,
@@ -773,8 +789,12 @@ class TestResidualReuse:
         mask = np.zeros(p.n_cols, dtype=bool)
         mask[np.flatnonzero(candidates)[0]] = True
         assert (st.u[mask] != 0.0).all() or drop == "zeros"
-        dic = _reduce_state(st, full, mask)
-        assert np.array_equal(dic.live, np.flatnonzero(~mask))
+        held = [(v, v.tobytes()) for v in (st.x, st.x_prev, st.u)]
+        _screen_out(st, dic, mask)
+        assert all(v.tobytes() == before for v, before in held)
+        assert np.array_equal(st.screen_state.alive, ~mask) and dic.n_cols == p.n_cols - 1
+        for v in (st.x, st.x_prev, st.u):
+            assert v.size == p.n_cols and not v[mask].any()
         if drop == "zeros":
             assert st.resid is not None and st.u_resid is not None
         if st.resid is not None:
@@ -786,6 +806,8 @@ class TestResidualReuse:
         assert np.allclose(used, dic.apply(st.u) - p.y, rtol=0.0, atol=1e-12)
         update(st, dic, p)
         assert np.allclose(st.u_resid, dic.apply(st.u) - p.y, rtol=0.0, atol=1e-12)
+        # the screened coefficient stays pinned at zero, and so does its correlation
+        assert st.x[mask] == 0.0 and st.u[mask] == 0.0 and st.corr[mask] == 0.0
 
 
 class TestSupportProduct:
@@ -798,14 +820,20 @@ class TestSupportProduct:
     def test_matches_direct_selection(self, nonzeros, through):
         rng = np.random.default_rng(nonzeros)
         dic = make_lasso(2, n=10, k=30).dictionary
-        if through == "Dictionary":
-            cols, view = np.arange(12, 24), dic.reduce(np.arange(12, 24))
-        else:
-            cols = np.sort(rng.choice(30, 12, replace=False))
-            view = _reduce_dic(_LiveColumns(dic, np.arange(30)), cols)
         x = np.zeros(12)
         x[rng.choice(12, nonzeros, replace=False)] = rng.standard_normal(nonzeros)
-        got = view.apply(x)
+        if through == "Dictionary":
+            cols = np.arange(12, 24)
+            got = dic.reduce(cols).apply(x)
+        else:
+            # a view over all 30 columns with 12 in play: its vectors span
+            # the packed width, with zeros out of play
+            cols = np.sort(rng.choice(30, 12, replace=False))
+            alive = np.zeros(30, dtype=bool)
+            alive[cols] = True
+            packed = np.zeros(30)
+            packed[cols] = x
+            got = _LiveColumns(dic, alive).apply(packed)
         assert got.shape == (10,)
         assert np.allclose(got, dic.data[:, cols] @ x, rtol=0, atol=1e-12)
         if nonzeros == 0:
@@ -814,40 +842,55 @@ class TestSupportProduct:
 
 class TestColumnReduction:
     def test_repeated_drops_match_direct_selection(self):
-        # random drops, each followed by a few correlations: each correlation
-        # charges the view with its dead columns, the view copies its
-        # survivors exactly when they fill at most half the packed width and
-        # the charge since the last copy has reached _COPY_COST times their
-        # count, and every product multiplies exactly the surviving columns
+        # random elimination events, each followed by a few correlations:
+        # each correlation charges the view with its dead columns and zeroes
+        # their correlations, the view is due for a copy exactly when the
+        # charge with the next correlation's dead columns reaches
+        # _COPY_COST times the live count, a fold then copies the live
+        # columns into the run's one private buffer, and every product
+        # multiplies exactly the live columns
         dic = make_lasso(5, n=12, k=60).dictionary
         for seed in range(5):
             self.drop_at_random(dic, np.random.default_rng(seed))
 
     @staticmethod
     def drop_at_random(dic, rng):
-        kept = np.arange(60)
-        cur = _LiveColumns(dic, kept)
-        copies = 0
+        state = SolverState(x=np.zeros(60), screen_state=sl.ScreenState.initial(60))
+        cur = _LiveColumns(dic, state.screen_state.alive)
+        kept, copies, own = np.arange(60), 0, None
         while kept.size > 1:
-            keep_pos = np.flatnonzero(rng.random(kept.size) < 0.8)
-            kept = kept[keep_pos]
-            cur = _reduce_dic(cur, keep_pos)
+            alive = state.screen_state.alive
+            _screen_out(state, cur, alive & (rng.random(alive.size) < 0.2))
+            kept = state.screen_state.kept[state.screen_state.alive]
             assert cur.n_cols == kept.size
+            if not kept.size:
+                break
             direct = dic.data[:, kept]
             for _ in range(rng.integers(1, 6)):
-                packed, charge = cur.packed, cur.charge + cur.packed.n_cols - kept.size
-                due = 2 * kept.size <= packed.n_cols and charge >= _COPY_COST * kept.size
+                dead = cur.packed.n_cols - kept.size
+                charge = cur.charge + dead
+                due = dead > 0 and charge >= _COPY_COST * kept.size
+                assert (dead > 0 and cur.due()) == due
+                if due:
+                    cur = _reduce_state(state, cur)
+                    own = cur.own if own is None else own
+                    assert cur.own is own and np.shares_memory(cur.packed.data, own)
+                    copies += 1
+                    assert cur.charge == 0 and cur.packed.n_cols == kept.size
+                    assert np.array_equal(cur.packed.data, direct)
+                    assert np.array_equal(state.screen_state.kept, kept)
+                    charge = 0
                 v = rng.standard_normal(12)
-                assert np.allclose(cur.correlate(v), direct.T @ v, rtol=0, atol=1e-12)
-                copied = cur.packed is not packed
-                assert copied == due
-                copies += copied
-                assert cur.charge == (0 if copied else charge)
-                assert np.array_equal(cur.packed.data[:, cur.live], direct)
+                alive = state.screen_state.alive
+                corr = cur.correlate(v)
+                assert np.allclose(corr[alive], direct.T @ v, rtol=0, atol=1e-12)
+                assert not corr[~alive].any()
+                assert cur.charge == charge
                 assert cur.n_cols == kept.size
-                x = rng.standard_normal(kept.size) * (rng.random(kept.size) < 0.3)
-                assert np.allclose(cur.apply(x), direct @ x, rtol=0, atol=1e-12)
-        assert copies > 0
+                x = np.zeros(alive.size)
+                x[alive] = rng.standard_normal(kept.size) * (rng.random(kept.size) < 0.3)
+                assert np.allclose(cur.apply(x), direct @ x[alive], rtol=0, atol=1e-12)
+        assert copies > 1
 
 
 class TestOneColumnPath:
@@ -881,11 +924,11 @@ class TestOneColumnPath:
             assert not applied, strategy
 
     def test_static_screen_copies_only_when_the_charge_is_due(self, monkeypatch):
-        # the view copies the static survivors at the first correlation whose
-        # charge, the dead columns of every correlation so far, reaches
-        # _COPY_COST times the survivors, once they fill at most half the
-        # dictionary: never when the screen drops fewer than half the columns,
-        # at the first correlation when it drops more than three quarters
+        # the view copies the static survivors right before the first
+        # correlation whose charge, the dead columns of every correlation so
+        # far and its own, reaches _COPY_COST times the survivors: before
+        # the first correlation when the screen drops more than three
+        # quarters, later when it drops fewer, and never when it drops none
         copies, correlations = [], []
         reduce, correlate = sl.Dictionary.reduce, _LiveColumns.correlate
 
@@ -893,9 +936,9 @@ class TestOneColumnPath:
             correlations.append(1)
             return correlate(self, v)
 
-        def recording(self, cols):
-            copies.append((len(correlations), np.array(cols)))
-            return reduce(self, cols)
+        def recording(self, cols, out=None):
+            copies.append((len(correlations) + 1, np.array(cols)))
+            return reduce(self, cols, out)
 
         monkeypatch.setattr(_LiveColumns, "correlate", counting)
         monkeypatch.setattr(sl.Dictionary, "reduce", recording)
@@ -910,19 +953,165 @@ class TestOneColumnPath:
                     kept = res.screen_state.kept
                     live, dead = kept.size, p.n_cols - kept.size
                     assert len(correlations) == res.iterations > 0
-                    due = None
-                    if dead and 2 * live <= p.n_cols:
-                        due = max(1, -(-_COPY_COST * live // dead))
+                    due = max(1, -(-_COPY_COST * live // dead)) if dead else None
                     want = [due] if due is not None and due <= res.iterations else []
                     assert [at for at, _ in copies] == want, (test, ratio)
                     for _, cols in copies:
                         assert np.array_equal(cols, kept)
-                    if 0 < 2 * dead < p.n_cols:
-                        assert not copies
-                        cases.add("fewer than half")
                     if 4 * dead > 3 * p.n_cols:
-                        assert [at for at, _ in copies] == [1]
+                        assert want == [1]
                         cases.add("more than three quarters")
+                    if want and 2 * dead < p.n_cols:
+                        cases.add("fewer than half")
                     if want and want != [1]:
                         cases.add("later")
         assert cases == {"fewer than half", "more than three quarters", "later"}
+
+    def test_static_screen_keeping_most_columns_is_copied_once_paid(self, monkeypatch):
+        # a static screen that keeps between half and all of the columns
+        # used to span the whole dictionary to the end of the run; now its
+        # survivors are copied once the charge pays, and every later
+        # correlation spans the survivors only
+        widths = []
+        correlate = _LiveColumns.correlate
+
+        def recording(self, v):
+            widths.append((self.packed.n_cols, self.n_cols))
+            return correlate(self, v)
+
+        monkeypatch.setattr(_LiveColumns, "correlate", recording)
+        p = make_lasso(3, n=40, k=200, ratio=0.7, family="pnoise")
+        res = sl.run(p, SolverConfig(algorithm="fista", strategy="static", test="dst3",
+                                     max_iters=60, rel_tol=1e-300))
+        live = res.screen_state.kept.size
+        dead = p.n_cols - live
+        assert p.n_cols < 2 * live < 2 * p.n_cols
+        due = -(-_COPY_COST * live // dead)
+        assert 1 < due < res.iterations
+        assert widths == [(p.n_cols, live)] * (due - 1) + [(live, live)] * (res.iterations - due + 1)
+
+
+# (make, test) of each penalty's tests, on problems where dynamic runs of
+# every algorithm eliminate in several events and copy more than once
+_SCHEDULE_CASES = [(make_lasso, t) for t in ("safe", "dst3", "dome")] + [
+    (make_group, t) for t in ("gsafe", "gst3")]
+
+
+def _schedule_problems(make):
+    return [make(seed, n=20, k=120, ratio=0.7) for seed in (1, 3)]
+
+
+class TestCopySchedule:
+    # Where the view copies is a matter of cost only: a run that folds and
+    # copies at every chance and one that never does eliminate the same
+    # sets in the same number of iterations, to objectives equal to rounding
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("make,test", _SCHEDULE_CASES)
+    @pytest.mark.parametrize("strategy", ["static", "dynamic"])
+    def test_results_do_not_depend_on_when_the_view_copies(self, algo, make, test, strategy,
+                                                            monkeypatch):
+        copies = []
+        reduce = sl.Dictionary.reduce
+
+        def counting(self, cols, out=None):
+            copies.append(1)
+            return reduce(self, cols, out)
+
+        monkeypatch.setattr(sl.Dictionary, "reduce", counting)
+        cfg = SolverConfig(algorithm=algo, strategy=strategy, test=test, max_iters=300,
+                           rel_tol=1e-10)
+        eager_copies = 0
+        for p in _schedule_problems(make):
+            results = []
+            for cost in (0, float("inf")):
+                monkeypatch.setattr(solvers, "_COPY_COST", cost)
+                copies.clear()
+                results.append(sl.run(p, cfg))
+                eager_copies += len(copies) if cost == 0 else 0
+                if cost != 0:
+                    assert not copies
+            eager, never = results
+            assert np.array_equal(eager.screen_state.eliminated, never.screen_state.eliminated)
+            assert np.array_equal(eager.screen_state.kept, never.screen_state.kept)
+            assert eager.iterations == never.iterations
+            assert eager.trace.kept == never.trace.kept
+            assert eager.final_objective == pytest.approx(never.final_objective, rel=1e-12)
+            assert np.allclose(eager.x_star, never.x_star, rtol=0, atol=1e-9)
+        assert eager_copies > (1 if strategy == "dynamic" else 0)
+
+
+class TestEliminationEvents:
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("kind,test", [("lasso", "dst3"), ("group", "gst3")])
+    def test_an_event_merges_rebuilds_and_copies_nothing(self, algo, kind, test, monkeypatch):
+        # an elimination only clears alive bits and zeroes coefficients: the
+        # kept-set merge, the layout rebuild and the column copy wait for a
+        # fold, which comes only when the view's charge pays for a copy
+        p = _schedule_problems(make_lasso if kind == "lasso" else make_group)[0]
+        inside, events, folds = [], [], []
+        screen_out, fold = solvers._screen_out, solvers._reduce_state
+
+        def event(state, dic, mask):
+            events.append(1)
+            inside.append(True)
+            try:
+                width = state.x.size
+                screen_out(state, dic, mask)
+                assert state.x.size == width
+            finally:
+                inside.pop()
+
+        def folding(state, dic):
+            folds.append(1)
+            return fold(state, dic)
+
+        def forbidden(name, fn):
+            def wrapped(*args, **kwargs):
+                assert not inside, f"{name} called in an elimination event"
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solvers, "_screen_out", event)
+        monkeypatch.setattr(solvers, "_reduce_state", folding)
+        monkeypatch.setattr(screening, "screen_update",
+                            forbidden("screen_update", screening.screen_update))
+        monkeypatch.setattr(solvers, "_reduce_dic", forbidden("_reduce_dic", solvers._reduce_dic))
+        monkeypatch.setattr(sl.dictionary.GroupLayout, "without",
+                            forbidden("without", sl.dictionary.GroupLayout.without))
+        res = sl.run(p, SolverConfig(algorithm=algo, strategy="dynamic", test=test,
+                                     max_iters=300, rel_tol=1e-10))
+        assert res.screen_state.eliminated.size > 0
+        assert len(events) > len(folds) > 0
+
+    @pytest.mark.parametrize("strategy", ["static", "dynamic"])
+    def test_a_run_holds_one_private_column_buffer(self, strategy, monkeypatch):
+        # the first copy takes a new buffer the size of the survivors, and
+        # every later one moves the columns down that same buffer
+        buffers, outs = [], []
+        empty, reduce = solvers._aligned_empty, sl.Dictionary.reduce
+
+        def allocating(n, k):
+            buffers.append(empty(n, k))
+            return buffers[-1]
+
+        def recording(self, cols, out=None):
+            outs.append((out, self.data.base is not None and np.shares_memory(self.data, out)))
+            return reduce(self, cols, out)
+
+        monkeypatch.setattr(solvers, "_aligned_empty", allocating)
+        monkeypatch.setattr(sl.Dictionary, "reduce", recording)
+        in_place = 0
+        for algo in sl.ALGORITHMS:
+            for make, test in (_SCHEDULE_CASES[1], _SCHEDULE_CASES[4]):
+                for p in _schedule_problems(make):
+                    buffers.clear(), outs.clear()
+                    sl.run(p, SolverConfig(algorithm=algo, strategy=strategy, test=test,
+                                           max_iters=300, rel_tol=1e-10))
+                    assert len(buffers) <= 1
+                    assert all(out is buffers[0] for out, _ in outs)
+                    # only the first copy reads the problem's own dictionary
+                    assert [shared for _, shared in outs] == [False] + [True] * (len(outs) - 1)
+                    in_place += max(0, len(outs) - 1)
+        # dynamic runs copy several times, and a static one at most once
+        assert in_place > 10 if strategy == "dynamic" else in_place == 0
