@@ -44,9 +44,6 @@ _CORR_BOUND_TOL = 1e-9
 
 _EPS = float(np.finfo(np.float64).eps)
 
-_NO_COLUMNS = np.empty(0, dtype=np.int64)
-_NO_COLUMNS.setflags(write=False)
-
 
 class Slack:
     """Per-atom (per-group) slack of a sphere center that stays fixed for a solve.
@@ -299,11 +296,10 @@ class ScreeningContext:
     `_extremal` holds the extremal atom (group) j of the last exact screen
     that flagged nothing, keyed on a read-only kept set, which cannot change
     behind it: j's position among the kept atoms (its group's positions),
-    its weight and its original index (group id). While j is in play the
-    bound uses it; a fold that keeps j moves the memo to the new kept set at
-    its first screen, which finds j there by that index. A context reused
-    across runs or kept sets can only make that j a looser choice, never an
-    unsafe one.
+    its weight and its original index (group id). A fold that keeps j moves
+    the memo to the new kept set at its first screen, which finds j there by
+    that index. A context reused across runs or kept sets can only make that
+    j a looser choice, never an unsafe one.
     """
 
     def __init__(self, problem):
@@ -468,11 +464,10 @@ class ScreeningContext:
         """
         problem = self.problem
         self._check_test(kind)
-        if isinstance(kept, ScreenState):
-            state = kept
-        else:
-            state = ScreenState(_NO_COLUMNS, np.asarray(kept, dtype=np.int64))
-        kept = state.kept
+        if not isinstance(kept, ScreenState):
+            kept = np.asarray(kept, dtype=np.int64)
+            kept = ScreenState(kept[:0], kept)
+        state, kept = kept, kept.kept
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
@@ -515,9 +510,11 @@ class ScreeningContext:
         all of it, so the bound stays below the radius the region computes.
         Sqrt and subtraction round monotonically, so a slack that does not
         clear the bounded radius does not clear the region's either. The
-        dome and a kept set without j in play take the exact path, and so does
-        a shifted test the region would reject. The largest slack in play is
-        the `ScreenState`'s packed slack's `top`.
+        dome and a kept set without j take the exact path, and so does a
+        shifted test the region would reject. A j out of play has zero
+        correlations, so its segment is the whole line and the bound, though
+        loose, still holds. The largest slack in play is the `ScreenState`'s
+        packed slack's `top`.
         """
         key, cols, weight, j = self._extremal
         kept = state.kept
@@ -529,8 +526,6 @@ class ScreeningContext:
             if i == idx.size or idx[i] != j:
                 return False
             _, cols, weight, _ = self._extremal = self._memo(kept, layout, i)
-        if not state.alive[cols if layout is None else cols[0]]:
-            return False
         problem = self.problem
         lam = problem.lam
         shifted = kind in (DST3, GST3)
