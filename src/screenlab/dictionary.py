@@ -79,22 +79,6 @@ def _aligned_empty(n, k):
     return raw[start : start + n * k].reshape((n, k), order="F")
 
 
-def _aligned_copy(src, cols=None):
-    """Aligned Fortran-ordered copy of the 2-D `src`, or of its columns `cols`.
-
-    `cols`, when given, must be valid column positions of a Fortran-ordered
-    `src`.
-    """
-    n = src.shape[0]
-    out = _aligned_empty(n, src.shape[1] if cols is None else cols.size)
-    if cols is None:
-        out[...] = src
-    else:
-        # both transposed views are C-ordered, so take copies whole rows
-        np.take(src.T, cols, axis=0, out=out.T, mode="clip")
-    return out
-
-
 def support_product(data, x):
     """``data @ x``, multiplying only the columns of x's nonzero coefficients when few.
 
@@ -142,7 +126,9 @@ class Dictionary:
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         _check_columns(arr)
-        self._own(_aligned_copy(arr))
+        buf = _aligned_empty(*arr.shape)
+        buf[...] = arr
+        self._own(buf)
 
     def _own(self, buf):
         buf.setflags(write=False)
@@ -188,26 +174,26 @@ class Dictionary:
         """Sub-dictionary of the columns at the strictly increasing positions `cols`.
 
         Returns this dictionary itself when every column is kept, and a copy
-        of the kept columns otherwise: in a new buffer, or in the first
-        columns of `out`, a writable buffer from `_aligned_empty` with room
-        for them, which may be the buffer this dictionary's columns lie in.
-        There the copy moves the columns front to back in chunks of at most
-        `_BLOCK_BYTES`: a column never moves right, so none is overwritten
-        before it has moved, and no temporary holds more than a chunk. `out`
-        stays writable; the result sees its columns read-only.
+        of the kept columns otherwise, in the first columns of `out`: a
+        writable buffer from `_aligned_empty` with room for them, which may
+        be the buffer this dictionary's columns lie in, or a new one when
+        `out` is None. The copy moves the columns front to back in chunks of
+        at most `_BLOCK_BYTES`: a column never moves right, so none is
+        overwritten before it has moved, and no temporary holds more than a
+        chunk. `out` stays writable; the result sees its columns read-only.
         """
         cols = index_set(cols, self.n_cols)
         if cols.size == self.n_cols:
             return self
         if out is None:
-            buf = _aligned_copy(self.data, cols)
-        else:
-            buf = out[:, : cols.size]
-            step = max(1, _BLOCK_BYTES // (8 * self.n_rows))
-            for lo in range(0, cols.size, step):
-                # numpy takes through a temporary of the chunk where it overlaps the source
-                np.take(self.data.T, cols[lo : lo + step], axis=0, out=buf.T[lo : lo + step],
-                        mode="clip")
+            out = _aligned_empty(self.n_rows, cols.size)
+        buf = out[:, : cols.size]
+        step = max(1, _BLOCK_BYTES // (8 * self.n_rows))
+        for lo in range(0, cols.size, step):
+            # both transposed views are C-ordered, so take copies whole rows; numpy
+            # takes through a temporary of the chunk where it overlaps the source
+            np.take(self.data.T, cols[lo : lo + step], axis=0, out=buf.T[lo : lo + step],
+                    mode="clip")
         reduced = Dictionary.__new__(Dictionary)
         reduced._own(buf)
         return reduced

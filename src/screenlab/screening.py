@@ -49,11 +49,10 @@ class Slack:
     """Per-atom (per-group) slack of a sphere center that stays fixed for a solve.
 
     `values[i]` is the largest radius at which a sphere around the center
-    still certifies atom (group) i, and `top` the largest of them. `over(idx)`
-    gathers the slack of the atoms (groups) `idx` and its maximum, and
-    `over(None)` gives `values` and `top` themselves. A run's `ScreenState`
-    holds each sphere's slack gathered at its packed positions, and `drop`
-    keeps that copy's `top` the largest slack still in play.
+    still certifies atom (group) i, and `top` the largest of them. A run's
+    `ScreenState` holds each sphere's slack gathered at its packed
+    positions, and `drop` keeps that copy's `top` the largest slack still in
+    play.
     """
 
     __slots__ = ("values", "top", "_at")
@@ -66,12 +65,6 @@ class Slack:
         # argmax skips the reduction machinery of max, several times slower on short arrays
         self._at = int(self.values.argmax()) if self.values.size else 0
         self.top = float(self.values[self._at]) if self.values.size else -np.inf
-
-    def over(self, idx):
-        if idx is None:
-            return self.values, self.top
-        slack = self.values[idx]
-        return slack, float(slack.max(initial=-np.inf))
 
     def drop(self, pos):
         """Take the entries `pos` out of play: they become -inf, and `top` the largest left."""
@@ -138,8 +131,10 @@ class ScreenState:
     sorted. An elimination event (`drop`) only clears bits of `alive`. A fold
     (`screen_update`) moves positions from `kept` to `eliminated` and starts
     a state in which every kept column is alive, as it is in every state a
-    run hands out. `kept` and `eliminated` are read-only, so screening can
-    key work on `kept`; `alive` is updated in place.
+    run returns. A run's `kept` and `eliminated` are read-only, so
+    screening can key work on `kept`; `alive` is updated in place. `screen`
+    takes only a state: to screen a set of columns, build
+    ``ScreenState(eliminated, kept)`` over them.
 
     `slacks` maps each sphere's `Slack` that a screen over this state used
     to its copy at the packed positions (the layout's groups), -inf where
@@ -199,9 +194,11 @@ def screen_update(state, mask):
     run disjoint from ``state.eliminated``, so a stable sort of the two runs
     back to back (timsort for int64) is a single O(K) merge. A run folds
     every position out of play at once; the new state's kept columns are
-    all alive.
+    all alive. `mask` must be boolean.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be boolean, not of dtype {mask.dtype}")
     if mask.shape != (state.kept.size,):
         raise ValueError("mask must align with the kept index set")
     dropped = state.kept[mask]
@@ -444,30 +441,26 @@ class ScreeningContext:
         """Region for the screen-once strategy, built from the observation itself."""
         return self.region(kind, self.problem.y, self.y_corr)
 
-    def screen(self, kind, theta, corr, kept, layout=None, theta_sq=None):
-        """Elimination mask over `kept` from test `kind` at `theta`, or None if it flags nothing.
+    def screen(self, kind, theta, corr, state, layout=None, theta_sq=None):
+        """Elimination mask over the positions of `state` from test `kind` at `theta`, or None.
 
-        `theta` is a float64 array, `kept` holds the original indices of the
-        columns still in play and `corr` their correlations with theta, in
-        the same order; for group problems `layout` is the group layout over
-        `kept` (built from it when omitted). `kept` may instead be a run's
-        `ScreenState`: `corr` and `layout` then cover its packed positions,
-        with zero correlations where out of play, and the mask never flags
-        one of those. `theta_sq` is ``theta @ theta`` when the caller already
-        has it, and is computed otherwise. The screen-once strategy is this
-        call at ``theta = y`` on the whole dictionary, the dynamic strategy
-        the same call at each iteration's dual point. Group tests flag whole
-        groups, and the mask flags each of their columns. A sphere test whose
-        radius lower bound already certifies nothing returns None without
-        building the region, as the region's test would. A mask is a fresh
-        boolean array aligned with `kept` that flags at least one column.
+        `theta` is a float64 array and `state` a `ScreenState`: `corr` holds
+        the correlations of theta at its packed positions, zero where out of
+        play, and for group problems `layout` places those positions in their
+        groups (built from ``state.kept`` when omitted). `theta_sq` is
+        ``theta @ theta`` when the caller already has it, and is computed
+        otherwise. The screen-once strategy is this call at ``theta = y`` on
+        the whole dictionary, the dynamic strategy the same call at each
+        iteration's dual point. Group tests flag whole groups, and the mask
+        flags each of their columns. A sphere test whose radius lower bound
+        already certifies nothing returns None without building the region,
+        as the region's test would. A mask is a fresh boolean array aligned
+        with ``state.kept`` that flags at least one position in play and
+        none out of it; None means the test flags nothing.
         """
         problem = self.problem
         self._check_test(kind)
-        if not isinstance(kept, ScreenState):
-            kept = np.asarray(kept, dtype=np.int64)
-            kept = ScreenState(kept[:0], kept)
-        state, kept = kept, kept.kept
+        kept = state.kept
         if problem.kind == GROUP and layout is None:
             layout = problem.partition.layout(kept)
         idx = kept if layout is None else layout.group_ids
@@ -477,7 +470,7 @@ class ScreeningContext:
         if kind == DOME:
             mask = test_dome(region, kept) & state.alive
         else:
-            mask = test_sphere_lasso(region, None)
+            mask = test_sphere_lasso(region)
         if mask.any():
             return mask if layout is None else group_mask_to_index_mask(layout, mask)
         if kind != DOME and kept.size and not kept.flags.writeable:
@@ -558,18 +551,17 @@ class ScreeningContext:
 # -- tests --------------------------------------------------------------------
 
 
-def _certified(region, idx):
-    """Mask over `idx` of what `region` or its base certifies, or None if nothing.
+def _certified(region):
+    """Mask over the region's slack of what it or its base certifies, or None if nothing.
 
     Entry i is flagged iff ``slack_i - radius`` exceeds `SCREEN_MARGIN`.
     Rounding is monotone, so no entry can pass when the largest slack does
-    not, and the comparison over `idx` is then skipped without changing the
-    mask.
+    not, and the comparison is then skipped without changing the mask.
     """
-    slack, top = region.slack.over(idx)
-    mask = slack - region.radius > SCREEN_MARGIN if top - region.radius > SCREEN_MARGIN else None
+    slack, radius = region.slack, region.radius
+    mask = slack.values - radius > SCREEN_MARGIN if slack.top - radius > SCREEN_MARGIN else None
     if region.base is not None:
-        base = _certified(region.base, idx)
+        base = _certified(region.base)
         if mask is None:
             mask = base
         elif base is not None:
@@ -577,11 +569,12 @@ def _certified(region, idx):
     return mask
 
 
-def test_sphere_lasso(region, idx):
-    """Elimination mask over the atoms (or groups) `idx` for a sphere region.
+def test_sphere_lasso(region):
+    """Elimination mask over the atoms (or groups) of a sphere region's slack.
 
-    `idx` None tests every entry of the region's slack, which for a region
-    built over a run's `ScreenState` are its packed positions (groups).
+    That slack covers every atom (group) of the dictionary, or, for a region
+    built over a run's `ScreenState`, its packed positions (groups); a
+    caller that wants a subset indexes the mask.
 
     Entry i is flagged iff the region's slack for it exceeds the radius with
     at least `SCREEN_MARGIN` to spare: ``1 - |a_i . center| > radius`` for an
@@ -589,17 +582,15 @@ def test_sphere_lasso(region, idx):
     its worst-case correlation over the sphere stays clearly below the dual
     bound. For a composite region the entry is flagged when either sphere
     certifies it; both contain the dual optimum, so each certificate alone is
-    safe. A sphere whose radius is at least the largest slack over `idx`
-    certifies nothing and costs one comparison of scalars. Since
+    safe. A sphere whose radius is at least its largest slack certifies
+    nothing and costs one comparison of scalars. Since
     ``1 - |a_i . center| <= 1``, that covers every radius of at least 1; the
     SAFE radius never drops below ``lambda_max / lam - 1``, so below half the
     trivial threshold the SAFE sphere of a DST3 region costs nothing more.
     """
-    if idx is not None:
-        idx = np.asarray(idx, dtype=np.int64)
-    mask = _certified(region, idx)
+    mask = _certified(region)
     if mask is None:
-        return np.zeros(region.slack.values.size if idx is None else idx.size, dtype=bool)
+        return np.zeros(region.slack.values.size, dtype=bool)
     return mask
 
 

@@ -409,13 +409,16 @@ def run(problem, cfg, iteration_hook=None):
     screen, before the mask is dropped: `mask` is the dynamic elimination, a
     boolean array aligned with the positions of ``state.x`` that flags at
     least one of them, or None when the iteration eliminates nothing or the
-    strategy is not dynamic. A hooked run folds before every update that
-    follows an elimination, so the hook reads the live `SolverState` with
-    every kept column in play: ``state.screen_state.kept`` holds the
-    original columns of ``state.x``. The hook must not modify the state.
-    The loop replaces the arrays it holds and never writes into them, the
-    alive mask of ``state.screen_state`` aside, so an array a hook keeps
-    still holds the values it had at the call.
+    strategy is not dynamic. The hook reads the live `SolverState` at the
+    packed positions the run holds, and a hooked run folds and copies on
+    the same schedule as an unhooked one, so its results are the same to
+    the bit: ``state.screen_state.kept`` holds the original columns of
+    ``state.x``, and ``state.screen_state.alive`` marks the positions in
+    play. The hook must not modify the state; to screen it, build a fresh
+    `ScreenState` over its `eliminated`, `kept` and a copy of `alive`. The
+    loop replaces the arrays it holds and never writes into them, the alive
+    mask of ``state.screen_state`` aside, so an array a hook keeps still
+    holds the values it had at the call.
     """
     cfg.validate(problem.kind)
     t_start = time.perf_counter()
@@ -454,7 +457,7 @@ def run(problem, cfg, iteration_hook=None):
     for t in range(1, cfg.max_iters + 1):
         if dic.live == 0:
             break
-        if dic.live < dic.packed.n_cols and (iteration_hook is not None or dic.due()):
+        if dic.due():
             dic = _reduce_state(state, dic)
         update(state, dic, problem)
         iterations = t
@@ -531,12 +534,12 @@ class _LiveColumns:
         self.charge = 0
         self.own = own
 
-    @property
-    def n_cols(self):
-        return self.live
-
     def due(self):
-        """Whether the next correlation's dead columns complete the charge of a copy."""
+        """Whether the next correlation's dead columns complete the charge of a copy.
+
+        Never while some column is live and none is dead: the charge grows
+        only with dead columns.
+        """
         dead = self.packed.n_cols - self.live
         return self.charge + dead >= _COPY_COST * self.live
 

@@ -10,6 +10,16 @@ def as_mask(got, size):
     return np.zeros(size, dtype=bool) if got is None else got
 
 
+def over(p, kept):
+    """The `ScreenState` of `p` that keeps the columns `kept` (the array itself), all in play."""
+    return sl.ScreenState(np.setdiff1d(np.arange(p.n_cols), kept), kept)
+
+
+def screened_copy(ss):
+    """A fresh `ScreenState` over a run's state `ss`: screening it leaves the run's state alone."""
+    return sl.ScreenState(ss.eliminated, ss.kept, ss.alive.copy())
+
+
 def make_dictionary(seed, n=12, k=30, family="gaussian"):
     spec = sl.GenSpec(kind=family, n=n, k=k, seed=seed)
     return sl.gen_dictionary(spec)

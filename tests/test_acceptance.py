@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import screenlab as sl
-from conftest import as_mask
+from conftest import as_mask, screened_copy
 from screenlab import cli, screening
 
 SUITE_N, SUITE_K, SUITE_GROUP_SIZE = 30, 80, 4
@@ -79,8 +79,9 @@ def _nesting_hook(problem, ctx, sink):
 
     def hook(t, state, mask):
         sink["checks"] += 1
-        kept = state.screen_state.kept
-        masks = {tk: as_mask(ctx.screen(tk, state.theta, state.corr, kept), kept.size)
+        screened = screened_copy(state.screen_state)
+        size = screened.kept.size
+        masks = {tk: as_mask(ctx.screen(tk, state.theta, state.corr, screened, state.layout), size)
                  for tk in tests}
         for weaker, stronger in pairs:
             extra = int(np.sum(masks[weaker] & ~masks[stronger]))
@@ -303,7 +304,7 @@ class TestCriterion7Figure1Shape:
 
         def safe_kept(radius):
             region = screening.SphereRegion(ctx.safe_center, radius, ctx.safe_slack)
-            return atoms[~screening.test_sphere_lasso(region, atoms)]
+            return atoms[~screening.test_sphere_lasso(region)]
 
         floor_low = safe_kept(max(r_ref - slack, 0.0))  # kept at theta* for certain
         floor_high = safe_kept(r_ref + slack)  # contains the kept set at theta*

@@ -6,10 +6,13 @@ or renames one of those functions breaks the traced benchmark run, so one
 check installs and uninstalls the tracer, and runs one traced dynamic solve
 of each penalty in between. `perfbench/workloads.py` builds its problems and
 `SolverConfig`s through the library's API, so another check builds every
-workload at toy size and runs each of its solves once.
+workload at toy size and runs each of its solves once. A third runs
+`perfbench/selftest.py` in a subprocess, which builds `ScreenState`s by
+keyword and reads a run's screened set.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +69,12 @@ def test_every_workload_config_solves(perfbench):
             cfg.validate(problem.kind)
             res = solvers.run(problem, cfg)
             assert np.isfinite(res.final_objective), (workload.name, cfg)
+
+
+def test_selftest_passes():
+    # the selftest builds `ScreenState(eliminated=, kept=)` and its checks
+    # read `.kept`, `.eliminated` and `.size` of a run's screened set
+    done = subprocess.run([sys.executable, "-B", "selftest.py"], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert "Ran 13 tests" in done.stderr and done.stderr.rstrip().endswith("OK"), done.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import screenlab as sl
 from screenlab import screening
-from conftest import as_mask, identity_problem, make_group, make_lasso
+from conftest import as_mask, identity_problem, make_group, make_lasso, over, screened_copy
 
 
 def kept_all(p):
@@ -97,16 +97,16 @@ class TestOtherPenaltyRejected:
         for problem, valid, wrong in ((make_lasso(1), "dst3", ("gst3", "gsafe", "bogus")),
                                       (make_group(1), "gst3", ("dst3", "safe", "dome"))):
             ctx = sl.ScreeningContext(problem)
-            kept = sl.ScreenState.initial(problem.n_cols).kept
+            state = sl.ScreenState.initial(problem.n_cols)
             # at a dual point orthogonal to y the radius exceeds every slack, so
             # the screen flags nothing and primes the radius bound on this kept set
             theta = np.roll(problem.y, 1) - (np.roll(problem.y, 1) @ problem.y) * problem.y
             corr = problem.dictionary.correlate(theta)
-            assert ctx.screen(valid, theta, corr, kept) is None
+            assert ctx.screen(valid, theta, corr, state) is None
             for kind in wrong:
                 want = f"test '{kind}' does not apply to {problem.kind} problems"
                 with pytest.raises(ValueError, match=want):
-                    ctx.screen(kind, theta, corr, kept)
+                    ctx.screen(kind, theta, corr, state)
                 with pytest.raises(ValueError, match=want):
                     ctx.region(kind, theta, corr)
                 with pytest.raises(ValueError, match=want):
@@ -118,7 +118,7 @@ class TestRegionSafe:
         p = identity_problem(1.0)  # lam == lambda_max
         reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
         assert reg.radius == pytest.approx(0.0, abs=1e-15)
-        mask = sl.test_sphere_lasso(reg, kept_all(p))
+        mask = sl.test_sphere_lasso(reg)
         assert mask.tolist() == [False, True]
 
     def test_zero_theta_radius(self):
@@ -162,7 +162,7 @@ class TestRegionSafe:
             p = sl.Problem(base.dictionary, base.y, lm.value)
             reg = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
             assert reg.radius <= 1e-12
-            mask = sl.test_sphere_lasso(reg, np.arange(35))
+            mask = sl.test_sphere_lasso(reg)
             corr = np.abs(p.dictionary.correlate(p.y))
             generic = np.abs(corr - lm.value) > 1e-9
             assert np.array_equal(mask[generic], (corr < lm.value)[generic])
@@ -175,7 +175,7 @@ class TestRegionDst3:
         reg = sl.ScreeningContext(p).region(sl.DST3, p.y, p.dictionary.correlate(p.y))
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-15)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
-        assert sl.test_sphere_lasso(reg, kept_all(p)).tolist() == [False, True]
+        assert sl.test_sphere_lasso(reg).tolist() == [False, True]
 
     def test_at_threshold_center_matches_safe(self):
         p = identity_problem(1.0)
@@ -191,8 +191,8 @@ class TestRegionDst3:
             r_pos = ctx.region(sl.DST3, p.y, p.dictionary.correlate(p.y))
             r_neg = ctx.region(sl.DST3, -p.y, p.dictionary.correlate(-p.y))
             assert r_pos.radius == r_neg.radius
-            m_pos = sl.test_sphere_lasso(r_pos, kept_all(p))
-            m_neg = sl.test_sphere_lasso(r_neg, kept_all(p))
+            m_pos = sl.test_sphere_lasso(r_pos)
+            m_neg = sl.test_sphere_lasso(r_neg)
             assert np.array_equal(m_pos, m_neg)
 
     def test_rejects_lam_above_threshold(self):
@@ -218,7 +218,7 @@ class TestSphereLassoMask:
         p = make_lasso(4)
         ctx = screening.ScreeningContext(p)
         reg = screening.SphereRegion(ctx.safe_center, 1.0, ctx.safe_slack)
-        assert not sl.test_sphere_lasso(reg, kept_all(p)).any()
+        assert not sl.test_sphere_lasso(reg).any()
 
     def test_static_safe_matches_closed_form(self):
         # the screen-once mask equals the correlation threshold form
@@ -228,7 +228,7 @@ class TestSphereLassoMask:
             lm = sl.lambda_max(p)
             ctx = screening.ScreeningContext(p)
             reg = ctx.static_region(screening.SAFE)
-            mask = sl.test_sphere_lasso(reg, kept_all(p))
+            mask = sl.test_sphere_lasso(reg)
             thresh = p.lam - 1.0 + p.lam / lm.value
             corr = np.abs(p.dictionary.correlate(p.y))
             margin = np.abs(corr - thresh)
@@ -264,8 +264,8 @@ class TestDome:
             ctx = screening.ScreeningContext(p)
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
-            m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr), kept_all(p))
-            m_dst3 = sl.test_sphere_lasso(ctx.region(sl.DST3, theta, corr), kept_all(p))
+            m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr))
+            m_dst3 = sl.test_sphere_lasso(ctx.region(sl.DST3, theta, corr))
             m_dome = sl.test_dome(ctx.region(sl.DOME, theta, corr), kept_all(p))
             assert not np.any(m_safe & ~m_dome)
             assert not np.any(m_dst3 & ~m_dome)
@@ -306,7 +306,7 @@ class TestGroupRegions:
     def test_gsafe_identity_group_mask(self):
         pg = identity_problem(0.8, kind="group")
         reg = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y, pg.dictionary.correlate(pg.y))
-        mask = sl.test_sphere_group(reg, np.array([0, 1]))
+        mask = sl.test_sphere_group(reg)
         assert mask.tolist() == [False, True]
 
     def test_gsafe_zero_theta_radius(self):
@@ -319,7 +319,7 @@ class TestGroupRegions:
         reg = sl.ScreeningContext(pg).region(sl.GST3, pg.y, pg.dictionary.correlate(pg.y))
         assert np.allclose(reg.center, [1.0, 0.0], atol=1e-14)
         assert reg.radius == pytest.approx(0.0, abs=1e-12)
-        mask = sl.test_sphere_group(reg, np.array([0, 1]))
+        mask = sl.test_sphere_group(reg)
         assert mask.tolist() == [False, True]
 
     def test_gst3_singleton_matches_dst3(self):
@@ -396,11 +396,11 @@ class TestCompositeShiftedRegions:
             ctx = screening.ScreeningContext(p)
             for theta in self._dual_points(p, rng):
                 corr = p.dictionary.correlate(theta)
-                m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr), kept_all(p))
+                m_safe = sl.test_sphere_lasso(ctx.region(sl.SAFE, theta, corr))
                 reg = ctx.region(sl.DST3, theta, corr)
-                m_dst3 = sl.test_sphere_lasso(reg, kept_all(p))
+                m_dst3 = sl.test_sphere_lasso(reg)
                 assert not np.any(m_safe & ~m_dst3)
-                m_shifted = sl.test_sphere_lasso(self._shifted_only(reg), kept_all(p))
+                m_shifted = sl.test_sphere_lasso(self._shifted_only(reg))
                 assert np.array_equal(m_dst3, m_safe | m_shifted)
                 protruding += int(np.any(m_safe & ~m_shifted))
         assert protruding > 0
@@ -417,16 +417,14 @@ class TestCompositeShiftedRegions:
         protruding = 0
         for p in problems:
             ctx = screening.ScreeningContext(p)
-            part = p.partition
-            groups = np.arange(part.n_groups)
             for theta in self._dual_points(p, rng):
                 corr = p.dictionary.correlate(theta)
                 reg = ctx.region(sl.GSAFE, theta, corr)
-                m_gsafe = sl.test_sphere_group(reg, groups)
+                m_gsafe = sl.test_sphere_group(reg)
                 reg = ctx.region(sl.GST3, theta, corr)
-                m_gst3 = sl.test_sphere_group(reg, groups)
+                m_gst3 = sl.test_sphere_group(reg)
                 assert not np.any(m_gsafe & ~m_gst3)
-                m_shifted = sl.test_sphere_group(self._shifted_only(reg), groups)
+                m_shifted = sl.test_sphere_group(self._shifted_only(reg))
                 assert np.array_equal(m_gst3, m_gsafe | m_shifted)
                 protruding += int(np.any(m_gsafe & ~m_shifted))
         assert protruding > 0
@@ -439,7 +437,7 @@ class TestSphereGroupMask:
         ctx = screening.ScreeningContext(pg)
         radius = float(np.max(part.weights / part.spectral_norms))
         reg = screening.SphereRegion(ctx.safe_center, radius, ctx.safe_slack)
-        mask = sl.test_sphere_group(reg, np.arange(part.n_groups))
+        mask = sl.test_sphere_group(reg)
         assert not mask.any()
 
     def test_singleton_matches_lasso_decisions(self):
@@ -447,8 +445,8 @@ class TestSphereGroupMask:
         pg = identity_problem(0.8, kind="group")
         reg_l = sl.ScreeningContext(p).region(sl.SAFE, p.y, p.dictionary.correlate(p.y))
         reg_g = sl.ScreeningContext(pg).region(sl.GSAFE, pg.y, pg.dictionary.correlate(pg.y))
-        m_l = sl.test_sphere_lasso(reg_l, kept_all(p))
-        m_g = sl.test_sphere_group(reg_g, np.array([0, 1]))
+        m_l = sl.test_sphere_lasso(reg_l)
+        m_g = sl.test_sphere_group(reg_g)
         assert np.array_equal(m_l, m_g)
 
     def test_index_mask_expansion(self):
@@ -507,8 +505,8 @@ class TestScreen:
                 corr = p.dictionary.correlate(theta)
                 for kind in sl.LASSO_TESTS:
                     reg = ctx.region(kind, theta, corr)
-                    test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
-                    assert same(ctx.screen(kind, theta, corr, kept), test(reg, kept))
+                    want = sl.test_dome(reg, kept) if kind == sl.DOME else sl.test_sphere_lasso(reg)
+                    assert same(ctx.screen(kind, theta, corr, over(p, kept)), want)
 
     def test_static_call_matches_static_region(self):
         for seed in range(10):
@@ -520,12 +518,10 @@ class TestScreen:
                     if kind == sl.DOME:
                         want = sl.test_dome(reg, kept)
                     elif p.kind == sl.LASSO:
-                        want = sl.test_sphere_lasso(reg, kept)
+                        want = sl.test_sphere_lasso(reg)
                     else:
-                        all_groups = np.arange(p.partition.n_groups)
-                        groups = sl.test_sphere_group(reg, all_groups)
-                        want = groups[p.partition.group_of]
-                    assert same(ctx.screen(kind, p.y, ctx.y_corr, kept), want)
+                        want = sl.test_sphere_group(reg)[p.partition.group_of]
+                    assert same(ctx.screen(kind, p.y, ctx.y_corr, over(p, kept)), want)
 
     def test_group_mask_covers_whole_kept_groups(self):
         rng = np.random.default_rng(13)
@@ -537,16 +533,17 @@ class TestScreen:
             # the static survivors keep the extremal group, so every scaled
             # point below satisfies its constraint
             kept = kept_all(p)
-            kept = kept[~as_mask(ctx.screen(sl.GSAFE, p.y, ctx.y_corr, kept), kept.size)]
+            kept = kept[~as_mask(ctx.screen(sl.GSAFE, p.y, ctx.y_corr, over(p, kept)), kept.size)]
             layout = part.layout(kept)
             for theta in (-p.y, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)):
                 corr = p.dictionary.data[:, kept].T @ theta
                 for kind in sl.GROUP_TESTS:
-                    mask = as_mask(ctx.screen(kind, theta, corr, kept, layout), kept.size)
+                    state = over(p, kept)
+                    mask = as_mask(ctx.screen(kind, theta, corr, state, layout), kept.size)
                     assert mask.dtype == bool and mask.shape == kept.shape
-                    assert same(ctx.screen(kind, theta, corr, kept), mask)
+                    assert same(ctx.screen(kind, theta, corr, over(p, kept)), mask)
                     reg = ctx.region(kind, theta, corr, layout)
-                    groups = sl.test_sphere_group(reg, layout.group_ids)
+                    groups = sl.test_sphere_group(reg)[layout.group_ids]
                     assert set(kept[mask]) == set(np.concatenate(
                         [part.groups[g] for g in layout.group_ids[groups]] + [np.empty(0, int)]
                     ))
@@ -626,13 +623,14 @@ class TestLeanScreen:
                 kinds = sl.LASSO_TESTS if p.kind == sl.LASSO else sl.GROUP_TESTS
                 for kept in self._kept_sets(p, rng):
                     layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
+                    state = over(p, kept)
                     near_static = -p.y + 0.3 * rng.standard_normal(p.n_rows) / np.sqrt(p.n_rows)
                     for theta in (rng.standard_normal(p.n_rows), near_static, np.zeros(p.n_rows)):
                         corr = p.dictionary.data[:, kept].T @ theta
                         for kind in kinds:
                             want, shifted = reference_screen(ctx, kind, theta, corr, kept, layout)
                             for _ in range(2):
-                                got = ctx.screen(kind, theta, corr, kept, layout)
+                                got = ctx.screen(kind, theta, corr, state, layout)
                                 assert same(got, want)
                             exits += int(not want.any())
                             flagged += int(want.any())
@@ -645,8 +643,6 @@ class TestLeanScreen:
         # skipped only where it would flag nothing
         rng = np.random.default_rng(32)
         values = rng.random(50)
-        kept = np.arange(50)
-        kept.setflags(write=False)
         top = float(values.max())
         edge = top - screening.SCREEN_MARGIN
         counts = []
@@ -654,8 +650,8 @@ class TestLeanScreen:
         for radius in (top - 1e-9, below, edge, above, top):
             region = screening.SphereRegion(None, float(radius), screening.Slack(values))
             want = values - radius > screening.SCREEN_MARGIN
-            assert np.array_equal(sl.test_sphere_lasso(region, kept), want)
-            assert np.array_equal(sl.test_sphere_group(region, kept), want)
+            assert np.array_equal(sl.test_sphere_lasso(region), want)
+            assert np.array_equal(sl.test_sphere_group(region), want)
             counts.append(int(want.sum()))
         assert counts[0] > 0 and counts[1] > 0 and counts[-1] == 0
 
@@ -669,9 +665,13 @@ class TestLeanScreen:
         kept_sizes = []
 
         def hook(t, state, mask):
-            kept = state.screen_state.kept
+            # the reference over the columns in play, placed at the run's packed positions
+            alive = state.screen_state.alive
+            kept = state.screen_state.kept[alive]
             layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
-            want, _ = reference_screen(ctx, kind, state.theta, state.corr, kept, layout)
+            want = np.zeros(alive.size, dtype=bool)
+            want[alive] = reference_screen(ctx, kind, state.theta, state.corr[alive], kept,
+                                           layout)[0]
             assert same(mask, want), t
             kept_sizes.append(kept.size)
 
@@ -689,11 +689,18 @@ def exact_screen(ctx, kind, theta, corr, kept):
     """`screen`'s mask the long way: region, its test and the group expansion."""
     p = ctx.problem
     if p.kind == sl.LASSO:
-        test = sl.test_dome if kind == sl.DOME else sl.test_sphere_lasso
-        return test(_REGION(ctx, kind, theta, corr), kept)
+        region = _REGION(ctx, kind, theta, corr)
+        return sl.test_dome(region, kept) if kind == sl.DOME else sl.test_sphere_lasso(region)[kept]
     layout = p.partition.layout(kept)
-    groups = sl.test_sphere_group(_REGION(ctx, kind, theta, corr, layout), layout.group_ids)
+    groups = sl.test_sphere_group(_REGION(ctx, kind, theta, corr, layout))[layout.group_ids]
     return sl.group_mask_to_index_mask(layout, groups)
+
+
+def exact_in_play(ctx, kind, theta, corr, ss):
+    """`exact_screen` over the columns of a run's state `ss` in play, at its packed positions."""
+    mask = np.zeros(ss.kept.size, dtype=bool)
+    mask[ss.alive] = exact_screen(ctx, kind, theta, corr[ss.alive], ss.kept[ss.alive])
+    return mask
 
 
 @pytest.fixture
@@ -730,7 +737,7 @@ class TestRadiusBound:
 
             def hook(t, state, mask):
                 nonlocal screens, flagged
-                want = exact_screen(ref, kind, state.theta, state.corr, state.screen_state.kept)
+                want = exact_in_play(ref, kind, state.theta, state.corr, state.screen_state)
                 assert same(mask, want), t
                 screens += 1
                 flagged += int(want.any())
@@ -749,10 +756,11 @@ class TestRadiusBound:
 
             def hook(t, state, mask):
                 nonlocal screens
+                ss = state.screen_state
+                screened = screened_copy(ss)
                 for kind in kinds:
-                    got = ctx.screen(kind, state.theta, state.corr, state.screen_state.kept)
-                    assert same(got, exact_screen(ref, kind, state.theta, state.corr,
-                                                  state.screen_state.kept))
+                    got = ctx.screen(kind, state.theta, state.corr, screened, state.layout)
+                    assert same(got, exact_in_play(ref, kind, state.theta, state.corr, ss))
                     screens += 1
 
             for algo in ("ista", "fista", "cp"):
@@ -780,7 +788,8 @@ class TestRadiusBound:
             for seed in range(4):
                 p = make(seed, ratio=0.6 + 0.1 * seed)
                 ctx = screening.ScreeningContext(p)
-                kept = screening.ScreenState.initial(p.n_cols).kept
+                state = screening.ScreenState.initial(p.n_cols)
+                kept = state.kept
                 layout = p.partition.layout(kept) if p.kind == sl.GROUP else None
                 for theta in self._near_optimal_thetas(p, rng):
                     corr = p.dictionary.correlate(theta)
@@ -793,7 +802,7 @@ class TestRadiusBound:
                             ctx._extremal = (kept, cols, float(layout.weights[j]), j)
                         for kind in kinds:
                             want = exact_screen(ctx, kind, theta, corr, kept)
-                            got = ctx.screen(kind, theta, corr, kept, layout)
+                            got = ctx.screen(kind, theta, corr, state, layout)
                             assert same(got, want), (kind, seed, j)
                             flagged += int(want.any())
         assert flagged
@@ -812,7 +821,8 @@ class TestRadiusBound:
             far = rng.standard_normal(p.n_rows)
             for kind in kinds:
                 ctx = screening.ScreeningContext(p)
-                kept = screening.ScreenState.initial(p.n_cols).kept
+                state = screening.ScreenState.initial(p.n_cols)
+                kept = state.kept
 
                 def flags(s):
                     theta = near + s * (far - near)
@@ -828,7 +838,7 @@ class TestRadiusBound:
                 for s in (hi, lo, hi, lo):
                     theta = near + s * (far - near)
                     corr = p.dictionary.correlate(theta)
-                    assert same(ctx.screen(kind, theta, corr, kept), flags(s))
+                    assert same(ctx.screen(kind, theta, corr, state), flags(s))
                 assert ctx._extremal[0] is kept
         assert flips >= 4
 
@@ -847,14 +857,15 @@ class TestRadiusBound:
             center, _, shift_sq = ctx._shifted
             size = p.n_cols if family == "lasso" else p.partition.n_groups
             ctx.__dict__["_shifted"] = (center, screening.Slack(np.full(size, -np.inf)), shift_sq)
-            kept = screening.ScreenState.initial(p.n_cols).kept
+            state = screening.ScreenState.initial(p.n_cols)
+            kept = state.kept
             near = next(self._near_optimal_thetas(p, rng))
             far = rng.standard_normal(p.n_rows)
             for s in np.linspace(1.0, 0.0, 41):
                 theta = near + s * (far - near)
                 corr = p.dictionary.correlate(theta)
                 want = exact_screen(plain, kinds[0], theta, corr, kept)
-                assert same(ctx.screen(kinds[1], theta, corr, kept), want), s
+                assert same(ctx.screen(kinds[1], theta, corr, state), want), s
                 flagged += int(want.any())
         assert flagged
 
@@ -865,23 +876,24 @@ class TestRadiusBound:
         for kinds, p in (([sl.SAFE, sl.DST3], make_lasso(5, ratio=0.7)),
                          ([sl.GSAFE, sl.GST3], make_group(5, ratio=0.7))):
             ctx = screening.ScreeningContext(p)
-            kept = screening.ScreenState.initial(p.n_cols).kept
+            initial = screening.ScreenState.initial(p.n_cols)
+            kept = initial.kept
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
-            assert ctx.screen(kinds[0], theta, corr, kept) is None
+            assert ctx.screen(kinds[0], theta, corr, initial) is None
             key, cols, _, _ = ctx._extremal
             assert key is kept
             # the remembered columns are one atom, or all of one group
             drop = np.zeros(kept.size, dtype=bool)
             drop[cols] = True
-            state = sl.screen_update(screening.ScreenState(np.empty(0, np.int64), kept), drop)
+            state = sl.screen_update(initial, drop)
             built = len(region_calls)
             thetas = list(self._near_optimal_thetas(p, rng)) + [rng.standard_normal(p.n_rows)]
             for theta in thetas:
                 corr = p.dictionary.data[:, state.kept].T @ theta
                 for kind in kinds:
                     want = exact_screen(ctx, kind, theta, corr, state.kept)
-                    assert same(ctx.screen(kind, theta, corr, state.kept), want)
+                    assert same(ctx.screen(kind, theta, corr, state), want)
             assert len(region_calls) > built
             assert ctx._extremal[0] is state.kept
 
@@ -894,21 +906,22 @@ class TestRadiusBound:
         for kinds, p in (([sl.SAFE, sl.DST3], make_lasso(5, ratio=0.7)),
                          ([sl.GSAFE, sl.GST3], make_group(5, ratio=0.7))):
             ctx = screening.ScreeningContext(p)
-            kept = screening.ScreenState.initial(p.n_cols).kept
+            initial = screening.ScreenState.initial(p.n_cols)
+            kept = initial.kept
             theta = rng.standard_normal(p.n_rows)
             corr = p.dictionary.correlate(theta)
-            assert ctx.screen(kinds[0], theta, corr, kept) is None
+            assert ctx.screen(kinds[0], theta, corr, initial) is None
             _, cols, weight, j = ctx._extremal
             # drop the first atom (group) that is not j
             drop = np.zeros(kept.size, dtype=bool)
             first = 1 if np.min(cols) == 0 else 0
             drop[first if p.kind == sl.LASSO else p.partition.groups[first]] = True
-            state = sl.screen_update(screening.ScreenState(np.empty(0, np.int64), kept), drop)
+            state = sl.screen_update(initial, drop)
             corr = p.dictionary.data[:, state.kept].T @ theta
             for kind in kinds:
                 built = len(region_calls)
                 want = exact_screen(ctx, kind, theta, corr, state.kept)
-                got = ctx.screen(kind, theta, corr, state.kept)
+                got = ctx.screen(kind, theta, corr, state)
                 assert not want.any() and same(got, want), kind
                 assert len(region_calls) == built, kind
             key, moved, _, _ = ctx._extremal
@@ -930,23 +943,23 @@ class TestScreenResult:
         for seed in range(4):
             p = make(seed, ratio=0.5 + 0.15 * seed)
             ctx, ref = screening.ScreeningContext(p), screening.ScreeningContext(p)
-            frozen = screening.ScreenState.initial(p.n_cols).kept
+            frozen = screening.ScreenState.initial(p.n_cols)
             near = next(TestRadiusBound._near_optimal_thetas(p, rng))
             thetas = [p.y, near, rng.standard_normal(p.n_rows), np.zeros(p.n_rows)]
             thetas += [near + s * rng.standard_normal(p.n_rows) for s in (1e-3, 1e-2, 0.1)]
             for theta in thetas:
                 corr = p.dictionary.correlate(theta)
-                want = exact_screen(ref, kind, theta, corr, frozen)
+                want = exact_screen(ref, kind, theta, corr, frozen.kept)
                 # a run's read-only kept set, whose screens the radius bound
                 # may skip, and a writable one, whose screens it never skips
-                for kept in (frozen, frozen.copy()):
-                    got = ctx.screen(kind, theta, corr, kept)
+                for state in (frozen, over(p, frozen.kept.copy())):
+                    got = ctx.screen(kind, theta, corr, state)
                     if not want.any():
                         assert got is None, (seed, kind)
                         nothing += 1
                         continue
                     assert got.dtype == bool and np.array_equal(got, want), (seed, kind)
-                    again = ctx.screen(kind, theta, corr, kept)
+                    again = ctx.screen(kind, theta, corr, state)
                     assert got.flags.writeable and not np.shares_memory(got, again)
                     flagged += 1
         assert nothing and flagged
@@ -957,7 +970,7 @@ class TestScreenResult:
         seen = []
 
         def hook(t, state, mask):
-            seen.append((state.screen_state.kept.size, mask))
+            seen.append((int(np.count_nonzero(state.screen_state.alive)), mask))
 
         sl.run(p, sl.SolverConfig(algorithm="fista", strategy="dynamic", test=kind,
                                   max_iters=300, rel_tol=1e-10), iteration_hook=hook)
@@ -973,7 +986,7 @@ class TestScreenResult:
         # nothing, and the static run is the plain one to the bit
         p = make_lasso(6, ratio=0.05) if kind in sl.LASSO_TESTS else make_group(6, ratio=0.05)
         ctx = screening.ScreeningContext(p)
-        assert ctx.screen(kind, p.y, ctx.y_corr, kept_all(p)) is None
+        assert ctx.screen(kind, p.y, ctx.y_corr, sl.ScreenState.initial(p.n_cols)) is None
         runs = [sl.run(p, sl.SolverConfig(algorithm="fista", strategy=strategy, test=kind,
                                           max_iters=50, rel_tol=1e-10))
                 for strategy in ("none", "static")]
@@ -1027,11 +1040,11 @@ class TestScreenEqualsExactPath:
             for kind in kinds:
                 region = ref.region(kind, theta, corr, layout)
                 if layout is None:
-                    want = sl.test_sphere_lasso(region, kept)
+                    want = sl.test_sphere_lasso(region)[kept]
                 else:
                     want = sl.group_mask_to_index_mask(
-                        layout, sl.test_sphere_group(region, layout.group_ids))
-                got = ctx.screen(kind, theta, corr, kept, layout)
+                        layout, sl.test_sphere_group(region)[layout.group_ids])
+                got = ctx.screen(kind, theta, corr, state, layout)
                 assert same(got, want), kind
                 masks.append(want)
             drop = masks[0] | masks[1]
@@ -1108,6 +1121,13 @@ class TestScreenState:
         with pytest.raises(ValueError, match="align"):
             sl.screen_update(st, np.zeros(3, dtype=bool))
 
+    def test_non_boolean_mask_rejected(self):
+        # a float mask used to be cast to bool, so 0.5 eliminated column 0
+        st = screening.ScreenState.initial(3)
+        for mask in (np.array([0.5, 0.0, 0.0]), np.array([1, 0, 0])):
+            with pytest.raises(ValueError, match=f"mask must be boolean, not of dtype {mask.dtype}"):
+                sl.screen_update(st, mask)
+
     def test_repeated_updates_stay_sorted_and_disjoint(self):
         rng = np.random.default_rng(4)
         st = screening.ScreenState.initial(500)
@@ -1158,7 +1178,8 @@ class TestPackedScreen:
                     got = ctx.screen(kind, theta, corr, state, layout)
                     kept = state.kept[alive]
                     want = np.zeros(p.n_cols, dtype=bool)
-                    want[alive] = as_mask(ref.screen(kind, theta, corr[alive], kept), kept.size)
+                    got_in_play = ref.screen(kind, theta, corr[alive], over(p, kept))
+                    want[alive] = as_mask(got_in_play, kept.size)
                     assert same(got, want)
                     flagged += int(want.any())
                 for full, packed in state.slacks.items():

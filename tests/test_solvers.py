@@ -68,7 +68,7 @@ class TestReduceState:
             sizes.append(kept.size)
             last[:] = [kept]
             assert state.screen_state.alive.all()
-            assert state.x.size == state.layout.member.size == view.n_cols == kept.size
+            assert state.x.size == state.layout.member.size == view.live == kept.size
             assert view.packed.n_cols == kept.size
             for v in (state.x_prev, state.u):
                 assert v is None or v.size == kept.size
@@ -756,7 +756,7 @@ class TestResidualReuse:
             if state.u_resid is not None:
                 want = dic.apply(state.u) - problem.y
                 assert np.allclose(state.u_resid, want, rtol=0.0, atol=1e-12)
-                widths.append(dic.n_cols)
+                widths.append(dic.live)
             return update(state, dic, problem)
 
         monkeypatch.setitem(solvers._UPDATES, algo, checking)
@@ -792,7 +792,7 @@ class TestResidualReuse:
         held = [(v, v.tobytes()) for v in (st.x, st.x_prev, st.u)]
         _screen_out(st, dic, mask)
         assert all(v.tobytes() == before for v, before in held)
-        assert np.array_equal(st.screen_state.alive, ~mask) and dic.n_cols == p.n_cols - 1
+        assert np.array_equal(st.screen_state.alive, ~mask) and dic.live == p.n_cols - 1
         for v in (st.x, st.x_prev, st.u):
             assert v.size == p.n_cols and not v[mask].any()
         if drop == "zeros":
@@ -862,7 +862,7 @@ class TestColumnReduction:
             alive = state.screen_state.alive
             _screen_out(state, cur, alive & (rng.random(alive.size) < 0.2))
             kept = state.screen_state.kept[state.screen_state.alive]
-            assert cur.n_cols == kept.size
+            assert cur.live == kept.size
             if not kept.size:
                 break
             direct = dic.data[:, kept]
@@ -886,7 +886,7 @@ class TestColumnReduction:
                 assert np.allclose(corr[alive], direct.T @ v, rtol=0, atol=1e-12)
                 assert not corr[~alive].any()
                 assert cur.charge == charge
-                assert cur.n_cols == kept.size
+                assert cur.live == kept.size
                 x = np.zeros(alive.size)
                 x[alive] = rng.standard_normal(kept.size) * (rng.random(kept.size) < 0.3)
                 assert np.allclose(cur.apply(x), direct @ x[alive], rtol=0, atol=1e-12)
@@ -976,7 +976,7 @@ class TestOneColumnPath:
         correlate = _LiveColumns.correlate
 
         def recording(self, v):
-            widths.append((self.packed.n_cols, self.n_cols))
+            widths.append((self.packed.n_cols, self.live))
             return correlate(self, v)
 
         monkeypatch.setattr(_LiveColumns, "correlate", recording)
@@ -1039,6 +1039,31 @@ class TestCopySchedule:
             assert eager.final_objective == pytest.approx(never.final_objective, rel=1e-12)
             assert np.allclose(eager.x_star, never.x_star, rtol=0, atol=1e-9)
         assert eager_copies > (1 if strategy == "dynamic" else 0)
+
+
+class TestHookedRun:
+    # A hook only reads the state, so a hooked run folds and copies on the
+    # unhooked run's schedule and gives its results to the bit; the hook
+    # and safety tests then check the run the benchmark times
+
+    @pytest.mark.parametrize("algo", sl.ALGORITHMS)
+    @pytest.mark.parametrize("make,test", _SCHEDULE_CASES)
+    @pytest.mark.parametrize("strategy", ["static", "dynamic"])
+    def test_a_no_op_hook_leaves_the_run_bit_identical(self, algo, make, test, strategy):
+        cfg = SolverConfig(algorithm=algo, strategy=strategy, test=test, max_iters=300,
+                           rel_tol=1e-10)
+        calls = []
+        for p in _schedule_problems(make):
+            calls.clear()
+            plain = sl.run(p, cfg)
+            hooked = sl.run(p, cfg, iteration_hook=lambda t, state, mask: calls.append(t))
+            assert calls == list(range(1, plain.iterations + 1))
+            assert hooked.iterations == plain.iterations
+            assert hooked.x_star.tobytes() == plain.x_star.tobytes()
+            assert np.array_equal(hooked.screen_state.eliminated, plain.screen_state.eliminated)
+            assert hooked.trace.kept == plain.trace.kept
+            assert [f.hex() for f in hooked.trace.objective] == [
+                f.hex() for f in plain.trace.objective]
 
 
 class TestEliminationEvents:
